@@ -30,10 +30,7 @@ from .costs import (
     ensemble_from_text,
     ensemble_to_text,
     global_optimum,
-    gradient,
-    hessian,
     hessian_bounds,
-    max_step_size,
     sample_ensemble,
     stacked_gradient,
     step_size_bounds,
@@ -62,12 +59,7 @@ from .experiment import (
     run_sweep,
 )
 from .linalg import (
-    PowerIterationError,
-    PowerIterationWarning,
     SingularMatrixError,
-    dominant_eigpair,
-    kron,
-    mat_mul,
     solve_linear,
     spectral_radius,
 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .costs import CostEnsemble, global_optimum, stacked_gradient, step_size_bounds
 from .diffusion import DiffusionConfig, run_to_fixed_point
-from .linalg import SingularMatrixError, kron, solve_linear, spectral_radius
+from .linalg import SingularMatrixError, solve_linear, spectral_radius
 from .network import (
     Assumption3Report,
     AssumptionError,
@@ -35,10 +35,6 @@ from .network import (
     check_assumption3,
     perron_theta,
 )
-
-SPECTRAL_TOL = 1e-10
-SPECTRAL_MAX_ITER = 50_000
-
 
 @dataclass(frozen=True, eq=False)
 class LimitOperators:
@@ -101,27 +97,25 @@ def error_propagation_matrix(
     step_sizes,
     ensemble: CostEnsemble,
 ) -> np.ndarray:
-    """One-iteration error map of the recursion, lifted to size N*M."""
+    """One-iteration error map of the recursion, lifted to size N*M.
+
+    The step sizes scale the rows of the block Hessians directly, so no
+    dense step-size diagonal is formed."""
     n, m = ensemble.n, ensemble.dim
     eye_m = np.eye(m)
-    a1t = kron(a1.matrix.T, eye_m)
-    a2t = kron(a2.matrix.T, eye_m)
-    mu = kron(np.diag(np.asarray(step_sizes, dtype=float)), eye_m)
-    w_star = global_optimum(ensemble)
-    r_inf = r_infinity(c, ensemble, w_star)
-    return a2t @ (np.eye(n * m) - mu @ r_inf) @ a1t
+    mu = np.repeat(np.asarray(step_sizes, dtype=float), m)
+    gain = np.eye(n * m) - mu[:, None] * r_infinity(c, ensemble, global_optimum(ensemble))
+    return np.kron(a2.matrix.T, eye_m) @ gain @ np.kron(a1.matrix.T, eye_m)
 
 
 def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
-    """Spectral-radius estimate of the error propagation matrix.
+    """Spectral radius of the error propagation matrix.
 
     Below one whenever the curvature and step-size conditions hold; a
     value at or above one flags an unstable configuration with a
     RuntimeWarning."""
     rho = spectral_radius(
-        error_propagation_matrix(config.a1, config.a2, config.c, config.step_sizes, ensemble),
-        tol=SPECTRAL_TOL,
-        max_iter=SPECTRAL_MAX_ITER,
+        error_propagation_matrix(config.a1, config.a2, config.c, config.step_sizes, ensemble)
     )
     if rho >= 1.0:
         warnings.warn(
@@ -138,23 +132,20 @@ def closed_form_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndar
 
     Solves (I - B) x = rhs where B is the error propagation matrix and
     rhs applies the step sizes and gradient-exchange weights to the
-    stacked gradient at the optimum."""
+    stacked gradient at the optimum. The right-hand side is formed on the
+    N x M gradient array, without Kronecker lifts."""
     n, m = ensemble.n, ensemble.dim
-    eye_m = np.eye(m)
-    w_star = global_optimum(ensemble)
-    g0 = stacked_gradient(ensemble, w_star)
+    g0 = stacked_gradient(ensemble, global_optimum(ensemble)).reshape(n, m)
     b = error_propagation_matrix(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    a2t = kron(config.a2.matrix.T, eye_m)
-    mu = kron(np.diag(config.step_sizes), eye_m)
-    ct = kron(config.c.matrix.T, eye_m)
-    rhs = a2t @ mu @ ct @ g0
+    mu = config.step_sizes[:, None]
+    rhs = (config.a2.matrix.T @ (mu * (config.c.matrix.T @ g0))).ravel()
     try:
         return solve_linear(np.eye(n * m) - b, rhs)
     except SingularMatrixError as exc:
-        rho = spectral_radius(b, tol=SPECTRAL_TOL, max_iter=SPECTRAL_MAX_ITER)
+        rho = spectral_radius(b)
         raise AssumptionError(
             "closed-form bias system is singular; the error-propagation spectral"
-            f" radius estimate is {rho:.6g} (must be below one). {exc}"
+            f" radius is {rho:.6g} (must be below one). {exc}"
         ) from exc
 
 
@@ -176,14 +167,14 @@ def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOpe
     n, m = ensemble.n, ensemble.dim
     eye_m = np.eye(m)
     theta, z, hbar, _ = _weighted_aggregate(config, ensemble)
-    a1t = kron(config.a1.matrix.T, eye_m)
-    a2t = kron(config.a2.matrix.T, eye_m)
+    a1t = np.kron(config.a1.matrix.T, eye_m)
+    a2t = np.kron(config.a2.matrix.T, eye_m)
     mixing_gap = np.eye(n * m) - a2t @ a1t
-    m0 = kron(np.diag(normalized_step_shape(config.step_sizes)), eye_m)
+    m0 = np.kron(np.diag(normalized_step_shape(config.step_sizes)), eye_m)
     w_star = global_optimum(ensemble)
     curvature = a2t @ m0 @ r_infinity(config.c, ensemble, w_star) @ a1t
-    ones_lift = kron(np.ones((n, 1)), eye_m)
-    theta_lift = kron(theta[None, :], eye_m)
+    ones_lift = np.kron(np.ones((n, 1)), eye_m)
+    theta_lift = np.kron(theta[None, :], eye_m)
     agg = theta_lift @ curvature @ ones_lift
     try:
         d = np.column_stack([solve_linear(agg, e) for e in eye_m])
@@ -288,6 +279,7 @@ def bias_report(
 
 
 def _fmt(x: float) -> str:
+    """A real at 17 significant digits, as in the JSON report and the sweep CSV."""
     return format(float(x), ".16e")
 
 

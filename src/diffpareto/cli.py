@@ -20,21 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from .bias import limit_bias, spectral_check
-from .costs import check_assumption1, sample_ensemble, step_size_bounds
-from .diffusion import atc_config, cta_config
+from .costs import check_assumption1, step_size_bounds
 from .experiment import (
     DEFAULT_SCHEDULE,
-    EXPERIMENT_AVG_DEGREE,
+    _build_scenario,
     builtin_figure_configs,
-    draw_step_shape,
     emit_csv,
     emit_plot_script,
     load_config,
     run_sweep,
 )
 from .network import (
-    build_A,
-    build_C,
     check_assumption3,
     check_primitive,
     generate_topology,
@@ -91,21 +87,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config)
-    topology = generate_topology(config.n_nodes, EXPERIMENT_AVG_DEGREE, config.topology_seed)
-    ensemble = sample_ensemble(config.n_nodes, config.dim, config.rows, config.data_seed)
-    a = build_A(topology, config.a_rule)
-    c = build_C(topology, config.c_rule)
-    omega0 = draw_step_shape(config.n_nodes, config.step_mode, config.step_seed)
+    topology, ensemble, at_scale, omega0 = _build_scenario(config)
     mu_max = max(config.mu_max_schedule)
-    make = atc_config if config.strategy == "atc" else cta_config
-    dcfg = make(a, c, mu_max * omega0)
+    dcfg = at_scale(mu_max)
 
     print(
         f"Scenario {config.scenario_id}: N={config.n_nodes}, M={config.dim},"
         f" edges={topology.n_edges}, mu_max={mu_max:g}"
     )
 
-    report1 = check_assumption1(c, ensemble)
+    report1 = check_assumption1(dcfg.c, ensemble)
     floor = float(report1.weighted_lambda_min.min())
     state = "SATISFIED" if report1.satisfied else "VIOLATED"
     print(f"Assumption 1: {state} (min weighted curvature lower bound {floor:g})")
@@ -113,7 +104,7 @@ def _cmd_check(args) -> int:
     primitive = check_primitive(dcfg.a1.matrix @ dcfg.a2.matrix)
     print(f"Assumption 2: {'SATISFIED' if primitive else 'VIOLATED'} (composite primitivity)")
 
-    bounds = step_size_bounds(c, ensemble)
+    bounds = step_size_bounds(dcfg.c, ensemble)
     margins = bounds / omega0
     tightest = int(np.argmin(margins))
     state = "SATISFIED" if mu_max < margins[tightest] else "VIOLATED"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularMatrixError, as_matrix, as_vector, dominant_eigpair, solve_linear
+from .linalg import SingularMatrixError, as_matrix, as_vector, solve_linear
 from .network import AssumptionError, CombinationMatrix
 from .rng import SplitMix64
 
@@ -120,29 +120,18 @@ def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
     return CostEnsemble(costs=tuple(costs), dim=m, data_seed=data_seed)
 
 
-def gradient(cost: QuadraticCost, w) -> np.ndarray:
-    return cost.gradient(w)
-
-
-def hessian(cost: QuadraticCost) -> np.ndarray:
-    return cost.hessian()
-
-
 def hessian_bounds(cost: QuadraticCost) -> HessianBounds:
-    """Extreme eigenvalues of the (symmetric PSD) Hessian.
+    """Extreme eigenvalues of the (symmetric PSD) Hessian, from LAPACK's
+    symmetric eigensolver.
 
-    The top eigenvalue comes from power iteration; the bottom one from
-    power iteration on the spectrally shifted matrix, which avoids a
-    second solver path."""
-    h = cost.hessian()
-    if np.abs(h).max() == 0.0:
-        return HessianBounds(lambda_min=0.0, lambda_max=0.0)
-    lambda_max, _ = dominant_eigpair(h)
-    shifted = lambda_max * np.eye(h.shape[0]) - h
-    if np.abs(shifted).max() == 0.0:
-        return HessianBounds(lambda_min=lambda_max, lambda_max=lambda_max)
-    spread, _ = dominant_eigpair(shifted)
-    lambda_min = min(max(lambda_max - spread, 0.0), lambda_max)
+    A bottom eigenvalue at or below M * eps * lambda_max is rounding noise
+    of a singular Hessian (fewer data rows than dimensions) and is
+    reported as exactly zero."""
+    eigs = np.linalg.eigvalsh(cost.hessian())
+    lambda_max = float(eigs[-1])
+    lambda_min = float(eigs[0])
+    if lambda_min <= cost.dim * np.finfo(float).eps * lambda_max:
+        lambda_min = 0.0
     return HessianBounds(lambda_min=lambda_min, lambda_max=lambda_max)
 
 
@@ -174,20 +163,6 @@ def _bounds_per_node(ensemble: CostEnsemble) -> tuple[np.ndarray, np.ndarray]:
         np.array([b.lambda_min for b in bounds]),
         np.array([b.lambda_max for b in bounds]),
     )
-
-
-def max_step_size(node_index: int, c: CombinationMatrix, ensemble: CostEnsemble) -> float:
-    """Strict upper bound on node's step size: 2 over the weighted top curvature."""
-    if not 0 <= node_index < ensemble.n:
-        raise ValueError(f"node index {node_index} outside 0..{ensemble.n - 1}")
-    lo, hi = _bounds_per_node(ensemble)
-    weights = c.matrix[:, node_index]
-    if float(weights @ lo) <= 0.0:
-        raise AssumptionError(
-            "Assumption 1 violated: the weighted lower curvature bound of node"
-            f" {node_index} is not positive"
-        )
-    return 2.0 / float(weights @ hi)
 
 
 def step_size_bounds(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:

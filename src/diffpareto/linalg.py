@@ -1,41 +1,23 @@
-"""Dense linear algebra kernels used throughout the package.
+"""Dense linear algebra, a thin layer over LAPACK through ``numpy.linalg``.
 
 Everything operates on plain float64 numpy arrays. Matrices stay small
-(at most a few hundred rows), so direct methods are used everywhere:
-LU with partial pivoting for solves, power iteration for dominant
-eigenpairs and spectral-radius estimates.
+(at most a few hundred rows), so direct methods are used everywhere: an
+LU solve behind a QR singularity test, and the full eigenvalue set for
+spectral radii.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-
-from .rng import SplitMix64
-
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
 
 
 class SingularMatrixError(ValueError):
-    """Raised when elimination hits a pivot that is zero to working precision."""
+    """Raised when a matrix is singular to working precision; carries the
+    smallest diagonal magnitude of its QR factor."""
 
     def __init__(self, message: str, pivot: float):
         super().__init__(message)
         self.pivot = pivot
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when power iteration fails to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
-class PowerIterationWarning(RuntimeWarning):
-    pass
 
 
 def as_matrix(a) -> np.ndarray:
@@ -58,163 +40,36 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
-def mat_mul(a, b) -> np.ndarray:
+def _square(a) -> np.ndarray:
     a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}:"
-            " inner dimensions differ"
-        )
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) equals a[i, j] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """In-place-style LU with partial pivoting. Returns the packed factors and
-    the row permutation applied to the right-hand side."""
-    lu = a.copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    # pivot smaller than this counts as singular at working precision
-    threshold = n * np.finfo(float).eps * (np.abs(a).max() if a.size else 0.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = abs(lu[p, k])
-        if pivot <= threshold:
-            raise SingularMatrixError(
-                f"matrix is singular to working precision at column {k}"
-                f" (pivot magnitude {pivot:.3e})",
-                pivot=pivot,
-            )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
+    return a
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve a @ x = b by LU factorization with partial pivoting."""
-    a = as_matrix(a)
+    """Solve a @ x = b with LAPACK's LU solver.
+
+    The matrix counts as singular when a diagonal entry of its QR factor
+    R is at most n * eps * max|a|; SingularMatrixError then names the
+    column and carries that magnitude."""
+    a = _square(a)
     b = as_vector(b)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
     if b.shape[0] != n:
         raise ValueError(f"matrix is {n}x{n} but right-hand side has length {b.shape[0]}")
-    lu, perm = _lu_factor(a)
-    x = b[perm]
-    for k in range(n):  # forward substitution, unit lower triangle
-        x[k + 1 :] -= lu[k + 1 :, k] * x[k]
-    for k in range(n - 1, -1, -1):  # back substitution
-        x[k] /= lu[k, k]
-        x[:k] -= lu[:k, k] * x[k]
-    return x
-
-
-def dominant_eigpair(
-    a, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair by power iteration.
-
-    Iterates are renormalized so their largest-magnitude entry is one;
-    convergence means successive normalized iterates differ by less than
-    ``tol`` in max-norm. Requires a real, simple dominant eigenvalue that
-    is strictly separated in modulus (true for primitive stochastic
-    matrices). The returned eigenvector sums to one when entrywise
-    nonnegative, otherwise it has unit max-norm.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    n = a.shape[0]
-    v = np.full(n, 1.0 / n)
-    delta = np.inf
-    for _ in range(max_iter):
-        w = a @ v
-        m = w[int(np.argmax(np.abs(w)))]
-        if m == 0.0:
-            raise PowerIterationError(
-                "power iteration collapsed onto the null space", residual=float("nan")
-            )
-        w = w / m
-        delta = float(np.max(np.abs(w - v)))
-        v = w
-        if delta < tol:
-            break
-    else:
-        raise PowerIterationError(
-            f"power iteration did not converge within {max_iter} iterations"
-            f" (last max-norm change {delta:.3e})",
-            residual=delta,
+    threshold = n * np.finfo(float).eps * np.abs(a).max()
+    pivots = np.abs(np.diagonal(np.linalg.qr(a, mode="r")))
+    k = int(np.argmin(pivots))
+    if pivots[k] <= threshold:
+        raise SingularMatrixError(
+            f"matrix is singular to working precision at column {k}"
+            f" (pivot magnitude {pivots[k]:.3e})",
+            pivot=float(pivots[k]),
         )
-    av = a @ v
-    eigenvalue = float(v @ av) / float(v @ v)
-    if np.all(v >= 0.0):
-        v = v / v.sum()
-    return eigenvalue, v
+    return np.linalg.solve(a, b)
 
 
-def spectral_radius(
-    a, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> float:
-    """Spectral-radius estimate by power iteration with renormalization.
-
-    Accurate to about ``tol`` when one eigenvalue dominates in modulus.
-    Otherwise (tied moduli, or clustered eigenvalues that stall the
-    iteration) the best estimate so far is returned and a
-    PowerIterationWarning flags it as unconverged.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    n = a.shape[0]
-    # fixed pseudo-random start; a generic direction avoids unlucky
-    # orthogonality with the dominant eigenvector
-    v = np.array(SplitMix64(0x5EED0F5EED).normals(n))
-    v /= np.linalg.norm(v)
-    est = 0.0
-    delta = np.inf
-    for _ in range(max_iter):
-        w = a @ v
-        growth = float(np.linalg.norm(w))
-        if growth == 0.0:
-            return 0.0
-        delta = abs(growth - est)
-        est = growth
-        v = w / growth
-        if delta <= tol * max(1.0, est):
-            return est
-    warnings.warn(
-        f"spectral-radius estimate unconverged after {max_iter} iterations"
-        f" (last change {delta:.3e}); returning best estimate {est:.6g}",
-        PowerIterationWarning,
-        stacklevel=2,
-    )
-    return est
-
-
-def elimination_rank(a, threshold: float) -> int:
-    """Numerical rank: pivots surviving row elimination above ``threshold``."""
-    m = as_matrix(a).copy()
-    rows, cols = m.shape
-    rank = 0
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        p = row + int(np.argmax(np.abs(m[row:, col])))
-        if abs(m[p, col]) <= threshold:
-            continue
-        if p != row:
-            m[[row, p]] = m[[p, row]]
-        m[row + 1 :, col:] -= np.outer(m[row + 1 :, col] / m[row, col], m[row, col:])
-        rank += 1
-        row += 1
-    return rank
+def spectral_radius(a) -> float:
+    """Largest eigenvalue modulus, from the full (LAPACK) eigenvalue set."""
+    return float(np.abs(np.linalg.eigvals(_square(a))).max())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, dominant_eigpair
+from .linalg import as_matrix, as_vector, solve_linear
 from .rng import SplitMix64
 
 LEFT_STOCHASTIC = "left_stochastic"
@@ -259,51 +259,61 @@ def identity_combination(n: int) -> CombinationMatrix:
     return CombinationMatrix(matrix=np.eye(n), kind=DOUBLY_STOCHASTIC, rule="identity")
 
 
+def _bfs_levels(pattern: np.ndarray) -> np.ndarray:
+    """BFS level of every node from node 0 along the edges u -> v where
+    pattern[u, v] is true; -1 marks nodes it cannot reach."""
+    level = np.full(pattern.shape[0], -1)
+    level[0] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = pattern[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    return level
+
+
 def check_primitive(p) -> bool:
     """True iff some power of the nonnegative matrix is entrywise positive.
 
-    Uses the boolean sparsity pattern and the Wielandt exponent bound
-    K = N^2 - 2N + 2: a nonnegative N x N matrix is primitive exactly when
-    the K-th power of its pattern is full. Binary exponentiation on
-    boolean matrices keeps the test exact."""
+    That holds exactly when the graph of the sparsity pattern (an edge
+    u -> v wherever p[u, v] > 0) is strongly connected and aperiodic
+    (Horn & Johnson, Matrix Analysis, 8.5). Strong connectivity is a BFS
+    from node 0 over the pattern and over its transpose; the period is the
+    gcd of level[u] + 1 - level[v] over all edges, with the forward BFS
+    levels. The test is exact and needs no special case for N = 1."""
     p = as_matrix(p)
     if p.shape[0] != p.shape[1]:
         raise ValueError(f"matrix must be square, got {p.shape}")
     if (p < 0).any():
         raise ValueError("primitivity is defined for nonnegative matrices only")
-    n = p.shape[0]
-    if n == 1:
-        return bool(p[0, 0] > 0)
-    exponent = n * n - 2 * n + 2
-    base = p > 0
-    acc = np.eye(n, dtype=bool)
-    e = exponent
-    while e:
-        if e & 1:
-            acc = (acc.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base_next = (base.astype(np.uint8) @ base.astype(np.uint8)) > 0
-        base = base_next
-        e >>= 1
-    return bool(acc.all())
+    pattern = p > 0
+    level = _bfs_levels(pattern)
+    if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
+        return False
+    u, v = np.nonzero(pattern)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) == 1
 
 
 def perron_theta(a1: CombinationMatrix, a2: CombinationMatrix) -> PerronData:
     """Perron vector of the composite combination matrix a1 @ a2.
 
-    The composite must be primitive (Assumption 2); its unique eigenvalue
-    at one has a nonnegative right eigenvector, returned normalized so the
-    entries sum to one."""
+    The composite must be primitive (Assumption 2). It is left-stochastic,
+    so its eigenvalue one has a positive right eigenvector theta, unique up
+    to scale. The columns of (composite - I) sum to zero, so its last row
+    is redundant; replacing that row with ones and solving against e_N
+    yields theta normalized so the entries sum to one."""
     composite = a1.matrix @ a2.matrix
     if not check_primitive(composite):
         raise AssumptionError(
             "Assumption 2 violated: the composite combination matrix is not primitive"
         )
-    # tighter-than-default tolerance: downstream constants inherit this accuracy
-    eigenvalue, theta = dominant_eigpair(composite, tol=1e-13)
-    if abs(eigenvalue - 1.0) > 1e-8:
-        raise AssumptionError(
-            f"Assumption 2 violated: dominant eigenvalue {eigenvalue!r} is not one"
-        )
+    n = composite.shape[0]
+    bordered = composite - np.eye(n)
+    bordered[-1, :] = 1.0
+    e_last = np.zeros(n)
+    e_last[-1] = 1.0
+    theta = solve_linear(bordered, e_last)
     composite.setflags(write=False)
     return PerronData(theta=theta, composite=composite)
 

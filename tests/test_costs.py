@@ -8,15 +8,18 @@ from diffpareto.costs import (
     ensemble_from_text,
     ensemble_to_text,
     global_optimum,
-    gradient,
-    hessian,
     hessian_bounds,
-    max_step_size,
     sample_ensemble,
     stacked_gradient,
     step_size_bounds,
 )
-from diffpareto.network import AssumptionError, CombinationMatrix, identity_combination
+from diffpareto.network import (
+    AssumptionError,
+    CombinationMatrix,
+    build_C,
+    generate_topology,
+    identity_combination,
+)
 
 
 def scalar_cost(target: float) -> QuadraticCost:
@@ -67,7 +70,7 @@ def test_sample_ensemble_mean_near_zero():
 
 
 def test_gradient_hand_value():
-    assert gradient(scalar_cost(1.0), np.array([0.0])) == pytest.approx([-2.0])
+    assert scalar_cost(1.0).gradient(np.array([0.0])) == pytest.approx([-2.0])
 
 
 def test_gradient_zero_at_own_minimizer():
@@ -94,8 +97,8 @@ def test_gradient_dimension_error():
 
 
 def test_hessian_hand_values():
-    assert np.allclose(hessian(scalar_cost(1.0)), [[2.0]], atol=1e-15)
-    assert np.array_equal(hessian(QuadraticCost(np.eye(2), np.zeros(2))), 2.0 * np.eye(2))
+    assert np.allclose(scalar_cost(1.0).hessian(), [[2.0]], atol=1e-15)
+    assert np.array_equal(QuadraticCost(np.eye(2), np.zeros(2)).hessian(), 2.0 * np.eye(2))
 
 
 def test_hessian_independent_of_point():
@@ -196,15 +199,23 @@ def test_stacked_gradient_blocks_sum_to_aggregate():
 # --- step-size bounds and Assumption 1 --------------------------------------
 
 
+def top_curvature_bounds(c: CombinationMatrix, ens: CostEnsemble) -> np.ndarray:
+    """Independent oracle: 2 over the c-weighted top Hessian eigenvalues."""
+    lambda_max = np.linalg.eigvalsh(np.stack([cost.hessian() for cost in ens.costs]))[:, -1]
+    return 2.0 / (c.matrix.T @ lambda_max)
+
+
 def test_max_step_size_scalar():
     ens = CostEnsemble(costs=(scalar_cost(1.0),), dim=1)
-    assert max_step_size(0, identity_combination(1), ens) == pytest.approx(1.0)
+    bounds = step_size_bounds(identity_combination(1), ens)
+    assert bounds == pytest.approx([1.0])
+    assert bounds == pytest.approx(top_curvature_bounds(identity_combination(1), ens))
 
 
 def test_max_step_size_identity_data():
     # one node whose cost has Hessian 2*I, so the bound is 2/2 = 1
     ens = CostEnsemble(costs=(QuadraticCost(np.eye(2), np.zeros(2)),), dim=2)
-    assert max_step_size(0, identity_combination(1), ens) == pytest.approx(1.0)
+    assert step_size_bounds(identity_combination(1), ens) == pytest.approx([1.0])
 
 
 def test_max_step_size_halves_when_rows_doubled():
@@ -216,14 +227,15 @@ def test_max_step_size_halves_when_rows_doubled():
         costs=(QuadraticCost(np.vstack([x, x]), np.concatenate([y, y])),), dim=3
     )
     eye = identity_combination(1)
-    assert max_step_size(0, eye, ens2) == pytest.approx(max_step_size(0, eye, ens1) / 2)
+    assert step_size_bounds(eye, ens2) == pytest.approx(step_size_bounds(eye, ens1) / 2)
+    assert step_size_bounds(eye, ens2) == pytest.approx(top_curvature_bounds(eye, ens2))
 
 
 def test_max_step_size_requires_positive_floor():
     zero = QuadraticCost(np.zeros((2, 2)), np.zeros(2))
     ens = CostEnsemble(costs=(zero,), dim=2)
     with pytest.raises(AssumptionError, match="Assumption 1"):
-        max_step_size(0, identity_combination(1), ens)
+        step_size_bounds(identity_combination(1), ens)
 
 
 def test_check_assumption1_cases():
@@ -247,9 +259,18 @@ def test_check_assumption1_cases():
 def test_step_size_bounds_match_per_node():
     ens = sample_ensemble(5, 3, 5, data_seed=13)
     eye = identity_combination(5)
-    bounds = step_size_bounds(eye, ens)
-    for k in range(5):
-        assert bounds[k] == pytest.approx(max_step_size(k, eye, ens))
+    assert step_size_bounds(eye, ens) == pytest.approx(top_curvature_bounds(eye, ens), rel=1e-14)
+    topo = generate_topology(5, 3.0, seed=13)
+    c = build_C(topo, "relative_degree")
+    assert step_size_bounds(c, ens) == pytest.approx(top_curvature_bounds(c, ens), rel=1e-14)
+
+
+def test_assumption1_rank_deficient_hessians_exact_zero():
+    # two rows in four dimensions: every Hessian is singular, and the
+    # bottom eigenvalue is reported as exactly zero, not rounding noise
+    report = check_assumption1(identity_combination(10), sample_ensemble(10, 4, 2, 5))
+    assert not report.satisfied
+    assert np.array_equal(report.weighted_lambda_min, np.zeros(10))
 
 
 # --- serialization -----------------------------------------------------------

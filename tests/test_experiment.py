@@ -370,6 +370,26 @@ def test_cli_check_not_satisfied_path(tmp_path, capsys):
     assert "Assumption 3: NOT SATISFIED" in capsys.readouterr().out
 
 
+def test_cli_check_honours_identical_costs_flag(tmp_path, capsys):
+    def printed_limit_norm(**overrides) -> float:
+        config = write_config(
+            tmp_path,
+            a_rule="averaging",
+            step_mode="unequal_uniform_half",
+            n_nodes=20,
+            mu_max_schedule=[1e-2],
+            **overrides,
+        )
+        assert cli_main(["check", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        line = next(ln for ln in out.splitlines() if ln.startswith("Small-step-size bias norm"))
+        return float(line.rsplit(":", 1)[1])
+
+    # one cost at every node: the optimum is shared and the limit bias vanishes
+    assert printed_limit_norm(debug_identical_costs=True) <= 1e-12
+    assert printed_limit_norm() > 1e-6
+
+
 def test_cli_unknown_flag_exits_one(capsys):
     assert cli_main(["sweep", "--config", "x", "--out", "y", "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

@@ -160,6 +160,32 @@ def test_cycle_not_primitive():
     assert not check_primitive(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_full_matrix_primitive_at_any_size(n):
+    assert check_primitive(np.full((n, n), 1.0 / n))
+
+
+def test_three_cycle_not_primitive():
+    # period 3: powers cycle through three disjoint patterns
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    assert not check_primitive(cycle)
+    with_loop = cycle.copy()
+    with_loop[0, 0] = 1.0
+    assert check_primitive(with_loop)
+
+
+def test_reducible_block_triangular_not_primitive():
+    p = np.full((4, 4), 0.25)
+    p[2:, :2] = 0.0  # nodes 2 and 3 never reach nodes 0 and 1
+    assert not check_primitive(p)
+    assert not check_primitive(p.T)
+
+
+def test_single_node_primitive_iff_positive():
+    assert check_primitive(np.array([[1.0]]))
+    assert not check_primitive(np.array([[0.0]]))
+
+
 def test_primitive_rejects_negative():
     with pytest.raises(ValueError, match="nonnegative"):
         check_primitive(np.array([[0.5, -0.1], [0.5, 1.1]]))
@@ -189,6 +215,18 @@ def test_perron_two_by_two_hand_value():
     assert np.allclose(data.theta, [4 / 7, 3 / 7], atol=1e-12)
     assert np.abs(data.composite @ data.theta - data.theta).max() <= 1e-8
     assert data.theta.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perron_random_column_stochastic(seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.05, 1.0, size=(6, 6))
+    p /= p.sum(axis=0)
+    data = perron_theta(CombinationMatrix(p, kind="left_stochastic"), identity_combination(6))
+    values, vectors = np.linalg.eig(p)
+    reference = np.real(vectors[:, np.argmax(np.real(values))])
+    assert np.abs(data.theta - reference / reference.sum()).max() <= 1e-12
+    assert (data.theta > 0.0).all()
 
 
 def test_perron_rejects_imprimitive_composite():
