@@ -8,9 +8,18 @@ from diffpareto.linalg import (
     solve_linear,
     spectral_radius,
 )
+from diffpareto.network import CombinationMatrix, identity_combination, perron_theta
 
-# left-stochastic 2x2
+# left-stochastic 2x2 whose Perron vector solves 0.3*t1 = 0.4*t2, t1+t2 = 1
 A22 = np.array([[0.7, 0.4], [0.3, 0.6]])
+THETA22 = np.array([4.0 / 7.0, 3.0 / 7.0])
+
+
+def dominant_eigpair(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """Dominant eigenpair of a left-stochastic matrix from the package API."""
+    n = p.shape[0]
+    data = perron_theta(CombinationMatrix(p, kind="left_stochastic"), identity_combination(n))
+    return spectral_radius(p), data.theta
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -69,3 +78,21 @@ def test_spectral_radius_tied_moduli():
     # eigenvalues +-i: no single eigenvalue dominates, the radius is still exact
     a = np.array([[0.0, 2.0], [-0.5, 0.0]])
     assert spectral_radius(a) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mat_mul_fixes_perron_vector():
+    assert np.allclose(A22 @ THETA22, THETA22, atol=1e-15)
+    _, vec = dominant_eigpair(A22)
+    assert np.allclose(A22 @ vec, vec, atol=1e-12)
+
+
+def test_dominant_eigpair_two_by_two():
+    value, vec = dominant_eigpair(A22)
+    assert value == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(vec, THETA22, atol=1e-10)
+
+
+def test_dominant_eigpair_doubly_stochastic_uniform():
+    p = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+    _, vec = dominant_eigpair(p)
+    assert np.allclose(vec, np.full(3, 1.0 / 3.0), atol=1e-10)
