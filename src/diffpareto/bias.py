@@ -25,14 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostEnsemble, global_optimum, stacked_gradient, step_size_bounds
-from .diffusion import DiffusionConfig, run_to_fixed_point
+from .costs import CostEnsemble, combine_hessians, global_optimum, stacked_gradient
+from .diffusion import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    DiffusionConfig,
+    _mixing_transpose,
+    run_to_fixed_point,
+    validate_step_condition,
+)
 from .linalg import SingularMatrixError, solve_linear, spectral_radius
 from .network import (
     Assumption3Report,
     AssumptionError,
     CombinationMatrix,
     check_assumption3,
+    identity_combination,
     perron_theta,
 )
 
@@ -76,18 +84,33 @@ def normalized_step_shape(step_sizes) -> np.ndarray:
     return steps / steps.max()
 
 
-def r_infinity(c: CombinationMatrix, ensemble: CostEnsemble, w_star) -> np.ndarray:
-    """Block-diagonal matrix of the c-combined Hessians at the optimum.
+def _lift(a1: CombinationMatrix, a2: CombinationMatrix, blocks: np.ndarray) -> np.ndarray:
+    """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I).
 
-    Block k is sum_l c[l, k] * hessian_l(w_star); exact for quadratics,
-    whose Hessians do not depend on the evaluation point."""
-    n, m = ensemble.n, ensemble.dim
-    out = np.zeros((n * m, n * m))
-    h_stack = np.stack([cost.hessian() for cost in ensemble.costs])
-    for k in range(n):
-        block = np.einsum("l,lij->ij", c.matrix[:, k], h_stack)
-        out[k * m : (k + 1) * m, k * m : (k + 1) * m] = block
-    return out
+    ``blocks`` has shape (N, M, M). Block (k, l) of the product of the
+    last two factors is a1[l, k] * blocks[k], formed by broadcasting;
+    a2^T then mixes the node axis in one product. Identity factors are
+    skipped, so no Kronecker lift is ever formed."""
+    n, m, _ = blocks.shape
+    a1t, a2t = _mixing_transpose(a1), _mixing_transpose(a2)
+    if a1t is None:
+        out = np.zeros((n, m, n, m))
+        nodes = np.arange(n)
+        out[nodes, :, nodes, :] = blocks
+    else:
+        out = blocks[:, :, None, :] * a1t[:, None, :, None]
+    if a2t is not None:
+        out = a2t @ out.reshape(n, -1)
+    return out.reshape(n * m, n * m)
+
+
+def r_infinity(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
+    """Block-diagonal matrix of the c-combined Hessians.
+
+    Block k is sum_l c[l, k] * hessian_l; for quadratics it is the same at
+    every evaluation point, the optimum included."""
+    eye = identity_combination(ensemble.n)
+    return _lift(eye, eye, combine_hessians(c, ensemble))
 
 
 def error_propagation_matrix(
@@ -97,15 +120,11 @@ def error_propagation_matrix(
     step_sizes,
     ensemble: CostEnsemble,
 ) -> np.ndarray:
-    """One-iteration error map of the recursion, lifted to size N*M.
-
-    The step sizes scale the rows of the block Hessians directly, so no
-    dense step-size diagonal is formed."""
-    n, m = ensemble.n, ensemble.dim
-    eye_m = np.eye(m)
-    mu = np.repeat(np.asarray(step_sizes, dtype=float), m)
-    gain = np.eye(n * m) - mu[:, None] * r_infinity(c, ensemble, global_optimum(ensemble))
-    return np.kron(a2.matrix.T, eye_m) @ gain @ np.kron(a1.matrix.T, eye_m)
+    """One-iteration error map of the recursion, lifted to size N*M: the
+    lift of the per-node gains I - mu_k * R_k through a1 and a2."""
+    mu = np.asarray(step_sizes, dtype=float)
+    gains = np.eye(ensemble.dim) - mu[:, None, None] * combine_hessians(c, ensemble)
+    return _lift(a1, a2, gains)
 
 
 def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
@@ -150,29 +169,26 @@ def closed_form_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndar
 
 
 def _weighted_aggregate(config: DiffusionConfig, ensemble: CostEnsemble):
-    """z weights, the z-weighted aggregate Hessian, and weighted gradient at w*."""
+    """Perron vector, z weights, their c-combination, and the z-weighted
+    aggregate Hessian."""
     theta = perron_theta(config.a1, config.a2).theta
     omega0 = normalized_step_shape(config.step_sizes)
     z = omega0 * (config.a2.matrix @ theta)
     weights = config.c.matrix @ z
-    h_stack = np.stack([cost.hessian() for cost in ensemble.costs])
-    hbar = np.einsum("l,lij->ij", weights, h_stack)
-    w_star = global_optimum(ensemble)
-    gbar = np.einsum("l,li->i", weights, np.stack([c.gradient(w_star) for c in ensemble.costs]))
-    return theta, z, hbar, gbar
+    hbar = np.einsum("l,lij->ij", weights, ensemble.hessians)
+    return theta, z, weights, hbar
 
 
 def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOperators:
     """Build the limit operators and their rank-M factorization explicitly."""
     n, m = ensemble.n, ensemble.dim
     eye_m = np.eye(m)
-    theta, z, hbar, _ = _weighted_aggregate(config, ensemble)
-    a1t = np.kron(config.a1.matrix.T, eye_m)
-    a2t = np.kron(config.a2.matrix.T, eye_m)
-    mixing_gap = np.eye(n * m) - a2t @ a1t
-    m0 = np.kron(np.diag(normalized_step_shape(config.step_sizes)), eye_m)
-    w_star = global_optimum(ensemble)
-    curvature = a2t @ m0 @ r_infinity(config.c, ensemble, w_star) @ a1t
+    theta, z, _, hbar = _weighted_aggregate(config, ensemble)
+    mixing_gap = np.eye(n * m) - _lift(config.a1, config.a2, np.broadcast_to(eye_m, (n, m, m)))
+    omega0 = normalized_step_shape(config.step_sizes)
+    curvature = _lift(
+        config.a1, config.a2, omega0[:, None, None] * combine_hessians(config.c, ensemble)
+    )
     ones_lift = np.kron(np.ones((n, 1)), eye_m)
     theta_lift = np.kron(theta[None, :], eye_m)
     agg = theta_lift @ curvature @ ones_lift
@@ -183,7 +199,7 @@ def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOpe
             "Assumption 1 violated: the z-weighted aggregate Hessian is singular"
             f" ({exc})"
         ) from exc
-    # the kron route and the weighted-sum route must build the same matrix
+    # the lifted route and the weighted-sum route must build the same matrix
     if np.abs(agg - hbar).max() > 1e-10 * max(1.0, np.abs(hbar).max()):
         raise RuntimeError("aggregate Hessian mismatch between construction routes")
     resolvent_limit = ones_lift @ d @ theta_lift
@@ -202,7 +218,9 @@ def limit_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
     Solves the z-weighted aggregate Hessian against the z-weighted
     aggregate gradient at the optimum. Depends only on the shape of the
     step sizes, so rescaling them all by one factor changes nothing."""
-    _, _, hbar, gbar = _weighted_aggregate(config, ensemble)
+    _, _, weights, hbar = _weighted_aggregate(config, ensemble)
+    gradients = stacked_gradient(ensemble, global_optimum(ensemble)).reshape(ensemble.n, -1)
+    gbar = np.einsum("l,li->i", weights, gradients)
     try:
         return solve_linear(hbar, gbar)
     except SingularMatrixError as exc:
@@ -228,14 +246,7 @@ def verify_limit_convergence(
     if any(later >= earlier for earlier, later in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     omega0 = normalized_step_shape(config.step_sizes)
-    bounds = step_size_bounds(config.c, ensemble)
-    over = schedule[0] * omega0 >= bounds
-    if over.any():
-        node = int(np.argmax(over))
-        raise ValueError(
-            f"schedule entry {schedule[0]:.6g} puts node {node} at or above its"
-            f" step-size bound {bounds[node]:.6g}"
-        )
+    validate_step_condition(config.with_step_sizes(schedule[0] * omega0), ensemble)
     limit = limit_bias(config, ensemble)
     replicated = np.tile(limit, ensemble.n)
     table = []
@@ -249,8 +260,8 @@ def verify_limit_convergence(
 def bias_report(
     config: DiffusionConfig,
     ensemble: CostEnsemble,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     assumption3_tol: float = 1e-8,
     init=None,
 ) -> BiasReport:

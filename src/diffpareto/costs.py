@@ -7,13 +7,14 @@ gradient across nodes, per-node Hessian eigenvalue bounds, and the
 checkers for the curvature assumption (Assumption 1) and the induced
 step-size upper bounds.
 
-The cost surface is kept small and duck-typed (value / gradient /
-hessian) so a non-quadratic model could slot in later.
+An ensemble stacks its per-node Hessians and gradient offsets once, at
+construction; every per-node quantity downstream is read from those
+stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,18 +62,21 @@ class QuadraticCost:
         # constant in w for a quadratic
         return 2.0 * self.x_matrix.T @ self.x_matrix
 
-    def linear_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H, b) with gradient(w) = H @ w - b; exact for quadratics."""
-        return self.hessian(), 2.0 * self.x_matrix.T @ self.y_vector
-
 
 @dataclass(frozen=True, eq=False)
 class CostEnsemble:
-    """One quadratic cost per node, all sharing the parameter dimension."""
+    """One quadratic cost per node, all sharing the parameter dimension.
+
+    ``hessians`` (N, M, M) and ``offsets`` (N, M) stack every node's
+    Hessian and gradient offset 2 X^T y, so that gradient_k(w) =
+    hessians[k] @ w - offsets[k]. Both are derived from the costs and
+    read-only."""
 
     costs: tuple[QuadraticCost, ...]
     dim: int
     data_seed: int = 0
+    hessians: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.costs:
@@ -81,6 +85,12 @@ class CostEnsemble:
             if cost.dim != self.dim:
                 raise ValueError(f"cost {i} has dim {cost.dim}, expected {self.dim}")
         object.__setattr__(self, "costs", tuple(self.costs))
+        hessians = np.stack([cost.hessian() for cost in self.costs])
+        offsets = np.stack([2.0 * cost.x_matrix.T @ cost.y_vector for cost in self.costs])
+        object.__setattr__(self, "hessians", hessians)
+        object.__setattr__(self, "offsets", offsets)
+        hessians.setflags(write=False)
+        offsets.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -120,30 +130,29 @@ def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
     return CostEnsemble(costs=tuple(costs), dim=m, data_seed=data_seed)
 
 
-def hessian_bounds(cost: QuadraticCost) -> HessianBounds:
-    """Extreme eigenvalues of the (symmetric PSD) Hessian, from LAPACK's
-    symmetric eigensolver.
+def _eigen_bounds(hessians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom and top eigenvalues of one symmetric PSD matrix or of each
+    in a stack, from LAPACK's symmetric eigensolver.
 
     A bottom eigenvalue at or below M * eps * lambda_max is rounding noise
     of a singular Hessian (fewer data rows than dimensions) and is
     reported as exactly zero."""
-    eigs = np.linalg.eigvalsh(cost.hessian())
-    lambda_max = float(eigs[-1])
-    lambda_min = float(eigs[0])
-    if lambda_min <= cost.dim * np.finfo(float).eps * lambda_max:
-        lambda_min = 0.0
-    return HessianBounds(lambda_min=lambda_min, lambda_max=lambda_max)
+    eigs = np.linalg.eigvalsh(hessians)
+    lo, hi = eigs[..., 0], eigs[..., -1]
+    return np.where(lo <= hessians.shape[-1] * np.finfo(float).eps * hi, 0.0, lo), hi
+
+
+def hessian_bounds(cost: QuadraticCost) -> HessianBounds:
+    """Extreme eigenvalues of one cost's Hessian; a bottom eigenvalue that
+    is rounding noise of a singular Hessian is reported as zero."""
+    lo, hi = _eigen_bounds(cost.hessian())
+    return HessianBounds(lambda_min=float(lo), lambda_max=float(hi))
 
 
 def global_optimum(ensemble: CostEnsemble) -> np.ndarray:
     """Minimizer of the equally weighted aggregate cost (global LS solution)."""
-    gram = np.zeros((ensemble.dim, ensemble.dim))
-    rhs = np.zeros(ensemble.dim)
-    for cost in ensemble.costs:
-        gram += cost.x_matrix.T @ cost.x_matrix
-        rhs += cost.x_matrix.T @ cost.y_vector
     try:
-        return solve_linear(gram, rhs)
+        return solve_linear(ensemble.hessians.sum(axis=0), ensemble.offsets.sum(axis=0))
     except SingularMatrixError as exc:
         raise AssumptionError(
             "Assumption 1 violated: the aggregate normal matrix is singular"
@@ -157,17 +166,9 @@ def stacked_gradient(ensemble: CostEnsemble, w) -> np.ndarray:
     return np.concatenate([cost.gradient(w) for cost in ensemble.costs])
 
 
-def _bounds_per_node(ensemble: CostEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    bounds = [hessian_bounds(cost) for cost in ensemble.costs]
-    return (
-        np.array([b.lambda_min for b in bounds]),
-        np.array([b.lambda_max for b in bounds]),
-    )
-
-
 def step_size_bounds(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
     """Per-node strict step-size upper bounds, as one vector."""
-    lo, hi = _bounds_per_node(ensemble)
+    lo, hi = _eigen_bounds(ensemble.hessians)
     weighted_lo = c.matrix.T @ lo
     if (weighted_lo <= 0.0).any():
         bad = int(np.argmin(weighted_lo))
@@ -180,21 +181,19 @@ def step_size_bounds(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray
 
 def check_assumption1(c: CombinationMatrix, ensemble: CostEnsemble) -> Assumption1Report:
     """Weighted curvature lower bounds must be positive at every node."""
-    lo, _ = _bounds_per_node(ensemble)
+    lo, _ = _eigen_bounds(ensemble.hessians)
     weighted = c.matrix.T @ lo
     return Assumption1Report(satisfied=bool((weighted > 0.0).all()), weighted_lambda_min=weighted)
 
 
 def combine_hessians(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
     """Per-node combined Hessians: stack of sum_l c[l, k] * hessian_l, shape (N, M, M)."""
-    h_stack = np.stack([cost.hessian() for cost in ensemble.costs])
-    return np.einsum("lk,lij->kij", c.matrix, h_stack)
+    return np.einsum("lk,lij->kij", c.matrix, ensemble.hessians)
 
 
 def combine_gradient_offsets(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
-    """Per-node combined linear-form offsets, shape (N, M)."""
-    b_stack = np.stack([cost.linear_form()[1] for cost in ensemble.costs])
-    return np.einsum("lk,li->ki", c.matrix, b_stack)
+    """Per-node combined gradient offsets, shape (N, M)."""
+    return np.einsum("lk,li->ki", c.matrix, ensemble.offsets)
 
 
 def ensemble_to_text(ensemble: CostEnsemble) -> str:

@@ -21,8 +21,6 @@ import numpy as np
 from .costs import CostEnsemble, combine_gradient_offsets, combine_hessians, step_size_bounds
 from .network import AssumptionError, CombinationMatrix, identity_combination
 
-STRATEGY_TAGS = ("atc", "cta", "general")
-
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
 
@@ -38,7 +36,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DiffusionConfig:
-    """Combination matrices, per-node step sizes, and the strategy tag.
+    """Combination matrices and per-node step sizes.
 
     a1 and a2 must combine columns (left- or doubly-stochastic); c must
     combine rows (right- or doubly-stochastic). Step sizes are validated
@@ -49,7 +47,6 @@ class DiffusionConfig:
     a2: CombinationMatrix
     c: CombinationMatrix
     step_sizes: np.ndarray
-    strategy_tag: str = "general"
 
     def __post_init__(self):
         if not self.a1.combines_columns() or not self.a2.combines_columns():
@@ -64,8 +61,6 @@ class DiffusionConfig:
             raise ValueError(f"need {n} step sizes, got shape {steps.shape}")
         if not np.isfinite(steps).all() or (steps <= 0.0).any():
             raise ValueError("step sizes must be finite and strictly positive")
-        if self.strategy_tag not in STRATEGY_TAGS:
-            raise ValueError(f"strategy tag must be one of {STRATEGY_TAGS}")
         object.__setattr__(self, "step_sizes", steps)
         steps.setflags(write=False)
 
@@ -74,10 +69,7 @@ class DiffusionConfig:
         return self.a1.n
 
     def with_step_sizes(self, step_sizes) -> "DiffusionConfig":
-        return DiffusionConfig(
-            a1=self.a1, a2=self.a2, c=self.c,
-            step_sizes=step_sizes, strategy_tag=self.strategy_tag,
-        )
+        return DiffusionConfig(a1=self.a1, a2=self.a2, c=self.c, step_sizes=step_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +98,12 @@ def preset_cta(a: CombinationMatrix) -> tuple[CombinationMatrix, CombinationMatr
 
 def atc_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> DiffusionConfig:
     a1, a2 = preset_atc(a)
-    return DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=step_sizes, strategy_tag="atc")
+    return DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=step_sizes)
 
 
 def cta_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> DiffusionConfig:
     a1, a2 = preset_cta(a)
-    return DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=step_sizes, strategy_tag="cta")
+    return DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=step_sizes)
 
 
 def validate_step_condition(config: DiffusionConfig, ensemble: CostEnsemble) -> None:
@@ -124,6 +116,14 @@ def validate_step_condition(config: DiffusionConfig, ensemble: CostEnsemble) -> 
             f"step size {config.step_sizes[node]:.6g} at node {node} is not below"
             f" its stability bound {bounds[node]:.6g}"
         )
+
+
+def _mixing_transpose(a: CombinationMatrix) -> np.ndarray | None:
+    """a^T, which a combination stage applies to the node-major state, or
+    None when a is the identity and the stage is skipped."""
+    if np.array_equal(a.matrix, np.eye(a.n)):
+        return None
+    return a.matrix.T.copy()
 
 
 class _StepOperator:
@@ -143,9 +143,8 @@ class _StepOperator:
         d = combine_gradient_offsets(config.c, ensemble)
         self.gain = np.eye(m)[None, :, :] - mu[:, None, None] * r
         self.offset = mu[:, None] * d
-        eye = np.eye(n)
-        self.a1t = None if np.array_equal(config.a1.matrix, eye) else config.a1.matrix.T.copy()
-        self.a2t = None if np.array_equal(config.a2.matrix, eye) else config.a2.matrix.T.copy()
+        self.a1t = _mixing_transpose(config.a1)
+        self.a2t = _mixing_transpose(config.a2)
         self.shape = (n, m)
 
     def apply(self, w: np.ndarray) -> np.ndarray:

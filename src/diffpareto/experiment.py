@@ -16,10 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import _fmt, closed_form_bias, error_propagation_matrix, limit_bias
-from .costs import CostEnsemble, global_optimum, sample_ensemble, step_size_bounds
-from .diffusion import DiffusionConfig, atc_config, cta_config, run_to_fixed_point
-from .linalg import spectral_radius
+from .bias import _fmt, closed_form_bias, limit_bias, spectral_check
+from .costs import CostEnsemble, global_optimum, sample_ensemble
+from .diffusion import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    DiffusionConfig,
+    atc_config,
+    cta_config,
+    run_to_fixed_point,
+    validate_step_condition,
+)
 from .network import (
     A_RULES,
     C_RULES,
@@ -60,8 +67,8 @@ class ExperimentConfig:
     topology_seed: int = 1
     data_seed: int = 2
     step_seed: int = 3
-    tol: float = 1e-12
-    max_iter: int = 1_000_000
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     debug_identical_costs: bool = False
 
     def __post_init__(self):
@@ -188,14 +195,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     topology, ensemble, at_scale, omega0 = _build_scenario(config)
     schedule = sorted(config.mu_max_schedule, reverse=True)
     dcfg_probe = at_scale(schedule[0])
-    bounds = step_size_bounds(dcfg_probe.c, ensemble)
-    over = schedule[0] * omega0 >= bounds
-    if over.any():
-        node = int(np.argmax(over))
-        raise ValueError(
-            f"mu_max {schedule[0]:.6g} puts node {node} at or above its step-size"
-            f" bound {bounds[node]:.6g}; shrink the schedule"
-        )
+    validate_step_condition(dcfg_probe, ensemble)
     w_star = global_optimum(ensemble)
     limit = limit_bias(dcfg_probe, ensemble)
     limit_sq = config.n_nodes * float(limit @ limit)
@@ -218,9 +218,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
                     "iterated fixed point disagrees with the closed-form bias"
                     f" (gap {gap:.3e}) at mu_max {mu_max:.6g}"
                 )
-        rho = spectral_radius(
-            error_propagation_matrix(dcfg.a1, dcfg.a2, dcfg.c, dcfg.step_sizes, ensemble)
-        )
+        rho = spectral_check(dcfg, ensemble)
         rows.append(
             SweepRow(
                 scenario_id=config.scenario_id,
@@ -240,14 +238,12 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     return rows
 
 
-def fit_loglog_slope(rows: list[SweepRow], field_name: str = "bias_sq_norm") -> float:
-    """Ordinary least-squares slope of log(field) against log(mu_max)."""
-    if field_name != "bias_sq_norm":
-        raise ValueError(f"unsupported field {field_name!r}")
+def fit_loglog_slope(rows: list[SweepRow]) -> float:
+    """Ordinary least-squares slope of log(bias_sq_norm) against log(mu_max)."""
     if len(rows) < 3:
         raise ValueError("need at least three rows for a slope fit")
     mus = np.array([row.mu_max for row in rows])
-    values = np.array([getattr(row, field_name) for row in rows])
+    values = np.array([row.bias_sq_norm for row in rows])
     if (values <= 0.0).any():
         raise ValueError(
             "slope fit is inapplicable: nonpositive values present (a sweep whose"

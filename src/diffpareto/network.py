@@ -62,21 +62,9 @@ class Topology:
         if not adj.diagonal().all():
             raise ValueError("neighborhoods are closed: the diagonal must be true")
         object.__setattr__(self, "adjacency", adj)
-        if not self._connected():
+        if (_bfs_levels(adj) < 0).any():
             raise ValueError("topology must be a single connected component")
         adj.setflags(write=False)
-
-    def _connected(self) -> bool:
-        seen = np.zeros(self.n_nodes, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(self.adjacency[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
 
     @property
     def degrees(self) -> np.ndarray:

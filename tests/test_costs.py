@@ -48,6 +48,13 @@ def test_sample_ensemble_shapes():
     assert ens.n == 50
     assert all(c.x_matrix.shape == (6, 4) for c in ens.costs)
     assert all(c.y_vector.shape == (6,) for c in ens.costs)
+    # the stacks hold each cost's Hessian and its offset b = -gradient(0)
+    assert np.array_equal(ens.hessians, [c.hessian() for c in ens.costs])
+    assert np.array_equal(ens.offsets, [-c.gradient(np.zeros(4)) for c in ens.costs])
+    with pytest.raises(ValueError, match="read-only"):
+        ens.hessians[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ens.offsets[0, 0] = 1.0
 
 
 def test_sample_ensemble_determinism():

@@ -41,8 +41,7 @@ def test_preset_atc():
     assert np.array_equal(a1.matrix, np.eye(2))
     assert a2 is A22
     assert np.array_equal(a1.matrix @ a2.matrix, A22.matrix)
-    cfg = atc_config(A22, identity_combination(2), np.array([0.1, 0.1]))
-    assert cfg.strategy_tag == "atc"
+    assert atc_config(A22, identity_combination(2), np.array([0.1, 0.1])).a2 is A22
 
 
 def test_preset_cta():
@@ -50,8 +49,7 @@ def test_preset_cta():
     assert a1 is A22
     assert np.array_equal(a2.matrix, np.eye(2))
     assert np.array_equal(a1.matrix @ a2.matrix, A22.matrix)
-    cfg = cta_config(A22, identity_combination(2), np.array([0.1, 0.1]))
-    assert cfg.strategy_tag == "cta"
+    assert cta_config(A22, identity_combination(2), np.array([0.1, 0.1])).a1 is A22
 
 
 def test_config_validation():
@@ -82,9 +80,7 @@ def test_validate_step_condition():
 
 def test_step_reduces_to_gradient_descent():
     eye = identity_combination(1)
-    cfg = DiffusionConfig(
-        a1=eye, a2=eye, c=eye, step_sizes=np.array([0.1]), strategy_tag="general"
-    )
+    cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.array([0.1]))
     ens = CostEnsemble(costs=(scalar_cost(1.0),), dim=1)
     out = step(np.zeros((1, 1)), cfg, ens)
     assert np.allclose(out, [[0.2]], atol=1e-15)  # 0 - 0.1 * (-2)

@@ -205,8 +205,6 @@ def test_slope_rejects_nonpositive_and_short_input():
     narrow = synthetic_rows([(1e-2, 1.0), (9e-3, 1.0), (8e-3, 1.0)])
     with pytest.raises(ValueError, match="decade"):
         fit_loglog_slope(narrow)
-    with pytest.raises(ValueError, match="field"):
-        fit_loglog_slope(synthetic_rows([(1e-2, 1.0)] * 3), field_name="mu_max")
 
 
 # --- CSV and plot script ---------------------------------------------------------
