@@ -16,7 +16,6 @@ from .bias import (
     limit_bias,
     limit_operators,
     normalized_step_shape,
-    r_infinity,
     report_to_json,
     spectral_check,
     verify_limit_convergence,
@@ -24,13 +23,11 @@ from .bias import (
 from .costs import (
     Assumption1Report,
     CostEnsemble,
-    HessianBounds,
     QuadraticCost,
     check_assumption1,
     ensemble_from_text,
     ensemble_to_text,
     global_optimum,
-    hessian_bounds,
     sample_ensemble,
     stacked_gradient,
     step_size_bounds,
@@ -41,8 +38,6 @@ from .diffusion import (
     FixedPointResult,
     atc_config,
     cta_config,
-    preset_atc,
-    preset_cta,
     run_to_fixed_point,
     step,
     validate_step_condition,

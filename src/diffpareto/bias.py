@@ -9,13 +9,15 @@ node's fixed point):
 * the small-step-size limit, which depends only on the shape of the step
   sizes (not their scale) and is the same vector at every node.
 
-The limit is built from the Perron vector of the composite combination
-matrix: node weights z (normalized step sizes applied to the combined
-Perron vector), the weighted aggregate Hessian and gradient at the
-optimum, and one small solve. The module also exposes the supporting
-operators (mixing gap, scaled curvature, the rank-M resolvent limit) so
-their defining identities can be verified numerically, plus a spectral
-diagnostic certifying that the closed form applies.
+The error propagation matrix is the linear part of the diffusion step,
+lifted to N*M x N*M by ``diffusion``. The limit is built from the Perron
+vector of the composite combination matrix: node weights z (normalized
+step sizes applied to the combined Perron vector), the weighted aggregate
+Hessian and gradient at the optimum, and one small solve. The module
+also exposes the supporting operators (mixing gap, scaled curvature, the
+rank-M resolvent limit) so their defining identities can be verified
+numerically, plus a spectral diagnostic certifying that the closed form
+applies.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .diffusion import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DiffusionConfig,
-    _mixing_transpose,
+    _StepOperator,
     run_to_fixed_point,
     validate_step_condition,
 )
@@ -40,9 +42,9 @@ from .network import (
     AssumptionError,
     CombinationMatrix,
     check_assumption3,
-    identity_combination,
     perron_theta,
 )
+
 
 @dataclass(frozen=True, eq=False)
 class LimitOperators:
@@ -84,35 +86,6 @@ def normalized_step_shape(step_sizes) -> np.ndarray:
     return steps / steps.max()
 
 
-def _lift(a1: CombinationMatrix, a2: CombinationMatrix, blocks: np.ndarray) -> np.ndarray:
-    """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I).
-
-    ``blocks`` has shape (N, M, M). Block (k, l) of the product of the
-    last two factors is a1[l, k] * blocks[k], formed by broadcasting;
-    a2^T then mixes the node axis in one product. Identity factors are
-    skipped, so no Kronecker lift is ever formed."""
-    n, m, _ = blocks.shape
-    a1t, a2t = _mixing_transpose(a1), _mixing_transpose(a2)
-    if a1t is None:
-        out = np.zeros((n, m, n, m))
-        nodes = np.arange(n)
-        out[nodes, :, nodes, :] = blocks
-    else:
-        out = blocks[:, :, None, :] * a1t[:, None, :, None]
-    if a2t is not None:
-        out = a2t @ out.reshape(n, -1)
-    return out.reshape(n * m, n * m)
-
-
-def r_infinity(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
-    """Block-diagonal matrix of the c-combined Hessians.
-
-    Block k is sum_l c[l, k] * hessian_l; for quadratics it is the same at
-    every evaluation point, the optimum included."""
-    eye = identity_combination(ensemble.n)
-    return _lift(eye, eye, combine_hessians(c, ensemble))
-
-
 def error_propagation_matrix(
     a1: CombinationMatrix,
     a2: CombinationMatrix,
@@ -121,10 +94,9 @@ def error_propagation_matrix(
     ensemble: CostEnsemble,
 ) -> np.ndarray:
     """One-iteration error map of the recursion, lifted to size N*M: the
-    lift of the per-node gains I - mu_k * R_k through a1 and a2."""
-    mu = np.asarray(step_sizes, dtype=float)
-    gains = np.eye(ensemble.dim) - mu[:, None, None] * combine_hessians(c, ensemble)
-    return _lift(a1, a2, gains)
+    linear part of the diffusion step, the per-node gains I - mu_k * R_k
+    mixed through a1 and a2."""
+    return _StepOperator(a1, a2, c, step_sizes, ensemble).lifted()
 
 
 def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
@@ -179,36 +151,35 @@ def _weighted_aggregate(config: DiffusionConfig, ensemble: CostEnsemble):
     return theta, z, weights, hbar
 
 
-def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOperators:
-    """Build the limit operators and their rank-M factorization explicitly."""
-    n, m = ensemble.n, ensemble.dim
-    eye_m = np.eye(m)
-    theta, z, _, hbar = _weighted_aggregate(config, ensemble)
-    mixing_gap = np.eye(n * m) - _lift(config.a1, config.a2, np.broadcast_to(eye_m, (n, m, m)))
-    omega0 = normalized_step_shape(config.step_sizes)
-    curvature = _lift(
-        config.a1, config.a2, omega0[:, None, None] * combine_hessians(config.c, ensemble)
-    )
-    ones_lift = np.kron(np.ones((n, 1)), eye_m)
-    theta_lift = np.kron(theta[None, :], eye_m)
-    agg = theta_lift @ curvature @ ones_lift
+def _solve_aggregate(hbar: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        d = np.column_stack([solve_linear(agg, e) for e in eye_m])
+        return solve_linear(hbar, rhs)
     except SingularMatrixError as exc:
         raise AssumptionError(
             "Assumption 1 violated: the z-weighted aggregate Hessian is singular"
             f" ({exc})"
         ) from exc
-    # the lifted route and the weighted-sum route must build the same matrix
-    if np.abs(agg - hbar).max() > 1e-10 * max(1.0, np.abs(hbar).max()):
-        raise RuntimeError("aggregate Hessian mismatch between construction routes")
-    resolvent_limit = ones_lift @ d @ theta_lift
+
+
+def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOperators:
+    """Build the limit operators and their rank-M factorization explicitly.
+
+    The aggregate Hessian is the z-weighted sum of the node Hessians, which
+    equals (theta^T kron I) curvature (1 kron I) because a1 is
+    left-stochastic, so the resolvent limit is kron(1 theta^T, D)."""
+    n, m = ensemble.n, ensemble.dim
+    theta, z, _, hbar = _weighted_aggregate(config, ensemble)
+    omega0 = normalized_step_shape(config.step_sizes)
+    op = _StepOperator(config.a1, config.a2, config.c, omega0, ensemble)
+    mixing_gap = np.eye(n * m) - op.lifted(np.broadcast_to(np.eye(m), (n, m, m)))
+    curvature = op.lifted(omega0[:, None, None] * combine_hessians(config.c, ensemble))
+    d = np.column_stack([_solve_aggregate(hbar, e) for e in np.eye(m)])
     return LimitOperators(
         mixing_gap=mixing_gap,
         curvature=curvature,
         agg_hessian_inv=d,
         node_weights=z,
-        resolvent_limit=resolvent_limit,
+        resolvent_limit=np.kron(np.outer(np.ones(n), theta), d),
     )
 
 
@@ -220,14 +191,7 @@ def limit_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
     step sizes, so rescaling them all by one factor changes nothing."""
     _, _, weights, hbar = _weighted_aggregate(config, ensemble)
     gradients = stacked_gradient(ensemble, global_optimum(ensemble)).reshape(ensemble.n, -1)
-    gbar = np.einsum("l,li->i", weights, gradients)
-    try:
-        return solve_linear(hbar, gbar)
-    except SingularMatrixError as exc:
-        raise AssumptionError(
-            "Assumption 1 violated: the z-weighted aggregate Hessian is singular"
-            f" ({exc})"
-        ) from exc
+    return _solve_aggregate(hbar, np.einsum("l,li->i", weights, gradients))
 
 
 def verify_limit_convergence(

@@ -3,9 +3,10 @@
 Each node k owns the cost ``|X_k w - y_k|^2`` with exact gradient
 ``2 X_k^T (X_k w - y_k)`` and constant Hessian ``2 X_k^T X_k``. The module
 also provides the global optimum of the aggregate cost, the stacked
-gradient across nodes, per-node Hessian eigenvalue bounds, and the
-checkers for the curvature assumption (Assumption 1) and the induced
-step-size upper bounds.
+gradient across nodes, the c-combined Hessians and gradient offsets the
+recursion steps with, and the checkers for the curvature assumption
+(Assumption 1) and the induced step-size upper bounds, both from one
+batched eigenvalue computation.
 
 An ensemble stacks its per-node Hessians and gradient offsets once, at
 construction; every per-node quantity downstream is read from those
@@ -98,14 +99,6 @@ class CostEnsemble:
 
 
 @dataclass(frozen=True)
-class HessianBounds:
-    """Extreme Hessian eigenvalues of one node's cost."""
-
-    lambda_min: float
-    lambda_max: float
-
-
-@dataclass(frozen=True)
 class Assumption1Report:
     """Per-node weighted curvature lower bounds and the overall verdict."""
 
@@ -131,8 +124,8 @@ def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
 
 
 def _eigen_bounds(hessians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom and top eigenvalues of one symmetric PSD matrix or of each
-    in a stack, from LAPACK's symmetric eigensolver.
+    """Bottom and top eigenvalues of each symmetric PSD matrix in a stack,
+    from LAPACK's symmetric eigensolver.
 
     A bottom eigenvalue at or below M * eps * lambda_max is rounding noise
     of a singular Hessian (fewer data rows than dimensions) and is
@@ -140,13 +133,6 @@ def _eigen_bounds(hessians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigs = np.linalg.eigvalsh(hessians)
     lo, hi = eigs[..., 0], eigs[..., -1]
     return np.where(lo <= hessians.shape[-1] * np.finfo(float).eps * hi, 0.0, lo), hi
-
-
-def hessian_bounds(cost: QuadraticCost) -> HessianBounds:
-    """Extreme eigenvalues of one cost's Hessian; a bottom eigenvalue that
-    is rounding noise of a singular Hessian is reported as zero."""
-    lo, hi = _eigen_bounds(cost.hessian())
-    return HessianBounds(lambda_min=float(lo), lambda_max=float(hi))
 
 
 def global_optimum(ensemble: CostEnsemble) -> np.ndarray:

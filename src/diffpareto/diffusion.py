@@ -8,7 +8,8 @@ matrices are left-stochastic, both combination stages act through their
 transposes on the node-major state array.
 
 Presets cover the two classic orderings: adapt-then-combine (a1 = I,
-a2 = A) and combine-then-adapt (a1 = A, a2 = I).
+a2 = A) and combine-then-adapt (a1 = A, a2 = I). The linear part of the
+one-iteration map, lifted to N*M x N*M, is the error-propagation matrix.
 """
 
 from __future__ import annotations
@@ -82,28 +83,14 @@ class FixedPointResult:
     final_update_norm: float
 
 
-def preset_atc(a: CombinationMatrix) -> tuple[CombinationMatrix, CombinationMatrix]:
-    """Adapt-then-combine factor pair (identity, a)."""
-    if not a.combines_columns():
-        raise ValueError("adapt-then-combine needs a left-stochastic matrix")
-    return identity_combination(a.n), a
-
-
-def preset_cta(a: CombinationMatrix) -> tuple[CombinationMatrix, CombinationMatrix]:
-    """Combine-then-adapt factor pair (a, identity)."""
-    if not a.combines_columns():
-        raise ValueError("combine-then-adapt needs a left-stochastic matrix")
-    return a, identity_combination(a.n)
-
-
 def atc_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> DiffusionConfig:
-    a1, a2 = preset_atc(a)
-    return DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=step_sizes)
+    """Adapt-then-combine: a1 = I, a2 = a."""
+    return DiffusionConfig(a1=identity_combination(a.n), a2=a, c=c, step_sizes=step_sizes)
 
 
 def cta_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> DiffusionConfig:
-    a1, a2 = preset_cta(a)
-    return DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=step_sizes)
+    """Combine-then-adapt: a1 = a, a2 = I."""
+    return DiffusionConfig(a1=a, a2=identity_combination(a.n), c=c, step_sizes=step_sizes)
 
 
 def validate_step_condition(config: DiffusionConfig, ensemble: CostEnsemble) -> None:
@@ -132,25 +119,44 @@ class _StepOperator:
     For quadratics the gradient stage is affine in the evaluation point,
     so the whole update per node k is (I - mu_k * R_k) phi_k + mu_k * d_k
     with R_k and d_k the c-combined Hessians and offsets. Identity
-    combination factors are skipped entirely."""
+    combination factors are skipped entirely. a1, a2 and c are the
+    CombinationMatrix factors; the step sizes are used unchecked."""
 
-    def __init__(self, config: DiffusionConfig, ensemble: CostEnsemble):
+    def __init__(self, a1, a2, c, step_sizes, ensemble: CostEnsemble):
         n, m = ensemble.n, ensemble.dim
-        if config.n != n:
-            raise ValueError(f"config is for {config.n} nodes, ensemble has {n}")
-        mu = config.step_sizes
-        r = combine_hessians(config.c, ensemble)
-        d = combine_gradient_offsets(config.c, ensemble)
+        if a1.n != n:
+            raise ValueError(f"config is for {a1.n} nodes, ensemble has {n}")
+        mu = np.asarray(step_sizes, dtype=float)
+        r = combine_hessians(c, ensemble)
+        d = combine_gradient_offsets(c, ensemble)
         self.gain = np.eye(m)[None, :, :] - mu[:, None, None] * r
         self.offset = mu[:, None] * d
-        self.a1t = _mixing_transpose(config.a1)
-        self.a2t = _mixing_transpose(config.a2)
+        self.a1t = _mixing_transpose(a1)
+        self.a2t = _mixing_transpose(a2)
         self.shape = (n, m)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         phi = w if self.a1t is None else self.a1t @ w
         psi = np.einsum("kij,kj->ki", self.gain, phi) + self.offset
         return psi if self.a2t is None else self.a2t @ psi
+
+    def lifted(self, blocks: np.ndarray | None = None) -> np.ndarray:
+        """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I);
+        with the default blocks, the gains, it is the linear part of apply.
+
+        Block (k, l) of the last two factors is a1[l, k] * blocks[k], formed
+        by broadcasting, and a2^T mixes the node axis in one product."""
+        n, m = self.shape
+        blocks = self.gain if blocks is None else blocks
+        if self.a1t is None:
+            out = np.zeros((n, m, n, m))
+            nodes = np.arange(n)
+            out[nodes, :, nodes, :] = blocks
+        else:
+            out = blocks[:, :, None, :] * self.a1t[:, None, :, None]
+        if self.a2t is not None:
+            out = self.a2t @ out.reshape(n, -1)
+        return out.reshape(n * m, n * m)
 
 
 def _as_state(iterate, shape: tuple[int, int]) -> np.ndarray:
@@ -167,7 +173,7 @@ def step(iterate, config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray
 
     ``iterate`` is the node-major state array of shape (N, M); the return
     value is the next state."""
-    op = _StepOperator(config, ensemble)
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
     w = _as_state(iterate, op.shape)
     out = op.apply(w)
     if not np.isfinite(out).all():
@@ -201,7 +207,7 @@ def run_to_fixed_point(
     if max_iter < 1:
         raise ValueError("max_iter must be at least one")
     validate_step_condition(config, ensemble)
-    op = _StepOperator(config, ensemble)
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
     w = np.zeros(op.shape) if init is None else _as_state(init, op.shape)
     apply_ = op.apply
     einsum = np.einsum

@@ -11,6 +11,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .diffusion import (
     atc_config,
     cta_config,
     run_to_fixed_point,
-    validate_step_condition,
 )
 from .network import (
     A_RULES,
@@ -46,10 +46,22 @@ EXPERIMENT_AVG_DEGREE = 4.0
 
 DEFAULT_SCHEDULE = (1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4, 10**-4.5, 1e-5)
 
-CSV_HEADER = (
-    "scenario_id,strategy,a_rule,c_rule,step_mode,mu_max,bias_sq_norm,"
-    "limit_bias_sq_norm,assumption3_satisfied,spectral_radius,iterations,converged"
-)
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+# each ExperimentConfig annotation: the values it accepts and how to name them
+_FIELD_TYPES = {
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "int": (lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool), "an integer"),
+    "float": (_is_real, "a real number"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "tuple[float, ...]": (
+        lambda x: isinstance(x, (list, tuple)) and all(map(_is_real, x)),
+        "a list of real numbers",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,10 @@ class ExperimentConfig:
     debug_identical_costs: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            accepts, kind = _FIELD_TYPES[f.type]
+            if not accepts(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {kind}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.a_rule not in A_RULES:
@@ -91,8 +107,8 @@ class ExperimentConfig:
             raise ValueError("sweeps need at least 6 nodes for the average degree of 4")
         if self.dim < 1 or self.rows < 1:
             raise ValueError("dim and rows must be positive")
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least one")
+        if not math.isfinite(self.tol) or self.tol <= 0.0 or self.max_iter < 1:
+            raise ValueError("tol must be finite and positive and max_iter at least one")
         object.__setattr__(self, "mu_max_schedule", schedule)
 
     @property
@@ -152,6 +168,9 @@ class SweepRow:
     converged: bool
 
 
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+
+
 def draw_step_shape(n: int, mode: str, step_seed: int) -> np.ndarray:
     """Normalized step-size shape. Node 0 pins the maximum; in the unequal
     mode the other nodes draw once from the upper half of the unit range."""
@@ -195,7 +214,6 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     topology, ensemble, at_scale, omega0 = _build_scenario(config)
     schedule = sorted(config.mu_max_schedule, reverse=True)
     dcfg_probe = at_scale(schedule[0])
-    validate_step_condition(dcfg_probe, ensemble)
     w_star = global_optimum(ensemble)
     limit = limit_bias(dcfg_probe, ensemble)
     limit_sq = config.n_nodes * float(limit @ limit)
@@ -259,28 +277,17 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+# each CSV column's field and its formatter, chosen by the field's annotation
+_CSV_COLUMNS = tuple(
+    (f.name, {"float": _fmt, "bool": _bool}.get(f.type, str)) for f in fields(SweepRow)
+)
+
+
 def emit_csv(rows: list[SweepRow], path) -> None:
     """Write the sweep table; byte-identical for identical inputs."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.scenario_id,
-                    r.strategy,
-                    r.a_rule,
-                    r.c_rule,
-                    r.step_mode,
-                    _fmt(r.mu_max),
-                    _fmt(r.bias_sq_norm),
-                    _fmt(r.limit_bias_sq_norm),
-                    _bool(r.assumption3_satisfied),
-                    _fmt(r.spectral_radius),
-                    str(r.iterations),
-                    _bool(r.converged),
-                )
-            )
-        )
+        lines.append(",".join(fmt(getattr(r, name)) for name, fmt in _CSV_COLUMNS))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 

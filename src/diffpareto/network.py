@@ -115,10 +115,9 @@ class CombinationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PerronData:
-    """Perron vector of the composite combination matrix and the composite itself."""
+    """Perron vector of the composite combination matrix."""
 
     theta: np.ndarray
-    composite: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -301,9 +300,7 @@ def perron_theta(a1: CombinationMatrix, a2: CombinationMatrix) -> PerronData:
     bordered[-1, :] = 1.0
     e_last = np.zeros(n)
     e_last[-1] = 1.0
-    theta = solve_linear(bordered, e_last)
-    composite.setflags(write=False)
-    return PerronData(theta=theta, composite=composite)
+    return PerronData(theta=solve_linear(bordered, e_last))
 
 
 def check_assumption3(

@@ -10,7 +10,6 @@ from diffpareto.bias import (
     limit_bias,
     limit_operators,
     normalized_step_shape,
-    r_infinity,
     report_to_json,
     spectral_check,
     verify_limit_convergence,
@@ -18,12 +17,13 @@ from diffpareto.bias import (
 from diffpareto.costs import (
     CostEnsemble,
     QuadraticCost,
+    combine_hessians,
     global_optimum,
     sample_ensemble,
     stacked_gradient,
     step_size_bounds,
 )
-from diffpareto.diffusion import DiffusionConfig, atc_config, cta_config, run_to_fixed_point
+from diffpareto.diffusion import DiffusionConfig, atc_config, cta_config, run_to_fixed_point, step
 from diffpareto.experiment import ExperimentConfig, _build_scenario
 from diffpareto.linalg import spectral_radius
 from diffpareto.network import (
@@ -86,31 +86,28 @@ def kron_reference(cfg: DiffusionConfig, ens: CostEnsemble) -> tuple[np.ndarray,
 
 def test_r_infinity_identity_exchange_scalar():
     _, ens = two_node_config()
-    out = r_infinity(identity_combination(2), ens)
-    assert np.allclose(out, np.diag([2.0, 2.0]), atol=1e-15)
+    out = combine_hessians(identity_combination(2), ens)
+    assert np.array_equal(out, [[[2.0]], [[2.0]]])
 
 
 def test_r_infinity_blockdiag_structure():
+    # with an identity C every node keeps its own Hessian, bit for bit
     ens = sample_ensemble(4, 3, 5, data_seed=44)
-    eye = identity_combination(4)
-    out = r_infinity(eye, ens)
+    out = combine_hessians(identity_combination(4), ens)
+    assert out.shape == (4, 3, 3)
     for k in range(4):
-        block = out[k * 3 : (k + 1) * 3, k * 3 : (k + 1) * 3]
-        assert np.allclose(block, ens.costs[k].hessian(), atol=1e-14)
-    off = out.copy()
-    for k in range(4):
-        off[k * 3 : (k + 1) * 3, k * 3 : (k + 1) * 3] = 0.0
-    assert np.abs(off).max() == 0.0
+        assert np.array_equal(out[k], ens.costs[k].hessian())
 
 
 def test_r_infinity_blocks_positive_definite():
     topo = generate_topology(6, 3.0, seed=8)
     c = build_C(topo, "averaging")
     ens = sample_ensemble(6, 2, 4, data_seed=8)
-    out = r_infinity(c, ens)
+    out = combine_hessians(c, ens)
     for k in range(6):
-        block = out[k * 2 : (k + 1) * 2, k * 2 : (k + 1) * 2]
-        assert np.linalg.eigvalsh(block).min() > 0.0
+        expected = sum(c.matrix[l, k] * ens.costs[l].hessian() for l in range(6))
+        assert np.abs(out[k] - expected).max() <= 1e-13
+        assert np.linalg.eigvalsh(out[k]).min() > 0.0
 
 
 # --- closed form vs iteration -------------------------------------------------
@@ -164,6 +161,21 @@ def test_error_propagation_and_closed_form_match_kron_build(index):
     expected = np.linalg.solve(np.eye(rhs.shape[0]) - b, rhs)
     gap = np.linalg.norm(closed_form_bias(cfg, ens) - expected)
     assert gap <= 1e-10 * (1.0 + np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("kind", ["atc", "cta", "general"])
+def test_step_is_lifted_matrix_plus_offset(kind):
+    # the recursion is affine: step(w) = B vec(w) + step(0), B the lifted gains
+    cfg, ens = random_valid_config(0 if kind == "atc" else 1)
+    if kind == "general":
+        a = build_A(generate_topology(cfg.n, 3.0, seed=504), "metropolis")
+        cfg = DiffusionConfig(a1=cfg.a1, a2=a, c=cfg.c, step_sizes=cfg.step_sizes)
+    assert np.array_equal(cfg.a1.matrix, np.eye(cfg.n)) == (kind == "atc")
+    assert np.array_equal(cfg.a2.matrix, np.eye(cfg.n)) == (kind == "cta")
+    w = np.random.default_rng(7).normal(size=(ens.n, ens.dim))
+    b = error_propagation_matrix(cfg.a1, cfg.a2, cfg.c, cfg.step_sizes, ens)
+    expected = b @ w.ravel() + step(np.zeros_like(w), cfg, ens).ravel()
+    assert np.abs(step(w, cfg, ens).ravel() - expected).max() <= 1e-14
 
 
 # --- limit operators -----------------------------------------------------------

@@ -8,7 +8,6 @@ from diffpareto.costs import (
     ensemble_from_text,
     ensemble_to_text,
     global_optimum,
-    hessian_bounds,
     sample_ensemble,
     stacked_gradient,
     step_size_bounds,
@@ -131,20 +130,25 @@ def test_hessian_positive_semidefinite():
 
 
 def test_hessian_bounds_hand_values():
-    b = hessian_bounds(QuadraticCost(np.eye(2), np.zeros(2)))
-    assert (b.lambda_min, b.lambda_max) == (pytest.approx(2.0), pytest.approx(2.0))
-    b = hessian_bounds(QuadraticCost(np.diag([1.0, 2.0]), np.zeros(2)))
-    assert b.lambda_min == pytest.approx(2.0, abs=1e-9)
-    assert b.lambda_max == pytest.approx(8.0, abs=1e-9)
+    # one node and an identity C: the bounds are the node's own eigenvalues
+    eye = identity_combination(1)
+    ens = CostEnsemble(costs=(QuadraticCost(np.eye(2), np.zeros(2)),), dim=2)
+    assert check_assumption1(eye, ens).weighted_lambda_min == pytest.approx([2.0])
+    assert step_size_bounds(eye, ens) == pytest.approx([2.0 / 2.0])
+    ens = CostEnsemble(costs=(QuadraticCost(np.diag([1.0, 2.0]), np.zeros(2)),), dim=2)
+    assert check_assumption1(eye, ens).weighted_lambda_min == pytest.approx([2.0], abs=1e-9)
+    assert step_size_bounds(eye, ens) == pytest.approx([2.0 / 8.0], abs=1e-9)
 
 
 def test_hessian_bounds_rank_deficient():
     rng = np.random.default_rng(5)
+    eye = identity_combination(1)
     wide = QuadraticCost(rng.normal(size=(2, 4)), rng.normal(size=2))  # rows < dim
-    b = hessian_bounds(wide)
-    assert b.lambda_min == pytest.approx(0.0, abs=1e-8)
+    report = check_assumption1(eye, CostEnsemble(costs=(wide,), dim=4))
+    assert not report.satisfied
+    assert report.weighted_lambda_min[0] == 0.0
     tall = QuadraticCost(rng.normal(size=(6, 4)), rng.normal(size=6))
-    assert hessian_bounds(tall).lambda_min > 0.0
+    assert check_assumption1(eye, CostEnsemble(costs=(tall,), dim=4)).weighted_lambda_min[0] > 0.0
 
 
 # --- global optimum and stacked gradient ------------------------------------

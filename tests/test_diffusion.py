@@ -7,8 +7,6 @@ from diffpareto.diffusion import (
     DivergenceError,
     atc_config,
     cta_config,
-    preset_atc,
-    preset_cta,
     run_to_fixed_point,
     step,
     validate_step_condition,
@@ -37,19 +35,23 @@ def two_scalar_ensemble() -> CostEnsemble:
 
 
 def test_preset_atc():
-    a1, a2 = preset_atc(A22)
-    assert np.array_equal(a1.matrix, np.eye(2))
-    assert a2 is A22
-    assert np.array_equal(a1.matrix @ a2.matrix, A22.matrix)
-    assert atc_config(A22, identity_combination(2), np.array([0.1, 0.1])).a2 is A22
+    cfg = atc_config(A22, identity_combination(2), np.array([0.1, 0.1]))
+    assert np.array_equal(cfg.a1.matrix, np.eye(2))
+    assert cfg.a2 is A22
+    assert np.array_equal(cfg.a1.matrix @ cfg.a2.matrix, A22.matrix)
+    right_only = CombinationMatrix(A22.matrix.T, kind="right_stochastic")
+    with pytest.raises(ValueError, match="left"):
+        atc_config(right_only, identity_combination(2), np.array([0.1, 0.1]))
 
 
 def test_preset_cta():
-    a1, a2 = preset_cta(A22)
-    assert a1 is A22
-    assert np.array_equal(a2.matrix, np.eye(2))
-    assert np.array_equal(a1.matrix @ a2.matrix, A22.matrix)
-    assert cta_config(A22, identity_combination(2), np.array([0.1, 0.1])).a1 is A22
+    cfg = cta_config(A22, identity_combination(2), np.array([0.1, 0.1]))
+    assert cfg.a1 is A22
+    assert np.array_equal(cfg.a2.matrix, np.eye(2))
+    assert np.array_equal(cfg.a1.matrix @ cfg.a2.matrix, A22.matrix)
+    right_only = CombinationMatrix(A22.matrix.T, kind="right_stochastic")
+    with pytest.raises(ValueError, match="left"):
+        cta_config(right_only, identity_combination(2), np.array([0.1, 0.1]))
 
 
 def test_config_validation():

@@ -224,6 +224,13 @@ def test_csv_header_and_shape(tmp_path):
     assert lines[1].endswith(",true")
 
 
+def test_csv_header_matches_documented_columns():
+    assert CSV_HEADER == (
+        "scenario_id,strategy,a_rule,c_rule,step_mode,mu_max,bias_sq_norm,"
+        "limit_bias_sq_norm,assumption3_satisfied,spectral_radius,iterations,converged"
+    )
+
+
 def test_csv_byte_identical_across_runs(tmp_path):
     cfg = small_config(mu_max_schedule=(1e-2, 3e-3))
     a = tmp_path / "a.csv"
@@ -408,6 +415,34 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     doc["mystery"] = 1
     unknown.write_text(json.dumps(doc), encoding="utf-8")
     assert cli_main(["sweep", "--config", str(unknown), "--out", "x.csv"]) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_nodes", "50"),
+        ("n_nodes", 8.5),
+        ("mu_max_schedule", 0.01),
+        ("mu_max_schedule", None),
+        ("mu_max_schedule", [[0.01]]),
+        ("mu_max_schedule", "0.01"),
+        ("mu_max_schedule", [True]),
+        ("tol", "x"),
+        ("tol", float("inf")),
+        ("max_iter", 10.5),
+        ("dim", 2.0),
+        ("rows", 3.5),
+        ("topology_seed", 1.5),
+        ("strategy", ["atc"]),
+        ("debug_identical_costs", 1),
+    ],
+)
+def test_cli_malformed_config_field_exits_one(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, **{field: value})
+    out = str(tmp_path / "x.csv")
+    assert cli_main(["sweep", "--config", str(config), "--out", out]) == 1
+    assert cli_main(["check", "--config", str(config)]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
 
 
 def test_cli_topo_round_trip(tmp_path):

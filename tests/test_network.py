@@ -213,7 +213,7 @@ def test_perron_two_by_two_hand_value():
     a1 = CombinationMatrix(A22, kind="left_stochastic")
     data = perron_theta(a1, identity_combination(2))
     assert np.allclose(data.theta, [4 / 7, 3 / 7], atol=1e-12)
-    assert np.abs(data.composite @ data.theta - data.theta).max() <= 1e-8
+    assert np.abs(A22 @ data.theta - data.theta).max() <= 1e-8
     assert data.theta.sum() == pytest.approx(1.0, abs=1e-12)
 
 
