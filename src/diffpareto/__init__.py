@@ -18,15 +18,12 @@ from .bias import (
     normalized_step_shape,
     report_to_json,
     spectral_check,
-    verify_limit_convergence,
 )
 from .costs import (
     Assumption1Report,
     CostEnsemble,
     QuadraticCost,
     check_assumption1,
-    ensemble_from_text,
-    ensemble_to_text,
     global_optimum,
     sample_ensemble,
     stacked_gradient,
@@ -72,7 +69,6 @@ from .network import (
     generate_topology,
     identity_combination,
     perron_theta,
-    topology_from_edge_list,
     topology_to_edge_list,
 )
 from .rng import SplitMix64

@@ -13,9 +13,15 @@ The error propagation matrix is the linear part of the diffusion step,
 lifted to N*M x N*M by ``diffusion``. The limit is built from the Perron
 vector of the composite combination matrix: node weights z (normalized
 step sizes applied to the combined Perron vector), the weighted aggregate
-Hessian and gradient at the optimum, and one small solve. The module
-also exposes the supporting operators (mixing gap, scaled curvature, the
-rank-M resolvent limit) so their defining identities can be verified
+Hessian and gradient at the optimum, and one small solve.
+
+Everything that does not depend on the step scale (the optimum, the
+Perron vector, the limit, the Assumption 1 and 3 verdicts, the step-size
+margins) is analysed once per scenario; each step scale then lifts B
+once, takes its spectral radius from one eigenvalue computation and
+solves the closed form against the same matrix. The module also exposes
+the supporting operators (mixing gap, scaled curvature, the rank-M
+resolvent limit) so their defining identities can be verified
 numerically, plus a spectral diagnostic certifying that the closed form
 applies.
 """
@@ -27,20 +33,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostEnsemble, combine_hessians, global_optimum, stacked_gradient
+from .costs import (
+    Assumption1Report,
+    CostEnsemble,
+    check_assumption1,
+    combine_hessians,
+    global_optimum,
+    stacked_gradient,
+)
 from .diffusion import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DiffusionConfig,
     _StepOperator,
     run_to_fixed_point,
-    validate_step_condition,
 )
-from .linalg import SingularMatrixError, solve_linear, spectral_radius
+from .linalg import SingularMatrixError, solve_linear
 from .network import (
+    ASSUMPTION3_DEFAULT_TOL,
     Assumption3Report,
     AssumptionError,
     CombinationMatrix,
+    Topology,
     check_assumption3,
     perron_theta,
 )
@@ -70,6 +84,34 @@ class LimitOperators:
 
 
 @dataclass(frozen=True, eq=False)
+class Scenario:
+    """Everything about a scenario that does not depend on the step scale.
+
+    ``shape`` is the diffusion config at the normalized step shape (largest
+    step one); ``node_weights`` are z, the shape applied to a2 @ theta, and
+    ``agg_hessian`` is the Hessian sum weighted by their c-combination;
+    ``margins`` are the per-node step bounds over the shape, so
+    ``margins[tightest]`` is the largest usable mu_max. ``topology`` is set
+    when the scenario was generated from one."""
+
+    shape: DiffusionConfig
+    ensemble: CostEnsemble
+    w_star: np.ndarray
+    theta: np.ndarray
+    node_weights: np.ndarray
+    agg_hessian: np.ndarray
+    limit_bias: np.ndarray
+    assumption1: Assumption1Report
+    assumption3: Assumption3Report
+    margins: np.ndarray
+    tightest: int
+    topology: Topology | None = None
+
+    def at_scale(self, mu_max: float) -> DiffusionConfig:
+        return self.shape.with_step_sizes(mu_max * self.shape.step_sizes)
+
+
+@dataclass(frozen=True, eq=False)
 class BiasReport:
     """Empirical, closed-form, and limit bias plus the certifying diagnostics."""
 
@@ -84,6 +126,83 @@ def normalized_step_shape(step_sizes) -> np.ndarray:
     """Step sizes divided by their maximum; entries in (0, 1] with max one."""
     steps = np.asarray(step_sizes, dtype=float)
     return steps / steps.max()
+
+
+def _solve_aggregate(hbar: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return solve_linear(hbar, rhs)
+    except SingularMatrixError as exc:
+        raise AssumptionError(
+            "Assumption 1 violated: the z-weighted aggregate Hessian is singular"
+            f" ({exc})"
+        ) from exc
+
+
+def analyse_scenario(
+    config: DiffusionConfig,
+    ensemble: CostEnsemble,
+    topology: Topology | None = None,
+    assumption3_tol: float = ASSUMPTION3_DEFAULT_TOL,
+) -> Scenario:
+    """The scale-free analysis of a config's matrices and step shape.
+
+    The small-step limit solves the z-weighted aggregate Hessian against
+    the z-weighted aggregate gradient at the optimum; it depends only on
+    the shape of the step sizes. A violated Assumption 1 is recorded, not
+    raised, unless the limit cannot be formed."""
+    omega0 = normalized_step_shape(config.step_sizes)
+    theta = perron_theta(config.a1, config.a2).theta
+    w_star = global_optimum(ensemble)
+    z = omega0 * (config.a2.matrix @ theta)
+    weights = config.c.matrix @ z
+    hbar = np.einsum("l,lij->ij", weights, ensemble.hessians)
+    gradients = stacked_gradient(ensemble, w_star).reshape(ensemble.n, -1)
+    report1 = check_assumption1(config.c, ensemble)
+    margins = report1.step_bounds / omega0
+    return Scenario(
+        shape=config.with_step_sizes(omega0),
+        ensemble=ensemble,
+        w_star=w_star,
+        theta=theta,
+        node_weights=z,
+        agg_hessian=hbar,
+        limit_bias=_solve_aggregate(hbar, np.einsum("l,li->i", weights, gradients)),
+        assumption1=report1,
+        assumption3=check_assumption3(theta, config.a2, omega0, config.c, tol=assumption3_tol),
+        margins=margins,
+        tightest=int(np.argmin(margins)),
+        topology=topology,
+    )
+
+
+def _lift(config: DiffusionConfig, ensemble: CostEnsemble) -> tuple[np.ndarray, float]:
+    """The error propagation matrix B at the configured step sizes and its
+    spectral radius, from one lift and one eigenvalue computation."""
+    b = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble).lifted()
+    return b, float(np.abs(np.linalg.eigvals(b)).max())
+
+
+def scale_analysis(
+    config: DiffusionConfig, ensemble: CostEnsemble, w_star: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Closed-form stacked bias (length N*M) and spectral radius at one scale.
+
+    Solves (I - B) x = rhs, where rhs applies the step sizes and
+    gradient-exchange weights to the gradients at the optimum w_star. With
+    the spectral radius of B below one, I - B is nonsingular; it is formed
+    in B's own storage. A radius at or above one raises AssumptionError."""
+    b, rho = _lift(config, ensemble)
+    if rho >= 1.0:
+        raise AssumptionError(
+            f"error-propagation spectral radius {rho:.6g} is not below one;"
+            " the recursion has no stable fixed point for the closed form to describe"
+        )
+    np.negative(b, out=b)
+    b.flat[:: b.shape[0] + 1] += 1.0
+    g0 = stacked_gradient(ensemble, w_star).reshape(ensemble.n, -1)
+    mu = config.step_sizes[:, None]
+    rhs = (config.a2.matrix.T @ (mu * (config.c.matrix.T @ g0))).ravel()
+    return np.linalg.solve(b, rhs), rho
 
 
 def error_propagation_matrix(
@@ -105,9 +224,7 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
     Below one whenever the curvature and step-size conditions hold; a
     value at or above one flags an unstable configuration with a
     RuntimeWarning."""
-    rho = spectral_radius(
-        error_propagation_matrix(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    )
+    _, rho = _lift(config, ensemble)
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
@@ -119,46 +236,9 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
 
 
 def closed_form_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
-    """Exact stacked bias at the configured step sizes (length N*M).
-
-    Solves (I - B) x = rhs where B is the error propagation matrix and
-    rhs applies the step sizes and gradient-exchange weights to the
-    stacked gradient at the optimum. The right-hand side is formed on the
-    N x M gradient array, without Kronecker lifts."""
-    n, m = ensemble.n, ensemble.dim
-    g0 = stacked_gradient(ensemble, global_optimum(ensemble)).reshape(n, m)
-    b = error_propagation_matrix(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    mu = config.step_sizes[:, None]
-    rhs = (config.a2.matrix.T @ (mu * (config.c.matrix.T @ g0))).ravel()
-    try:
-        return solve_linear(np.eye(n * m) - b, rhs)
-    except SingularMatrixError as exc:
-        rho = spectral_radius(b)
-        raise AssumptionError(
-            "closed-form bias system is singular; the error-propagation spectral"
-            f" radius is {rho:.6g} (must be below one). {exc}"
-        ) from exc
-
-
-def _weighted_aggregate(config: DiffusionConfig, ensemble: CostEnsemble):
-    """Perron vector, z weights, their c-combination, and the z-weighted
-    aggregate Hessian."""
-    theta = perron_theta(config.a1, config.a2).theta
-    omega0 = normalized_step_shape(config.step_sizes)
-    z = omega0 * (config.a2.matrix @ theta)
-    weights = config.c.matrix @ z
-    hbar = np.einsum("l,lij->ij", weights, ensemble.hessians)
-    return theta, z, weights, hbar
-
-
-def _solve_aggregate(hbar: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return solve_linear(hbar, rhs)
-    except SingularMatrixError as exc:
-        raise AssumptionError(
-            "Assumption 1 violated: the z-weighted aggregate Hessian is singular"
-            f" ({exc})"
-        ) from exc
+    """Exact stacked bias at the configured step sizes (length N*M); raises
+    AssumptionError when the error propagation matrix is not stable."""
+    return scale_analysis(config, ensemble, global_optimum(ensemble))[0]
 
 
 def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOperators:
@@ -168,57 +248,26 @@ def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOpe
     equals (theta^T kron I) curvature (1 kron I) because a1 is
     left-stochastic, so the resolvent limit is kron(1 theta^T, D)."""
     n, m = ensemble.n, ensemble.dim
-    theta, z, _, hbar = _weighted_aggregate(config, ensemble)
-    omega0 = normalized_step_shape(config.step_sizes)
+    scenario = analyse_scenario(config, ensemble)
+    omega0 = scenario.shape.step_sizes
     op = _StepOperator(config.a1, config.a2, config.c, omega0, ensemble)
     mixing_gap = np.eye(n * m) - op.lifted(np.broadcast_to(np.eye(m), (n, m, m)))
     curvature = op.lifted(omega0[:, None, None] * combine_hessians(config.c, ensemble))
-    d = np.column_stack([_solve_aggregate(hbar, e) for e in np.eye(m)])
+    d = np.column_stack([_solve_aggregate(scenario.agg_hessian, e) for e in np.eye(m)])
     return LimitOperators(
         mixing_gap=mixing_gap,
         curvature=curvature,
         agg_hessian_inv=d,
-        node_weights=z,
-        resolvent_limit=np.kron(np.outer(np.ones(n), theta), d),
+        node_weights=scenario.node_weights,
+        resolvent_limit=np.kron(np.outer(np.ones(n), scenario.theta), d),
     )
 
 
 def limit_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
-    """Small-step-size bias, identical at every node (length M).
-
-    Solves the z-weighted aggregate Hessian against the z-weighted
-    aggregate gradient at the optimum. Depends only on the shape of the
-    step sizes, so rescaling them all by one factor changes nothing."""
-    _, _, weights, hbar = _weighted_aggregate(config, ensemble)
-    gradients = stacked_gradient(ensemble, global_optimum(ensemble)).reshape(ensemble.n, -1)
-    return _solve_aggregate(hbar, np.einsum("l,li->i", weights, gradients))
-
-
-def verify_limit_convergence(
-    config: DiffusionConfig, ensemble: CostEnsemble, mu_schedule
-) -> list[tuple[float, float]]:
-    """Closed-form bias against the replicated limit along a step-size sweep.
-
-    The step-size shape is frozen; only the largest step size walks down
-    the strictly decreasing schedule. Returns (mu_max, deviation) pairs,
-    where deviation is the stacked two-norm distance to the limit."""
-    schedule = [float(mu) for mu in mu_schedule]
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    if any(mu <= 0.0 for mu in schedule):
-        raise ValueError("schedule entries must be positive")
-    if any(later >= earlier for earlier, later in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing")
-    omega0 = normalized_step_shape(config.step_sizes)
-    validate_step_condition(config.with_step_sizes(schedule[0] * omega0), ensemble)
-    limit = limit_bias(config, ensemble)
-    replicated = np.tile(limit, ensemble.n)
-    table = []
-    for mu in schedule:
-        scaled = config.with_step_sizes(mu * omega0)
-        deviation = float(np.linalg.norm(closed_form_bias(scaled, ensemble) - replicated))
-        table.append((mu, deviation))
-    return table
+    """Small-step-size bias, identical at every node (length M). Depends
+    only on the shape of the step sizes, so rescaling them all by one
+    factor changes nothing."""
+    return analyse_scenario(config, ensemble).limit_bias
 
 
 def bias_report(
@@ -226,30 +275,19 @@ def bias_report(
     ensemble: CostEnsemble,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    assumption3_tol: float = 1e-8,
+    assumption3_tol: float = ASSUMPTION3_DEFAULT_TOL,
     init=None,
 ) -> BiasReport:
     """Run the recursion and assemble every bias quantity and diagnostic."""
-    w_star = global_optimum(ensemble)
+    scenario = analyse_scenario(config, ensemble, assumption3_tol=assumption3_tol)
     result = run_to_fixed_point(config, ensemble, init=init, tol=tol, max_iter=max_iter)
-    empirical = w_star[None, :] - result.w_infinity
-    closed = closed_form_bias(config, ensemble)
-    limit = limit_bias(config, ensemble)
-    rho = spectral_check(config, ensemble)
-    theta = perron_theta(config.a1, config.a2).theta
-    report3 = check_assumption3(
-        theta,
-        config.a2,
-        normalized_step_shape(config.step_sizes),
-        config.c,
-        tol=assumption3_tol,
-    )
+    closed, rho = scale_analysis(config, ensemble, scenario.w_star)
     return BiasReport(
-        empirical_bias=empirical,
+        empirical_bias=scenario.w_star[None, :] - result.w_infinity,
         closed_form_bias=closed,
-        limit_bias=limit,
+        limit_bias=scenario.limit_bias,
         spectral_radius=rho,
-        assumption3=report3,
+        assumption3=scenario.assumption3,
     )
 
 

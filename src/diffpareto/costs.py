@@ -100,10 +100,22 @@ class CostEnsemble:
 
 @dataclass(frozen=True)
 class Assumption1Report:
-    """Per-node weighted curvature lower bounds and the overall verdict."""
+    """Per-node weighted curvature lower bounds, the overall verdict, and
+    the strict step-size upper bounds two over the weighted upper bounds."""
 
     satisfied: bool
     weighted_lambda_min: np.ndarray
+    step_bounds: np.ndarray
+
+    def require(self) -> np.ndarray:
+        """The step bounds, once every weighted lower bound is positive."""
+        if not self.satisfied:
+            bad = int(np.argmin(self.weighted_lambda_min))
+            raise AssumptionError(
+                "Assumption 1 violated: the weighted lower curvature bound of node"
+                f" {bad} is not positive"
+            )
+        return self.step_bounds
 
 
 def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
@@ -121,18 +133,6 @@ def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
         y = np.array(rng.normals(rows))
         costs.append(QuadraticCost(x_matrix=x, y_vector=y))
     return CostEnsemble(costs=tuple(costs), dim=m, data_seed=data_seed)
-
-
-def _eigen_bounds(hessians: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom and top eigenvalues of each symmetric PSD matrix in a stack,
-    from LAPACK's symmetric eigensolver.
-
-    A bottom eigenvalue at or below M * eps * lambda_max is rounding noise
-    of a singular Hessian (fewer data rows than dimensions) and is
-    reported as exactly zero."""
-    eigs = np.linalg.eigvalsh(hessians)
-    lo, hi = eigs[..., 0], eigs[..., -1]
-    return np.where(lo <= hessians.shape[-1] * np.finfo(float).eps * hi, 0.0, lo), hi
 
 
 def global_optimum(ensemble: CostEnsemble) -> np.ndarray:
@@ -154,22 +154,25 @@ def stacked_gradient(ensemble: CostEnsemble, w) -> np.ndarray:
 
 def step_size_bounds(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
     """Per-node strict step-size upper bounds, as one vector."""
-    lo, hi = _eigen_bounds(ensemble.hessians)
-    weighted_lo = c.matrix.T @ lo
-    if (weighted_lo <= 0.0).any():
-        bad = int(np.argmin(weighted_lo))
-        raise AssumptionError(
-            "Assumption 1 violated: the weighted lower curvature bound of node"
-            f" {bad} is not positive"
-        )
-    return 2.0 / (c.matrix.T @ hi)
+    return check_assumption1(c, ensemble).require()
 
 
 def check_assumption1(c: CombinationMatrix, ensemble: CostEnsemble) -> Assumption1Report:
-    """Weighted curvature lower bounds must be positive at every node."""
-    lo, _ = _eigen_bounds(ensemble.hessians)
+    """Weighted curvature lower bounds must be positive at every node.
+
+    The bottom and top eigenvalue of every Hessian come from one batched
+    call to LAPACK's symmetric eigensolver. A bottom eigenvalue at or below
+    M * eps * lambda_max is rounding noise of a singular Hessian (fewer
+    data rows than dimensions) and counts as exactly zero."""
+    eigs = np.linalg.eigvalsh(ensemble.hessians)
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    lo = np.where(lo <= ensemble.dim * np.finfo(float).eps * hi, 0.0, lo)
     weighted = c.matrix.T @ lo
-    return Assumption1Report(satisfied=bool((weighted > 0.0).all()), weighted_lambda_min=weighted)
+    with np.errstate(divide="ignore"):  # a node with no curvature has no bound
+        bounds = 2.0 / (c.matrix.T @ hi)
+    return Assumption1Report(
+        satisfied=bool((weighted > 0.0).all()), weighted_lambda_min=weighted, step_bounds=bounds
+    )
 
 
 def combine_hessians(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
@@ -181,36 +184,3 @@ def combine_gradient_offsets(c: CombinationMatrix, ensemble: CostEnsemble) -> np
     """Per-node combined gradient offsets, shape (N, M)."""
     return np.einsum("lk,li->ki", c.matrix, ensemble.offsets)
 
-
-def ensemble_to_text(ensemble: CostEnsemble) -> str:
-    """Plain-text bundle: 'N M rows' header, then X_k rows and y_k per node."""
-    rows = ensemble.costs[0].x_matrix.shape[0]
-    for cost in ensemble.costs:
-        if cost.x_matrix.shape[0] != rows:
-            raise ValueError("text format requires equal row counts across nodes")
-    lines = [f"{ensemble.n} {ensemble.dim} {rows}"]
-    for cost in ensemble.costs:
-        for row in cost.x_matrix:
-            lines.append(" ".join(format(v, ".16e") for v in row))
-        lines.append(" ".join(format(v, ".16e") for v in cost.y_vector))
-    return "\n".join(lines) + "\n"
-
-
-def ensemble_from_text(text: str) -> CostEnsemble:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty ensemble text")
-    n, m, rows = (int(v) for v in lines[0].split())
-    expected = 1 + n * (rows + 1)
-    if len(lines) != expected:
-        raise ValueError(f"expected {expected} lines for N={n} rows={rows}, got {len(lines)}")
-    costs = []
-    at = 1
-    for _ in range(n):
-        x = np.array([[float(v) for v in lines[at + r].split()] for r in range(rows)])
-        y = np.array([float(v) for v in lines[at + rows].split()])
-        if x.shape != (rows, m) or y.shape != (rows,):
-            raise ValueError("malformed ensemble block")
-        costs.append(QuadraticCost(x_matrix=x, y_vector=y))
-        at += rows + 1
-    return CostEnsemble(costs=tuple(costs), dim=m, data_seed=0)

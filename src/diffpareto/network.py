@@ -44,7 +44,7 @@ class Topology:
     """Undirected connected graph over ``n_nodes`` with closed neighborhoods.
 
     ``adjacency`` is boolean, symmetric, with an all-true diagonal. ``seed``
-    records the stream that generated it (0 for deserialized topologies).
+    records the stream that generated it (0 for one built by hand).
     """
 
     n_nodes: int
@@ -364,23 +364,3 @@ def topology_to_edge_list(topology: Topology) -> str:
                 lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 
-
-def topology_from_edge_list(text: str) -> Topology:
-    """Parse the edge-list format produced by topology_to_edge_list."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("N "):
-        raise ValueError("edge list must start with a 'N <count>' header")
-    n = int(lines[0].split()[1])
-    adjacency = np.eye(n, dtype=bool)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {ln!r} references a node outside 0..{n - 1}")
-        if u == v:
-            raise ValueError("self-loops are implied and must be omitted")
-        adjacency[u, v] = True
-        adjacency[v, u] = True
-    return Topology(n_nodes=n, adjacency=adjacency, seed=0)

@@ -12,7 +12,6 @@ from diffpareto.bias import (
     normalized_step_shape,
     report_to_json,
     spectral_check,
-    verify_limit_convergence,
 )
 from diffpareto.costs import (
     CostEnsemble,
@@ -24,9 +23,10 @@ from diffpareto.costs import (
     step_size_bounds,
 )
 from diffpareto.diffusion import DiffusionConfig, atc_config, cta_config, run_to_fixed_point, step
-from diffpareto.experiment import ExperimentConfig, _build_scenario
+from diffpareto.experiment import ExperimentConfig, build_scenario
 from diffpareto.linalg import spectral_radius
 from diffpareto.network import (
+    AssumptionError,
     CombinationMatrix,
     build_A,
     build_C,
@@ -256,9 +256,21 @@ def test_limit_bias_weighted_least_squares_oracle(index):
 # --- limit convergence -----------------------------------------------------------
 
 
+def limit_convergence_table(cfg, ens, schedule) -> list[tuple[float, float]]:
+    """(mu_max, distance from the closed-form bias to the replicated limit),
+    with the step shape frozen and mu_max walking down the schedule."""
+    omega0 = normalized_step_shape(cfg.step_sizes)
+    replicated = np.tile(limit_bias(cfg, ens), ens.n)
+    table = []
+    for mu in schedule:
+        closed = closed_form_bias(cfg.with_step_sizes(mu * omega0), ens)
+        table.append((mu, float(np.linalg.norm(closed - replicated))))
+    return table
+
+
 def test_verify_limit_convergence_two_node():
     cfg, ens = two_node_config(mu=0.01)
-    table = verify_limit_convergence(cfg, ens, [1e-2, 1e-3, 1e-4])
+    table = limit_convergence_table(cfg, ens, [1e-2, 1e-3, 1e-4])
     mus = [mu for mu, _ in table]
     devs = [dev for _, dev in table]
     assert mus == [1e-2, 1e-3, 1e-4]
@@ -274,20 +286,10 @@ def test_verify_limit_convergence_assumption3_bias_shrinks():
     c = build_C(topo, "averaging")
     ens = sample_ensemble(8, 2, 4, data_seed=41)
     cfg = atc_config(a, c, np.full(8, 1e-3))
-    table = verify_limit_convergence(cfg, ens, [1e-3, 1e-4, 1e-5])
+    table = limit_convergence_table(cfg, ens, [1e-3, 1e-4, 1e-5])
     devs = [dev for _, dev in table]
     # the limit is zero here, so the deviation is the bias norm itself
     assert devs[0] / devs[1] == pytest.approx(10.0, rel=0.3)
-
-
-def test_verify_limit_convergence_rejects_bad_schedules():
-    cfg, ens = two_node_config()
-    with pytest.raises(ValueError, match="decreasing"):
-        verify_limit_convergence(cfg, ens, [1e-3, 1e-3])
-    with pytest.raises(ValueError, match="decreasing"):
-        verify_limit_convergence(cfg, ens, [1e-4, 1e-3])
-    with pytest.raises(ValueError, match="bound"):
-        verify_limit_convergence(cfg, ens, [2.0, 1e-3])
 
 
 # --- spectral diagnostics ---------------------------------------------------------
@@ -317,8 +319,9 @@ def test_spectral_radius_exact_for_clustered_small_step_spectrum(mu_max):
         step_mode="unequal_uniform_half",
         mu_max_schedule=(mu_max,),
     )
-    _, ens, at_scale, _ = _build_scenario(config)
-    cfg = at_scale(mu_max)
+    scenario = build_scenario(config)
+    ens = scenario.ensemble
+    cfg = scenario.at_scale(mu_max)
     rho = spectral_radius(error_propagation_matrix(cfg.a1, cfg.a2, cfg.c, cfg.step_sizes, ens))
     b, _ = kron_reference(cfg, ens)
     reference = float(np.abs(np.linalg.eigvals(b)).max())
@@ -332,6 +335,14 @@ def test_spectral_check_warns_beyond_step_bound():
     with pytest.warns(RuntimeWarning, match="spectral radius"):
         rho = spectral_check(cfg, ens)
     assert rho == pytest.approx(2.0, abs=1e-9)  # |1 - 1.5 * 2|
+
+
+def test_closed_form_bias_rejects_unstable_steps():
+    eye = identity_combination(1)
+    cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.array([1.5]))
+    ens = CostEnsemble(costs=(scalar_cost(1.0),), dim=1)
+    with pytest.raises(AssumptionError, match="spectral radius 2 is not below one"):
+        closed_form_bias(cfg, ens)
 
 
 def test_stacked_gradient_identity_at_optimum():

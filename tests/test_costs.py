@@ -5,8 +5,6 @@ from diffpareto.costs import (
     CostEnsemble,
     QuadraticCost,
     check_assumption1,
-    ensemble_from_text,
-    ensemble_to_text,
     global_optimum,
     sample_ensemble,
     stacked_gradient,
@@ -283,21 +281,3 @@ def test_assumption1_rank_deficient_hessians_exact_zero():
     assert not report.satisfied
     assert np.array_equal(report.weighted_lambda_min, np.zeros(10))
 
-
-# --- serialization -----------------------------------------------------------
-
-
-def test_ensemble_text_round_trip():
-    ens = sample_ensemble(3, 2, 4, data_seed=19)
-    text = ensemble_to_text(ens)
-    back = ensemble_from_text(text)
-    assert back.n == 3 and back.dim == 2
-    for ca, cb in zip(ens.costs, back.costs):
-        assert np.array_equal(ca.x_matrix, cb.x_matrix)
-        assert np.array_equal(ca.y_vector, cb.y_vector)
-    assert text.splitlines()[0] == "3 2 4"
-
-
-def test_ensemble_text_malformed():
-    with pytest.raises(ValueError):
-        ensemble_from_text("2 2 2\n1 0\n")

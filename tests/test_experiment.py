@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from diffpareto.cli import cli_main
-from diffpareto.costs import ensemble_to_text, sample_ensemble
+from diffpareto.costs import sample_ensemble
 from diffpareto.experiment import (
     CSV_HEADER,
     ExperimentConfig,
@@ -19,7 +19,7 @@ from diffpareto.experiment import (
     load_config,
     run_sweep,
 )
-from diffpareto.network import generate_topology, topology_to_edge_list
+from diffpareto.network import generate_topology
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -171,6 +171,14 @@ def test_run_sweep_rejects_schedule_beyond_bound():
         run_sweep(cfg)
 
 
+def test_run_sweep_records_exhausted_rows_unconverged():
+    # five iterations converge at no scale; the rows say so instead of
+    # failing the closed-form check, which only a converged row must pass
+    rows = run_sweep(small_config(mu_max_schedule=(1e-2, 1e-3), max_iter=5))
+    assert [r.mu_max for r in rows] == [1e-2, 1e-3]
+    assert all(not r.converged and r.iterations == 5 for r in rows)
+
+
 def test_scenario_inputs_identical_across_scales():
     # the same seeds must reproduce the same topology and data bit for bit
     cfg = small_config()
@@ -178,8 +186,10 @@ def test_scenario_inputs_identical_across_scales():
     for _ in cfg.mu_max_schedule:
         topo = generate_topology(cfg.n_nodes, 4.0, cfg.topology_seed)
         ens = sample_ensemble(cfg.n_nodes, cfg.dim, cfg.rows, cfg.data_seed)
-        payload = topology_to_edge_list(topo) + ensemble_to_text(ens)
-        digests.add(hashlib.sha256(payload.encode()).hexdigest())
+        digest = hashlib.sha256()
+        for array in (topo.adjacency, ens.hessians, ens.offsets):
+            digest.update(array.tobytes())
+        digests.add(digest.hexdigest())
     assert len(digests) == 1
 
 
@@ -375,6 +385,16 @@ def test_cli_check_not_satisfied_path(tmp_path, capsys):
     assert "Assumption 3: NOT SATISFIED" in capsys.readouterr().out
 
 
+def test_cli_check_assumption1_violated_exits_one(tmp_path, capsys):
+    # no gradient exchange and two data rows in four dimensions: every
+    # node's Hessian is singular, so no weighted lower bound is positive
+    config = write_config(tmp_path, c_rule="identity", n_nodes=20, dim=4, rows=2)
+    assert cli_main(["check", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "Assumption 1: VIOLATED (min weighted curvature lower bound 0)" in captured.out
+    assert "error: Assumption 1 violated: " in captured.err
+
+
 def test_cli_check_honours_identical_costs_flag(tmp_path, capsys):
     def printed_limit_norm(**overrides) -> float:
         config = write_config(
@@ -448,10 +468,14 @@ def test_cli_malformed_config_field_exits_one(tmp_path, capsys, field, value):
 def test_cli_topo_round_trip(tmp_path):
     out = tmp_path / "graph.edges"
     assert cli_main(["topo", "--n", "12", "--deg", "3", "--seed", "5", "--out", str(out)]) == 0
-    from diffpareto.network import topology_from_edge_list
-
-    topo = topology_from_edge_list(out.read_text())
-    assert topo.n_nodes == 12
+    header, *edges = out.read_text().splitlines()
+    n = int(header.split()[1])
+    adjacency = np.eye(n, dtype=bool)
+    for line in edges:
+        u, v = (int(part) for part in line.split())
+        adjacency[u, v] = adjacency[v, u] = True
+    assert n == 12
+    assert np.array_equal(adjacency, generate_topology(12, 3.0, seed=5).adjacency)
 
 
 def test_cli_topo_invalid_exits_one(tmp_path, capsys):

@@ -1,0 +1,171 @@
+"""Property tests over small random networks, ensembles and configs.
+
+Every network has at most 8 nodes and 3 dimensions, and every config
+document is either malformed or tiny, so no example allocates a large
+matrix or runs a long sweep."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from diffpareto.bias import (  # noqa: E402
+    analyse_scenario,
+    limit_bias,
+    normalized_step_shape,
+    scale_analysis,
+)
+from diffpareto.cli import cli_main  # noqa: E402
+from diffpareto.costs import sample_ensemble  # noqa: E402
+from diffpareto.diffusion import (  # noqa: E402
+    DiffusionConfig,
+    atc_config,
+    cta_config,
+    run_to_fixed_point,
+)
+from diffpareto.experiment import _CONFIG_FIELDS, GAP_FACTOR  # noqa: E402
+from diffpareto.network import (  # noqa: E402
+    A_RULES,
+    C_RULES,
+    build_A,
+    build_C,
+    check_assumption3,
+    design_step_sizes_for_assumption3,
+    generate_topology,
+    identity_combination,
+    perron_theta,
+)
+
+
+@st.composite
+def scenarios(draw, c_rules=C_RULES):
+    """A diffusion config at a normalized step shape and its ensemble."""
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    topology = generate_topology(n, 2.0, seed)
+    ensemble = sample_ensemble(n, m, m + 3, data_seed=seed)
+    make = draw(st.sampled_from((atc_config, cta_config)))
+    a = build_A(topology, draw(st.sampled_from(A_RULES)))
+    c = build_C(topology, draw(st.sampled_from(c_rules)))
+    shape = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n)))
+    return make(a, c, normalized_step_shape(shape)), ensemble
+
+
+@given(scenarios(), st.floats(0.1, 0.3))
+def test_iterated_bias_within_derived_bound_of_closed_form(case, fraction):
+    config, ensemble = case
+    scenario = analyse_scenario(config, ensemble)
+    scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
+    w_star = scenario.w_star
+    tol = 1e-10
+    result = run_to_fixed_point(scaled, ensemble, init=np.tile(w_star, (ensemble.n, 1)), tol=tol)
+    closed, rho = scale_analysis(scaled, ensemble, w_star)
+    bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(ensemble.n) / (1.0 - rho)
+    assert result.converged
+    assert np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()) <= bound
+
+
+@given(scenarios(), st.floats(1e-3, 1e3))
+def test_limit_bias_invariant_under_step_scaling(case, factor):
+    config, ensemble = case
+    limit = limit_bias(config, ensemble)
+    scaled = limit_bias(config.with_step_sizes(factor * config.step_sizes), ensemble)
+    assert np.allclose(scaled, limit, rtol=1e-9, atol=1e-12 * (1.0 + np.linalg.norm(limit)))
+
+
+def designed(config):
+    """The config's combination matrices with no gradient exchange and the
+    step shape designed for Assumption 3."""
+    eye = identity_combination(config.n)
+    steps = design_step_sizes_for_assumption3(config.a1, config.a2, mu_max=1.0)
+    return DiffusionConfig(a1=config.a1, a2=config.a2, c=eye, step_sizes=steps)
+
+
+@given(scenarios(c_rules=("identity",)))
+def test_designed_step_sizes_satisfy_assumption3(case):
+    config = designed(case[0])
+    theta = perron_theta(config.a1, config.a2).theta
+    shape = normalized_step_shape(config.step_sizes)
+    assert check_assumption3(theta, config.a2, shape, config.c).satisfied
+
+
+@given(scenarios(c_rules=("identity",)))
+def test_assumption3_implies_zero_limit(case):
+    config, ensemble = designed(case[0]), case[1]
+    scenario = analyse_scenario(config, ensemble)
+    assert scenario.assumption3.satisfied
+    assert np.linalg.norm(scenario.limit_bias) <= 1e-9 * (1.0 + np.linalg.norm(scenario.w_star))
+
+
+# --- malformed config documents --------------------------------------------
+
+TINY = {
+    "strategy": "atc",
+    "a_rule": "metropolis",
+    "c_rule": "relative_degree",
+    "step_mode": "equal",
+    "mu_max_schedule": [1e-2],
+    "n_nodes": 8,
+    "dim": 2,
+    "rows": 3,
+}
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_not_int = _json.filter(lambda x: isinstance(x, bool) or not isinstance(x, int))
+_not_real = _json.filter(lambda x: isinstance(x, bool) or not isinstance(x, (int, float)))
+_bad_real = _not_real | st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
+
+# each field's invalid values: wrong types, out-of-range numbers, unknown names
+BAD_VALUES = {
+    "strategy": _json.filter(lambda x: x not in ("atc", "cta")),
+    "a_rule": _json.filter(lambda x: x not in A_RULES),
+    "c_rule": _json.filter(lambda x: x not in C_RULES),
+    "step_mode": _json.filter(lambda x: x not in ("equal", "unequal_uniform_half")),
+    "mu_max_schedule": _not_real.filter(lambda x: not isinstance(x, list))
+    | st.lists(_bad_real, min_size=1, max_size=3)
+    | st.just([])
+    | st.just([1e-2, 1e-2]),
+    "n_nodes": _not_int | st.integers(max_value=5),
+    "dim": _not_int | st.integers(max_value=0),
+    "rows": _not_int | st.integers(max_value=0),
+    "topology_seed": _not_int,
+    "data_seed": _not_int,
+    "step_seed": _not_int,
+    "tol": _bad_real,
+    "max_iter": _not_int | st.integers(max_value=0),
+    "debug_identical_costs": _json.filter(lambda x: not isinstance(x, bool)),
+}
+
+
+@st.composite
+def malformed_documents(draw):
+    """The tiny document with one field made invalid or, alone, with
+    unknown fields added, so that each fault is the only one."""
+    doc = dict(TINY)
+    name = draw(st.sampled_from([None, *sorted(BAD_VALUES)]))
+    if name is None:
+        unknown = st.text(min_size=1, max_size=8).filter(lambda k: k not in _CONFIG_FIELDS)
+        doc.update(draw(st.dictionaries(unknown, _json, min_size=1, max_size=2)))
+    else:
+        doc[name] = draw(BAD_VALUES[name])
+    return doc
+
+
+@settings(max_examples=100)
+@given(malformed_documents())
+def test_malformed_config_exits_one(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(path), "--out", str(path.with_suffix(".csv"))]) == 1
+    assert cli_main(["check", "--config", str(path)]) == 1
