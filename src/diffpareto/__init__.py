@@ -50,11 +50,7 @@ from .experiment import (
     load_config,
     run_sweep,
 )
-from .linalg import (
-    SingularMatrixError,
-    solve_linear,
-    spectral_radius,
-)
+from .linalg import SingularMatrixError, solve_linear
 from .network import (
     Assumption3Report,
     AssumptionError,

@@ -17,9 +17,10 @@ Hessian and gradient at the optimum, and one small solve.
 
 Everything that does not depend on the step scale (the optimum, the
 Perron vector, the limit, the Assumption 1 and 3 verdicts, the step-size
-margins) is analysed once per scenario; each step scale then lifts B
-once, takes its spectral radius from one eigenvalue computation and
-solves the closed form against the same matrix. The module also exposes
+margins) is analysed once per scenario. Each step scale then goes through
+``analyse_scale``: the recursion iterated from the optimum, B lifted once
+for its spectral radius and the closed form, and the two biases compared.
+The module also exposes
 the supporting operators (mixing gap, scaled curvature, the rank-M
 resolvent limit) so their defining identities can be verified
 numerically, plus a spectral diagnostic certifying that the closed form
@@ -28,6 +29,7 @@ applies.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,12 +47,12 @@ from .diffusion import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DiffusionConfig,
+    FixedPointResult,
     _StepOperator,
     run_to_fixed_point,
 )
 from .linalg import SingularMatrixError, solve_linear
 from .network import (
-    ASSUMPTION3_DEFAULT_TOL,
     Assumption3Report,
     AssumptionError,
     CombinationMatrix,
@@ -58,6 +60,10 @@ from .network import (
     check_assumption3,
     perron_theta,
 )
+
+# a converged iterate's gap to the closed form may reach this multiple of
+# the error its stopping rule allows
+GAP_FACTOR = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +119,16 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class BiasReport:
-    """Empirical, closed-form, and limit bias plus the certifying diagnostics."""
+    """Empirical, closed-form, and limit bias plus the certifying diagnostics;
+    the empirical bias is checked against the closed form only if converged."""
 
     empirical_bias: np.ndarray
     closed_form_bias: np.ndarray
     limit_bias: np.ndarray
     spectral_radius: float
     assumption3: Assumption3Report
+    iterations: int
+    converged: bool
 
 
 def normalized_step_shape(step_sizes) -> np.ndarray:
@@ -142,7 +151,6 @@ def analyse_scenario(
     config: DiffusionConfig,
     ensemble: CostEnsemble,
     topology: Topology | None = None,
-    assumption3_tol: float = ASSUMPTION3_DEFAULT_TOL,
 ) -> Scenario:
     """The scale-free analysis of a config's matrices and step shape.
 
@@ -168,7 +176,7 @@ def analyse_scenario(
         agg_hessian=hbar,
         limit_bias=_solve_aggregate(hbar, np.einsum("l,li->i", weights, gradients)),
         assumption1=report1,
-        assumption3=check_assumption3(theta, config.a2, omega0, config.c, tol=assumption3_tol),
+        assumption3=check_assumption3(theta, config.a2, omega0, config.c),
         margins=margins,
         tightest=int(np.argmin(margins)),
         topology=topology,
@@ -203,6 +211,29 @@ def scale_analysis(
     mu = config.step_sizes[:, None]
     rhs = (config.a2.matrix.T @ (mu * (config.c.matrix.T @ g0))).ravel()
     return np.linalg.solve(b, rhs), rho
+
+
+def analyse_scale(
+    scenario: Scenario, config: DiffusionConfig, tol: float, max_iter: int
+) -> tuple[FixedPointResult, np.ndarray, float]:
+    """Iterated fixed point, closed-form stacked bias and spectral radius at
+    one scale of a scenario. The recursion starts at the optimum, which only
+    trims iterations. A converged iterate farther from the closed form than
+    GAP_FACTOR times the error its stopping rule allows, about
+    tol * (1 + |w*|) * sqrt(N) / (1 - rho), raises RuntimeError; one that
+    exhausted max_iter is returned unchecked."""
+    w_star, ensemble = scenario.w_star, scenario.ensemble
+    init = np.tile(w_star, (config.n, 1))
+    result = run_to_fixed_point(config, ensemble, init=init, tol=tol, max_iter=max_iter)
+    closed, rho = scale_analysis(config, ensemble, w_star)
+    gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
+    bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
+    if result.converged and gap > bound:
+        raise RuntimeError(
+            "iterated fixed point disagrees with the closed-form bias"
+            f" (gap {gap:.3e}, bound {bound:.3e}) at mu_max {config.step_sizes.max():.6g}"
+        )
+    return result, closed, rho
 
 
 def error_propagation_matrix(
@@ -275,19 +306,19 @@ def bias_report(
     ensemble: CostEnsemble,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    assumption3_tol: float = ASSUMPTION3_DEFAULT_TOL,
-    init=None,
 ) -> BiasReport:
-    """Run the recursion and assemble every bias quantity and diagnostic."""
-    scenario = analyse_scenario(config, ensemble, assumption3_tol=assumption3_tol)
-    result = run_to_fixed_point(config, ensemble, init=init, tol=tol, max_iter=max_iter)
-    closed, rho = scale_analysis(config, ensemble, scenario.w_star)
+    """Run the recursion at the config's own step sizes through
+    ``analyse_scale`` and assemble every bias quantity and diagnostic."""
+    scenario = analyse_scenario(config, ensemble)
+    result, closed, rho = analyse_scale(scenario, config, tol, max_iter)
     return BiasReport(
         empirical_bias=scenario.w_star[None, :] - result.w_infinity,
         closed_form_bias=closed,
         limit_bias=scenario.limit_bias,
         spectral_radius=rho,
         assumption3=scenario.assumption3,
+        iterations=result.iterations_used,
+        converged=result.converged,
     )
 
 
@@ -312,6 +343,8 @@ def report_to_json(report: BiasReport) -> str:
         f'  "closed_form_bias": {vector(report.closed_form_bias)},\n'
         f'  "limit_bias": {vector(report.limit_bias)},\n'
         f'  "spectral_radius": {_fmt(report.spectral_radius)},\n'
+        f'  "iterations": {report.iterations},\n'
+        f'  "converged": {"true" if report.converged else "false"},\n'
         '  "assumption3": {'
         f'"satisfied": {"true" if a3.satisfied else "false"}, '
         f'"c0": {_fmt(a3.c0_estimate)}, '

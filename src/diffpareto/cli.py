@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bias import spectral_check
+from .diffusion import validate_step_condition
 from .experiment import (
     DEFAULT_SCHEDULE,
     build_scenario,
@@ -101,6 +102,7 @@ def _cmd_check(args) -> int:
         f"Step-size condition: {state} (largest usable mu_max {usable:g},"
         f" tightest at node {scenario.tightest})"
     )
+    validate_step_condition(scenario.at_scale(mu_max), scenario.ensemble)
 
     report3 = scenario.assumption3
     if report3.satisfied:

@@ -94,11 +94,14 @@ def cta_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> Diffus
 
 
 def validate_step_condition(config: DiffusionConfig, ensemble: CostEnsemble) -> None:
-    """Check Assumption 1 and the strict per-node step-size upper bound."""
+    """Check Assumption 1 and the strict per-node step-size upper bound.
+
+    A violation names the offending node with the largest step-to-bound
+    ratio, which for a scaled scenario config is ``Scenario.tightest``."""
     bounds = step_size_bounds(config.c, ensemble)  # raises if Assumption 1 fails
     over = config.step_sizes >= bounds
     if over.any():
-        node = int(np.argmax(over))
+        node = int(np.argmax(np.where(over, config.step_sizes / bounds, 0.0)))
         raise AssumptionError(
             f"step size {config.step_sizes[node]:.6g} at node {node} is not below"
             f" its stability bound {bounds[node]:.6g}"
@@ -211,7 +214,6 @@ def run_to_fixed_point(
     w = np.zeros(op.shape) if init is None else _as_state(init, op.shape)
     apply_ = op.apply
     einsum = np.einsum
-    tol2 = tol * tol
     iterations = 0
     worst = np.inf
     converged = False
@@ -231,10 +233,6 @@ def run_to_fixed_point(
         if trace is not None:
             trace(iterations, math.sqrt(worst))
         w = wn
-        if worst <= tol2:
-            # (1 + |w_k|) >= 1, so every node already satisfies its test
-            converged = True
-            break
         norms2 = einsum("ki,ki->k", wn, wn)
         gate = tol * (1.0 + math.sqrt(float(norms2.max())))
         if worst <= gate * gate:

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import Scenario, _fmt, analyse_scenario, scale_analysis
+from .bias import Scenario, _fmt, analyse_scale, analyse_scenario
 from .costs import CostEnsemble, sample_ensemble
-from .diffusion import DEFAULT_MAX_ITER, DEFAULT_TOL, atc_config, cta_config, run_to_fixed_point
+from .diffusion import DEFAULT_MAX_ITER, DEFAULT_TOL, atc_config, cta_config
 from .network import A_RULES, C_RULES, build_A, build_C, generate_topology
 from .rng import SplitMix64
 
@@ -30,10 +30,6 @@ STEP_MODES = ("equal", "unequal_uniform_half")
 EXPERIMENT_AVG_DEGREE = 4.0
 
 DEFAULT_SCHEDULE = (1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4, 10**-4.5, 1e-5)
-
-# a converged row's gap to the closed form may reach this multiple of the
-# error its stopping rule allows (see run_sweep)
-GAP_FACTOR = 10.0
 
 
 def _is_real(x) -> bool:
@@ -195,38 +191,16 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run one scenario over its schedule, largest step size first.
 
-    The scenario is built and analysed once and reused at every scale.
-    Each run warm-starts at the global optimum; the fixed point is unique,
-    so this only trims iterations. Every converged row is checked against
-    the closed-form bias at its scale, within the error the stopping rule
-    allows: an update below tol * (1 + |w_k|) at every node leaves the
-    iterate within about tol * (1 + |w*|) * sqrt(N) / (1 - rho) of the
-    fixed point, and a gap beyond ten times that raises RuntimeError. A
-    row that exhausts max_iter is recorded with converged=False and is
-    not checked."""
+    The scenario is built and analysed once; each scale goes through
+    ``analyse_scale``, which checks a converged row against the closed form.
+    A row that exhausts max_iter is recorded with converged=False."""
     scenario = build_scenario(config)
-    w_star = scenario.w_star
     limit_sq = config.n_nodes * float(scenario.limit_bias @ scenario.limit_bias)
-    init = np.tile(w_star, (config.n_nodes, 1))
-    # the gap bound times (1 - rho), which is all of it that is scale-free
-    stop_error = GAP_FACTOR * config.tol * (1.0 + float(np.linalg.norm(w_star)))
-    stop_error *= math.sqrt(config.n_nodes)
     rows: list[SweepRow] = []
     for mu_max in sorted(config.mu_max_schedule, reverse=True):
         dcfg = scenario.at_scale(mu_max)
-        result = run_to_fixed_point(
-            dcfg, scenario.ensemble, init=init, tol=config.tol, max_iter=config.max_iter
-        )
-        bias = w_star[None, :] - result.w_infinity
-        closed, rho = scale_analysis(dcfg, scenario.ensemble, w_star)
-        if result.converged:
-            gap = float(np.linalg.norm(closed - bias.ravel()))
-            bound = stop_error / (1.0 - rho)
-            if gap > bound:
-                raise RuntimeError(
-                    "iterated fixed point disagrees with the closed-form bias"
-                    f" (gap {gap:.3e}, bound {bound:.3e}) at mu_max {mu_max:.6g}"
-                )
+        result, _, rho = analyse_scale(scenario, dcfg, config.tol, config.max_iter)
+        bias = scenario.w_star[None, :] - result.w_infinity
         rows.append(
             SweepRow(
                 scenario_id=config.scenario_id,
@@ -250,6 +224,9 @@ def fit_loglog_slope(rows: list[SweepRow]) -> float:
     """Ordinary least-squares slope of log(bias_sq_norm) against log(mu_max)."""
     if len(rows) < 3:
         raise ValueError("need at least three rows for a slope fit")
+    unconverged = [row.mu_max for row in rows if not row.converged]
+    if unconverged:
+        raise ValueError(f"cannot fit unconverged rows: mu_max {unconverged[0]:.6g} hit max_iter")
     mus = np.array([row.mu_max for row in rows])
     values = np.array([row.bias_sq_norm for row in rows])
     if (values <= 0.0).any():

@@ -2,8 +2,9 @@
 
 Everything operates on plain float64 numpy arrays. Matrices stay small
 (at most a few hundred rows), so direct methods are used everywhere: an
-LU solve behind a QR singularity test, and the full eigenvalue set for
-spectral radii.
+LU solve behind a QR singularity test. Spectral radii are taken where
+their matrices are built, from ``numpy.linalg.eigvals`` on the matrix in
+place (see ``bias``).
 """
 
 from __future__ import annotations
@@ -40,22 +41,17 @@ def as_vector(v) -> np.ndarray:
     return x
 
 
-def _square(a) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    return a
-
-
 def solve_linear(a, b) -> np.ndarray:
     """Solve a @ x = b with LAPACK's LU solver.
 
     The matrix counts as singular when a diagonal entry of its QR factor
     R is at most n * eps * max|a|; SingularMatrixError then names the
     column and carries that magnitude."""
-    a = _square(a)
+    a = as_matrix(a)
     b = as_vector(b)
     n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError(f"matrix must be square, got {n}x{a.shape[1]}")
     if b.shape[0] != n:
         raise ValueError(f"matrix is {n}x{n} but right-hand side has length {b.shape[0]}")
     threshold = n * np.finfo(float).eps * np.abs(a).max()
@@ -68,8 +64,3 @@ def solve_linear(a, b) -> np.ndarray:
             pivot=float(pivots[k]),
         )
     return np.linalg.solve(a, b)
-
-
-def spectral_radius(a) -> float:
-    """Largest eigenvalue modulus, from the full (LAPACK) eigenvalue set."""
-    return float(np.abs(np.linalg.eigvals(_square(a))).max())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class Assumption3Report:
     satisfied: bool
     c0_estimate: float
     max_deviation: float
-    tolerance: float = field(default=ASSUMPTION3_DEFAULT_TOL)
 
 
 def _prufer_tree_edges(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
@@ -330,9 +329,7 @@ def check_assumption3(
     v = c.matrix @ z
     c0 = float(v.mean())
     max_dev = float(np.abs(v - c0).max())
-    return Assumption3Report(
-        satisfied=max_dev <= tol, c0_estimate=c0, max_deviation=max_dev, tolerance=tol
-    )
+    return Assumption3Report(satisfied=max_dev <= tol, c0_estimate=c0, max_deviation=max_dev)
 
 
 def design_step_sizes_for_assumption3(

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from diffpareto import bias as bias_module
 from diffpareto.bias import (
     bias_report,
     closed_form_bias,
@@ -11,6 +13,7 @@ from diffpareto.bias import (
     limit_operators,
     normalized_step_shape,
     report_to_json,
+    scale_analysis,
     spectral_check,
 )
 from diffpareto.costs import (
@@ -22,9 +25,15 @@ from diffpareto.costs import (
     stacked_gradient,
     step_size_bounds,
 )
-from diffpareto.diffusion import DiffusionConfig, atc_config, cta_config, run_to_fixed_point, step
-from diffpareto.experiment import ExperimentConfig, build_scenario
-from diffpareto.linalg import spectral_radius
+from diffpareto.diffusion import (
+    DEFAULT_MAX_ITER,
+    DiffusionConfig,
+    atc_config,
+    cta_config,
+    run_to_fixed_point,
+    step,
+)
+from diffpareto.experiment import ExperimentConfig, build_scenario, run_sweep
 from diffpareto.network import (
     AssumptionError,
     CombinationMatrix,
@@ -301,11 +310,9 @@ def test_spectral_check_below_one_for_valid_config():
 
 
 def test_error_propagation_at_zero_steps_has_unit_radius():
-    from diffpareto.linalg import spectral_radius
-
     cfg, ens = random_valid_config(2)
     b = error_propagation_matrix(cfg.a1, cfg.a2, cfg.c, np.zeros(ens.n), ens)
-    assert spectral_radius(b) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(np.linalg.eigvals(b)).max() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu_max", [1e-4, 10**-4.5, 1e-5])
@@ -322,7 +329,7 @@ def test_spectral_radius_exact_for_clustered_small_step_spectrum(mu_max):
     scenario = build_scenario(config)
     ens = scenario.ensemble
     cfg = scenario.at_scale(mu_max)
-    rho = spectral_radius(error_propagation_matrix(cfg.a1, cfg.a2, cfg.c, cfg.step_sizes, ens))
+    _, rho = scale_analysis(cfg, ens, scenario.w_star)
     b, _ = kron_reference(cfg, ens)
     reference = float(np.abs(np.linalg.eigvals(b)).max())
     assert abs(rho - reference) <= 0.01 * (1.0 - reference)
@@ -383,6 +390,7 @@ def test_bias_report_round_trip():
     assert np.abs(report.empirical_bias.ravel() - report.closed_form_bias).max() <= 1e-9
     assert report.spectral_radius < 1.0
     assert not report.assumption3.satisfied
+    assert report.converged
 
     text = report_to_json(report)
     doc = json.loads(text)
@@ -391,8 +399,12 @@ def test_bias_report_round_trip():
         "closed_form_bias",
         "limit_bias",
         "spectral_radius",
+        "iterations",
+        "converged",
         "assumption3",
     }
+    assert doc["iterations"] == report.iterations
+    assert doc["converged"] is True
     assert set(doc["assumption3"]) == {"satisfied", "c0", "max_deviation"}
     assert doc["assumption3"]["satisfied"] is False
     assert doc["limit_bias"][0] == pytest.approx(1.0 / 7.0, abs=1e-10)
@@ -400,3 +412,64 @@ def test_bias_report_round_trip():
     import re
 
     assert re.search(r"-?\d\.\d{16}e[+-]\d{2}", text)
+
+
+# --- the per-scale check shared by the sweep and the report ------------------------
+
+SMALL_SWEEP = ExperimentConfig(
+    strategy="atc",
+    a_rule="metropolis",
+    c_rule="relative_degree",
+    step_mode="equal",
+    mu_max_schedule=(1e-2,),
+    n_nodes=12,
+    dim=2,
+    rows=4,
+)
+
+
+def small_sweep_scale() -> tuple[DiffusionConfig, CostEnsemble]:
+    scenario = build_scenario(SMALL_SWEEP)
+    return scenario.at_scale(1e-2), scenario.ensemble
+
+
+# each caller of analyse_scale, run at a given max_iter; returns the converged flags
+PER_SCALE_CALLERS = {
+    "run_sweep": lambda max_iter: [
+        row.converged for row in run_sweep(dataclasses.replace(SMALL_SWEEP, max_iter=max_iter))
+    ],
+    "bias_report": lambda max_iter: [bias_report(*small_sweep_scale(), max_iter=max_iter).converged],
+}
+
+
+def shift_fixed_points(monkeypatch) -> None:
+    """Move every fixed point the per-scale path iterates by 1e-3."""
+    original = bias_module.run_to_fixed_point
+
+    def shifted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return dataclasses.replace(result, w_infinity=result.w_infinity + 1e-3)
+
+    monkeypatch.setattr(bias_module, "run_to_fixed_point", shifted)
+
+
+@pytest.mark.parametrize("caller", sorted(PER_SCALE_CALLERS))
+def test_gap_check_raises_for_converged_iterate_off_the_closed_form(monkeypatch, caller):
+    shift_fixed_points(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"gap .*bound"):
+        PER_SCALE_CALLERS[caller](DEFAULT_MAX_ITER)
+
+
+@pytest.mark.parametrize("caller", sorted(PER_SCALE_CALLERS))
+def test_gap_check_skips_exhausted_iterate(monkeypatch, caller):
+    shift_fixed_points(monkeypatch)
+    assert PER_SCALE_CALLERS[caller](5) == [False]
+
+
+def test_bias_report_flags_exhausted_recursion():
+    report = bias_report(*small_sweep_scale(), max_iter=5)
+    assert report.converged is False
+    assert report.iterations == 5
+    doc = json.loads(report_to_json(report))
+    assert doc["iterations"] == 5
+    assert doc["converged"] is False

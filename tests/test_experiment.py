@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -217,6 +218,13 @@ def test_slope_rejects_nonpositive_and_short_input():
         fit_loglog_slope(narrow)
 
 
+def test_slope_rejects_unconverged_rows():
+    rows = synthetic_rows([(mu, mu**2) for mu in (1e-2, 1e-3, 1e-4, 1e-5)])
+    rows[2:] = [dataclasses.replace(row, converged=False) for row in rows[2:]]
+    with pytest.raises(ValueError, match="mu_max 0.0001 "):
+        fit_loglog_slope(rows)
+
+
 # --- CSV and plot script ---------------------------------------------------------
 
 
@@ -393,6 +401,17 @@ def test_cli_check_assumption1_violated_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Assumption 1: VIOLATED (min weighted curvature lower bound 0)" in captured.out
     assert "error: Assumption 1 violated: " in captured.err
+
+
+def test_cli_check_and_sweep_reject_the_same_node_beyond_its_step_bound(tmp_path, capsys):
+    config = write_config(tmp_path, mu_max_schedule=[0.5, 1e-3], dim=4, rows=6)
+    assert cli_main(["check", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert "Step-size condition: VIOLATED" in captured.out
+    assert "tightest at node 8)" in captured.out
+    assert captured.err.startswith("error: step size 0.5 at node 8 ")
+    assert cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: step size 0.5 at node 8 ")
 
 
 def test_cli_check_honours_identical_costs_flag(tmp_path, capsys):

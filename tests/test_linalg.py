@@ -6,7 +6,6 @@ from diffpareto.linalg import (
     as_matrix,
     as_vector,
     solve_linear,
-    spectral_radius,
 )
 from diffpareto.network import CombinationMatrix, identity_combination, perron_theta
 
@@ -19,7 +18,7 @@ def dominant_eigpair(p: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a left-stochastic matrix from the package API."""
     n = p.shape[0]
     data = perron_theta(CombinationMatrix(p, kind="left_stochastic"), identity_combination(n))
-    return spectral_radius(p), data.theta
+    return float(np.abs(np.linalg.eigvals(p)).max()), data.theta
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -60,24 +59,6 @@ def test_solve_shape_errors():
         solve_linear(np.ones((2, 3)), [1.0, 1.0])
     with pytest.raises(ValueError, match="length"):
         solve_linear(np.eye(2), [1.0, 1.0, 1.0])
-
-
-def test_spectral_radius_diagonal():
-    assert spectral_radius(np.diag([0.5, 0.2])) == pytest.approx(0.5, abs=1e-10)
-
-
-def test_spectral_radius_scalar_matrix():
-    assert spectral_radius(0.3 * np.eye(5)) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_spectral_radius_left_stochastic_is_one():
-    assert spectral_radius(A22) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_spectral_radius_tied_moduli():
-    # eigenvalues +-i: no single eigenvalue dominates, the radius is still exact
-    a = np.array([[0.0, 2.0], [-0.5, 0.0]])
-    assert spectral_radius(a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mat_mul_fixes_perron_vector():

@@ -15,6 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from diffpareto.bias import (  # noqa: E402
+    GAP_FACTOR,
     analyse_scenario,
     limit_bias,
     normalized_step_shape,
@@ -28,7 +29,7 @@ from diffpareto.diffusion import (  # noqa: E402
     cta_config,
     run_to_fixed_point,
 )
-from diffpareto.experiment import _CONFIG_FIELDS, GAP_FACTOR  # noqa: E402
+from diffpareto.experiment import _CONFIG_FIELDS  # noqa: E402
 from diffpareto.network import (  # noqa: E402
     A_RULES,
     C_RULES,
