@@ -10,6 +10,9 @@ transposes on the node-major state array.
 Presets cover the two classic orderings: adapt-then-combine (a1 = I,
 a2 = A) and combine-then-adapt (a1 = A, a2 = I). The linear part of the
 one-iteration map, lifted to N*M x N*M, is the error-propagation matrix.
+
+A long run skips its tail through the M slow modes of that matrix (see
+run_to_fixed_point and the tail module).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from .costs import CostEnsemble, combine_gradient_offsets, combine_hessians, step_size_bounds
 from .network import AssumptionError, CombinationMatrix, identity_combination
+from .tail import ENGAGE_AT, PROBE_AT, SlowSubspace, runs_long
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
@@ -81,6 +85,7 @@ class FixedPointResult:
     iterations_used: int
     converged: bool
     final_update_norm: float
+    stepped: int
 
 
 def atc_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> DiffusionConfig:
@@ -143,6 +148,13 @@ class _StepOperator:
         psi = np.einsum("kij,kj->ki", self.gain, phi) + self.offset
         return psi if self.a2t is None else self.a2t @ psi
 
+    def apply_linear(self, q: np.ndarray) -> np.ndarray:
+        """The linear part of apply on K states at once, q of shape (N, M, K)."""
+        n = self.shape[0]
+        phi = q if self.a1t is None else (self.a1t @ q.reshape(n, -1)).reshape(q.shape)
+        psi = self.gain @ phi
+        return psi if self.a2t is None else (self.a2t @ psi.reshape(n, -1)).reshape(q.shape)
+
     def lifted(self, blocks: np.ndarray | None = None) -> np.ndarray:
         """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I);
         with the default blocks, the gains, it is the linear part of apply.
@@ -204,8 +216,21 @@ def run_to_fixed_point(
     ``converged=False`` rather than an exception; a non-finite iterate
     raises DivergenceError.
 
+    A run whose largest update decays slowly skips its tail. From iteration
+    256 it steps an N*M x M basis from 1 kron I_M beside the iterate; once
+    that basis spans an invariant subspace of the error-propagation matrix
+    B and the run's iterates fit it to within their rounding noise, every
+    later iterate is a sum of M geometric sequences, and the same per-node
+    test finds the same stopping iteration among them without stepping. A
+    model that is refused for good, or not accepted 1024 steps in, is
+    dropped and the run goes on plain (see the tail module). ``stepped`` in
+    the result counts the plain steps taken: it equals ``iterations_used``
+    when the whole run was stepped, and when it is smaller, ``w_infinity``
+    and ``final_update_norm`` belong to the modelled iterate at
+    ``iterations_used``.
+
     ``trace``, when given, is called with (iteration, max update norm)
-    after every step.
+    for every iteration in order, modelled ones included.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least one")
@@ -217,6 +242,8 @@ def run_to_fixed_point(
     iterations = 0
     worst = np.inf
     converged = False
+    probe = 0.0
+    tracker = None
     for iterations in range(1, max_iter + 1):
         wn = apply_(w)
         diff = wn - w
@@ -242,10 +269,23 @@ def run_to_fixed_point(
             if (upd2 <= rhs * rhs).all():
                 converged = True
                 break
+        if tracker is not None and iterations < max_iter:
+            tail = tracker.advance(w)
+            if tail is not None:
+                w, used, converged, final = tail.run(iterations, max_iter, tol, trace)
+                w.setflags(write=False)
+                return FixedPointResult(w, used, converged, final, stepped=iterations)
+            if not tracker.open:
+                tracker = None
+        elif iterations == PROBE_AT:
+            probe = worst
+        elif iterations == ENGAGE_AT and runs_long(probe, worst, gate, tol, max_iter):
+            tracker = SlowSubspace(op)
     w.setflags(write=False)
     return FixedPointResult(
         w_infinity=w,
         iterations_used=iterations,
         converged=converged,
         final_update_norm=math.sqrt(worst),
+        stepped=iterations,
     )

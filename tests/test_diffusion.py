@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from plain_loop import plain_fixed_point
 
 from diffpareto.costs import CostEnsemble, QuadraticCost, sample_ensemble, step_size_bounds
 from diffpareto.diffusion import (
@@ -11,6 +12,7 @@ from diffpareto.diffusion import (
     step,
     validate_step_condition,
 )
+from diffpareto.experiment import ExperimentConfig, build_scenario
 from diffpareto.network import (
     AssumptionError,
     CombinationMatrix,
@@ -232,3 +234,97 @@ def test_trace_callback_sees_every_iteration():
     assert len(seen) == res.iterations_used
     assert seen[0][0] == 1
     assert all(u >= 0.0 for _, u in seen)
+
+
+# --- the modal tail against the plain loop ------------------------------------
+
+
+def sweep_row(mu_max, init_at_optimum=True, **fields):
+    """(config, ensemble, init) of one row of a built-in scenario; the
+    defaults are the N=50 scenario of the small-step benchmark sweep."""
+    settings = dict(
+        strategy="atc",
+        a_rule="averaging",
+        c_rule="relative_degree",
+        step_mode="unequal_uniform_half",
+        mu_max_schedule=(mu_max,),
+    )
+    settings.update(fields)
+    scenario = build_scenario(ExperimentConfig(**settings))
+    n = scenario.ensemble.n
+    init = np.tile(scenario.w_star, (n, 1)) if init_at_optimum else None
+    return scenario.at_scale(mu_max), scenario.ensemble, init
+
+
+def assert_same_run(res, ref):
+    w, iterations, converged = ref
+    assert res.iterations_used == iterations
+    assert res.converged == converged
+    assert np.abs(res.w_infinity - w).max() <= 1e-12 * (1.0 + np.linalg.norm(w))
+
+
+@pytest.mark.parametrize("mu_max, iterations", [(10**-3.5, 5875), (1e-4, 17350)])
+def test_tail_reproduces_plain_loop_on_sweep_rows(mu_max, iterations):
+    config, ens, init = sweep_row(mu_max)
+    res = run_to_fixed_point(config, ens, init=init)
+    assert_same_run(res, plain_fixed_point(config, ens, init=init))
+    assert res.iterations_used == iterations
+    assert res.stepped < res.iterations_used
+
+
+def test_tail_reproduces_plain_loop_on_zero_limit_row():
+    # a zero-limit scenario: Assumption 3 holds, so the run starts close to its fixed point
+    config, ens, init = sweep_row(1e-4, a_rule="metropolis", step_mode="equal")
+    res = run_to_fixed_point(config, ens, init=init)
+    assert_same_run(res, plain_fixed_point(config, ens, init=init))
+    assert res.stepped < res.iterations_used
+
+
+def test_tail_reproduces_plain_loop_with_identical_costs():
+    config, ens, _ = sweep_row(
+        1e-3, init_at_optimum=False, n_nodes=20, step_mode="equal", debug_identical_costs=True
+    )
+    res = run_to_fixed_point(config, ens)
+    assert_same_run(res, plain_fixed_point(config, ens))
+    assert res.stepped < res.iterations_used
+
+
+def test_short_run_steps_every_iteration():
+    config, ens, init = sweep_row(1e-2)
+    res = run_to_fixed_point(config, ens, init=init)
+    assert_same_run(res, plain_fixed_point(config, ens, init=init))
+    assert res.stepped == res.iterations_used == 220
+
+
+def test_repeated_slow_modes_finish_plain():
+    # isotropic Hessians shared by every node repeat each slow mode M times
+    topo = generate_topology(6, 3.0, seed=4)
+    ens = CostEnsemble(
+        costs=tuple(QuadraticCost(np.eye(2), np.array([k, 1.0 - k])) for k in range(6)), dim=2
+    )
+    config = atc_config(build_A(topo, "metropolis"), identity_combination(6), np.full(6, 1e-3))
+    res = run_to_fixed_point(config, ens)
+    assert_same_run(res, plain_fixed_point(config, ens))
+    assert res.iterations_used > 4 * 1024
+    assert res.stepped == res.iterations_used
+
+
+def test_trace_through_the_tail():
+    config, ens, init = sweep_row(1e-4)
+    seen, plain = [], []
+    res = run_to_fixed_point(config, ens, init=init, trace=lambda i, u: seen.append((i, u)))
+    plain_fixed_point(config, ens, init=init, trace=lambda i, u: plain.append(u))
+    assert [i for i, _ in seen] == list(range(1, res.iterations_used + 1))
+    assert [u for _, u in seen[: res.stepped]] == plain[: res.stepped]
+    assert seen[-1][1] == res.final_update_norm
+    assert res.stepped < res.iterations_used
+
+
+def test_tail_exhausting_max_iter():
+    config, ens, init = sweep_row(1e-4)
+    res = run_to_fixed_point(config, ens, init=init, max_iter=10_000)
+    w, _, converged = plain_fixed_point(config, ens, init=init, max_iter=10_000)
+    assert not res.converged and not converged
+    assert res.iterations_used == 10_000
+    assert res.stepped < res.iterations_used
+    assert np.linalg.norm(res.w_infinity - w) <= 1e-10 * np.linalg.norm(w)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from plain_loop import plain_fixed_point
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -70,6 +71,17 @@ def test_iterated_bias_within_derived_bound_of_closed_form(case, fraction):
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(ensemble.n) / (1.0 - rho)
     assert result.converged
     assert np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()) <= bound
+
+
+@given(scenarios(), st.floats(0.003, 0.01))
+def test_tail_reproduces_plain_loop_iterations(case, fraction):
+    config, ensemble = case
+    scenario = analyse_scenario(config, ensemble)
+    scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
+    init = np.tile(scenario.w_star, (ensemble.n, 1))
+    result = run_to_fixed_point(scaled, ensemble, init=init)
+    _, iterations, converged = plain_fixed_point(scaled, ensemble, init=init)
+    assert (result.iterations_used, result.converged) == (iterations, converged)
 
 
 @given(scenarios(), st.floats(1e-3, 1e3))
