@@ -18,8 +18,16 @@ Hessian and gradient at the optimum, and one small solve.
 Everything that does not depend on the step scale (the optimum, the
 Perron vector, the limit, the Assumption 1 and 3 verdicts, the step-size
 margins) is analysed once per scenario. Each step scale then goes through
-``analyse_scale``: the recursion iterated from the optimum, B lifted once
-for its spectral radius and the closed form, and the two biases compared.
+``analyse_scale``: the recursion iterated from the optimum, the spectral
+radius of B, B lifted once for the closed form, and the two biases
+compared.
+
+The spectral radius comes from a symmetric matrix with the spectrum of B
+(see ``_symmetric_radius``) whenever the composite mixing matrix is
+reversible and every gain block I - mu_k R_k is positive definite, which
+holds for the built-in rules below half of each step bound. Otherwise it
+is taken from ``numpy.linalg.eigvals`` on B itself.
+
 The module also exposes
 the supporting operators (mixing gap, scaled curvature, the rank-M
 resolvent limit) so their defining identities can be verified
@@ -64,6 +72,15 @@ from .network import (
 # a converged iterate's gap to the closed form may reach this multiple of
 # the error its stopping rule allows
 GAP_FACTOR = 10.0
+
+# P diag(pi) counts as symmetric when no entry is farther from its transpose
+# than this share of its largest entry. For a reversible P the residue is
+# the rounding in pi alone, 1e-15 to 2e-13 on the built-in rules at N = 50
+# and 200. That residue is a diagonal similarity of S: it moves no eigenvalue
+# and reaches the symmetrised S only at second order. A P that is not
+# reversible misses by a share of order one. One that passes with an
+# asymmetry t moves rho by up to about N * t * max(pi) / min(pi).
+REVERSIBLE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,28 +200,94 @@ def analyse_scenario(
     )
 
 
-def _lift(config: DiffusionConfig, ensemble: CostEnsemble) -> tuple[np.ndarray, float]:
-    """The error propagation matrix B at the configured step sizes and its
-    spectral radius, from one lift and one eigenvalue computation."""
-    b = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble).lifted()
-    return b, float(np.abs(np.linalg.eigvals(b)).max())
+def _reversible_mixing(config: DiffusionConfig, theta: np.ndarray) -> np.ndarray | None:
+    """S = D^-1/2 P D^1/2 for P = a2 a1 and D = diag(pi), pi = a2 theta the
+    Perron vector of P, made exactly symmetric as (S + S^T) / 2. None when
+    pi has a zero entry or P diag(pi) is not symmetric to REVERSIBLE_TOL,
+    that is, when P is not reversible."""
+    pi = config.a2.matrix @ theta
+    if not (pi > 0.0).all():
+        return None
+    flow = (config.a2.matrix @ config.a1.matrix) * pi
+    if np.abs(flow - flow.T).max() > REVERSIBLE_TOL * flow.max():
+        return None
+    root = np.sqrt(pi)
+    s = flow / np.outer(root, root)
+    return 0.5 * (s + s.T)
+
+
+def _symmetric_radius(gain: np.ndarray, s: np.ndarray) -> float | None:
+    """Spectral radius of B from one symmetric eigenvalue computation.
+
+    B = (a2^T kron I) G (a1^T kron I), with G the block diagonal of the
+    gains, has the spectrum of G (P^T kron I) (cyclic permutation), which
+    is similar to G (S kron I) because D kron I commutes with G. With
+    G = L L^T blockwise, that is similar to C = L^T (S kron I) L, whose
+    block (k, l) is S[k, l] L_k^T L_l. None when a gain block is not
+    positive definite."""
+    try:
+        chol = np.linalg.cholesky(gain)
+    except np.linalg.LinAlgError:
+        return None
+    n, m, _ = gain.shape
+    left = chol.transpose(0, 2, 1).reshape(n * m, m)
+    right = chol.transpose(1, 0, 2).reshape(m, n * m)
+    c = (left @ right).reshape(n, m, n, m)
+    c *= s[:, None, :, None]
+    eigs = np.linalg.eigvalsh(c.reshape(n * m, n * m))
+    return float(max(-eigs[0], eigs[-1]))
+
+
+def _spectral_radius(
+    op: _StepOperator, config: DiffusionConfig, theta: np.ndarray | None
+) -> tuple[float, np.ndarray | None]:
+    """Spectral radius of B at the operator's step sizes, and B when it had
+    to be lifted for it.
+
+    The symmetric route (``_symmetric_radius``) lifts nothing, and its
+    N*M x N*M matrix is dropped before the caller lifts B. It falls back to
+    ``eigvals`` on B when P is not reversible, when a gain block is not
+    positive definite (a step above half of its bound), or when theta is
+    not given and the composite has no Perron vector."""
+    if theta is None:
+        try:
+            theta = perron_theta(config.a1, config.a2).theta
+        except AssumptionError:
+            pass
+    s = None if theta is None else _reversible_mixing(config, theta)
+    rho = None if s is None else _symmetric_radius(op.gain, s)
+    if rho is not None:
+        return rho, None
+    b = op.lifted()
+    return float(np.abs(np.linalg.eigvals(b)).max()), b
 
 
 def scale_analysis(
-    config: DiffusionConfig, ensemble: CostEnsemble, w_star: np.ndarray
+    config: DiffusionConfig,
+    ensemble: CostEnsemble,
+    w_star: np.ndarray,
+    theta: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Closed-form stacked bias (length N*M) and spectral radius at one scale.
 
     Solves (I - B) x = rhs, where rhs applies the step sizes and
     gradient-exchange weights to the gradients at the optimum w_star. With
     the spectral radius of B below one, I - B is nonsingular; it is formed
-    in B's own storage. A radius at or above one raises AssumptionError."""
-    b, rho = _lift(config, ensemble)
+    in B's own storage. A radius at or above one raises AssumptionError.
+
+    theta is the Perron vector of a1 a2 (``Scenario.theta``), computed here
+    when not given. The radius is read from a symmetric matrix similar to B
+    when the mixing is reversible and every gain block is positive
+    definite, and from ``eigvals`` on B otherwise (``_spectral_radius``)."""
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
+    rho, b = _spectral_radius(op, config, theta)
     if rho >= 1.0:
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
             " the recursion has no stable fixed point for the closed form to describe"
         )
+    if b is None:
+        b = op.lifted()
     np.negative(b, out=b)
     b.flat[:: b.shape[0] + 1] += 1.0
     g0 = stacked_gradient(ensemble, w_star).reshape(ensemble.n, -1)
@@ -225,7 +308,7 @@ def analyse_scale(
     w_star, ensemble = scenario.w_star, scenario.ensemble
     init = np.tile(w_star, (config.n, 1))
     result = run_to_fixed_point(config, ensemble, init=init, tol=tol, max_iter=max_iter)
-    closed, rho = scale_analysis(config, ensemble, w_star)
+    closed, rho = scale_analysis(config, ensemble, w_star, scenario.theta)
     gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
     if result.converged and gap > bound:
@@ -249,13 +332,17 @@ def error_propagation_matrix(
     return _StepOperator(a1, a2, c, step_sizes, ensemble).lifted()
 
 
-def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
+def spectral_check(
+    config: DiffusionConfig, ensemble: CostEnsemble, theta: np.ndarray | None = None
+) -> float:
     """Spectral radius of the error propagation matrix.
 
     Below one whenever the curvature and step-size conditions hold; a
     value at or above one flags an unstable configuration with a
-    RuntimeWarning."""
-    _, rho = _lift(config, ensemble)
+    RuntimeWarning. theta and the route taken are as in ``scale_analysis``;
+    on the symmetric route B is never lifted."""
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
+    rho, _ = _spectral_radius(op, config, theta)
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"

@@ -113,7 +113,7 @@ def _cmd_check(args) -> int:
             f" max deviation={report3.max_deviation:g})"
         )
 
-    rho = spectral_check(scenario.at_scale(mu_max), scenario.ensemble)
+    rho = spectral_check(scenario.at_scale(mu_max), scenario.ensemble, scenario.theta)
     print(f"Error-propagation spectral radius at mu_max={mu_max:g}: {rho:.6g}")
     limit_norm = float(np.linalg.norm(scenario.limit_bias))
     print(f"Small-step-size bias norm (per node): {limit_norm:.6g}")

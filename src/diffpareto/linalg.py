@@ -2,9 +2,10 @@
 
 Everything operates on plain float64 numpy arrays. Matrices stay small
 (at most a few hundred rows), so direct methods are used everywhere: an
-LU solve behind a QR singularity test. Spectral radii are taken where
-their matrices are built, from ``numpy.linalg.eigvals`` on the matrix in
-place (see ``bias``).
+LU solve behind a QR singularity test. The spectral radius of the
+error-propagation matrix is taken where that matrix is built (see
+``bias``): from ``numpy.linalg.eigvalsh`` of a symmetric matrix similar to
+it when one exists, and from ``numpy.linalg.eigvals`` otherwise.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from kron_reference import kron_reference, reference_radius
 
 from diffpareto import bias as bias_module
 from diffpareto.bias import (
@@ -35,6 +36,8 @@ from diffpareto.diffusion import (
 )
 from diffpareto.experiment import ExperimentConfig, build_scenario, run_sweep
 from diffpareto.network import (
+    A_RULES,
+    C_RULES,
     AssumptionError,
     CombinationMatrix,
     build_A,
@@ -70,24 +73,6 @@ def random_valid_config(index: int) -> tuple[DiffusionConfig, CostEnsemble]:
     shape = np.linspace(0.6, 1.0, n) if index % 4 < 2 else np.ones(n)
     mu = 0.25 * float((step_size_bounds(c, ens) / shape).min())
     return make(a, c, mu * shape), ens
-
-
-def kron_reference(cfg: DiffusionConfig, ens: CostEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Independent dense build of the error propagation matrix B and the
-    closed-form right-hand side, every factor lifted with np.kron."""
-    n, m = ens.n, ens.dim
-    eye_m = np.eye(m)
-    r = np.zeros((n * m, n * m))
-    for k in range(n):
-        block = sum(cfg.c.matrix[l, k] * ens.costs[l].hessian() for l in range(n))
-        r[k * m : (k + 1) * m, k * m : (k + 1) * m] = block
-    a1t = np.kron(cfg.a1.matrix.T, eye_m)
-    a2t = np.kron(cfg.a2.matrix.T, eye_m)
-    mu = np.kron(np.diag(cfg.step_sizes), eye_m)
-    b = a2t @ (np.eye(n * m) - mu @ r) @ a1t
-    g0 = stacked_gradient(ens, global_optimum(ens))
-    rhs = a2t @ mu @ np.kron(cfg.c.matrix.T, eye_m) @ g0
-    return b, rhs
 
 
 # --- block Hessians ----------------------------------------------------------
@@ -342,6 +327,95 @@ def test_spectral_check_warns_beyond_step_bound():
     with pytest.warns(RuntimeWarning, match="spectral radius"):
         rho = spectral_check(cfg, ens)
     assert rho == pytest.approx(2.0, abs=1e-9)  # |1 - 1.5 * 2|
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Shapes of the matrices the package hands to np.linalg.eigvals."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("c_rule", C_RULES)
+@pytest.mark.parametrize("a_rule", A_RULES)
+@pytest.mark.parametrize("strategy", ["atc", "cta"])
+def test_symmetric_radius_matches_eigvals(strategy, a_rule, c_rule, eigvals_calls):
+    # every built-in rule is reversible under ATC and CTA, so no eigvals
+    # runs, and rho stays within 1e-9 (1 - rho) of the reference even where
+    # the spectrum clusters just below one
+    config = ExperimentConfig(
+        strategy=strategy,
+        a_rule=a_rule,
+        c_rule=c_rule,
+        step_mode="unequal_uniform_half",
+        mu_max_schedule=(1e-2,),
+    )
+    scenario = build_scenario(config)
+    ens = scenario.ensemble
+    for mu_max in (1e-2, 1e-4, 1e-5):
+        cfg = scenario.at_scale(mu_max)
+        _, rho = scale_analysis(cfg, ens, scenario.w_star, scenario.theta)
+        checked = spectral_check(cfg, ens)
+        assert eigvals_calls == []
+        reference = reference_radius(cfg, ens)
+        assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+        assert abs(checked - reference) <= 1e-9 * (1.0 - reference)
+
+
+def test_non_reversible_mixing_falls_back_to_eigvals(eigvals_calls):
+    # two non-identity factors, Metropolis then averaging: P = a2 a1 is
+    # not reversible, P diag(pi) is asymmetric at a tenth of its largest entry
+    topo = generate_topology(8, 3.0, seed=3)
+    ens = sample_ensemble(8, 2, 4, data_seed=3)
+    c = build_C(topo, "averaging")
+    a1, a2 = build_A(topo, "metropolis"), build_A(topo, "averaging")
+    mu = 0.1 * float(step_size_bounds(c, ens).min())
+    cfg = DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=np.full(8, mu))
+    pi = a2.matrix @ perron_theta(a1, a2).theta
+    flow = a2.matrix @ a1.matrix * pi
+    assert np.abs(flow - flow.T).max() > 0.05 * flow.max()
+    _, rho = scale_analysis(cfg, ens, global_optimum(ens))
+    checked = spectral_check(cfg, ens)
+    assert eigvals_calls == [(16, 16), (16, 16)]
+    reference = reference_radius(cfg, ens)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert checked == rho
+
+
+def test_steps_beyond_half_the_bound_fall_back_to_eigvals(eigvals_calls):
+    # above half of its bound a node's gain block is not positive definite,
+    # so it has no Cholesky factor; the radius is still below one
+    topo = generate_topology(8, 3.0, seed=4)
+    ens = sample_ensemble(8, 3, 5, data_seed=4)
+    c = build_C(topo, "relative_degree")
+    cfg = atc_config(build_A(topo, "metropolis"), c, 0.75 * step_size_bounds(c, ens))
+    _, rho = scale_analysis(cfg, ens, global_optimum(ens))
+    checked = spectral_check(cfg, ens)
+    assert eigvals_calls == [(24, 24), (24, 24)]
+    reference = reference_radius(cfg, ens)
+    assert rho < 1.0
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert checked == rho
+
+
+def test_non_primitive_mixing_falls_back_to_eigvals(eigvals_calls):
+    # with no mixing at all the composite has no Perron vector, so a call
+    # without theta still takes its radius from eigvals on B
+    ens = sample_ensemble(3, 2, 4, data_seed=5)
+    eye = identity_combination(3)
+    mu = 0.1 * float(step_size_bounds(eye, ens).min())
+    cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.full(3, mu))
+    rho = spectral_check(cfg, ens)
+    assert eigvals_calls == [(6, 6)]
+    reference = reference_radius(cfg, ens)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
 
 
 def test_closed_form_bias_rejects_unstable_steps():

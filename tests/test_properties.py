@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from kron_reference import reference_radius
 from plain_loop import plain_fixed_point
 
 pytest.importorskip("hypothesis")
@@ -21,6 +22,7 @@ from diffpareto.bias import (  # noqa: E402
     limit_bias,
     normalized_step_shape,
     scale_analysis,
+    spectral_check,
 )
 from diffpareto.cli import cli_main  # noqa: E402
 from diffpareto.costs import sample_ensemble  # noqa: E402
@@ -71,6 +73,19 @@ def test_iterated_bias_within_derived_bound_of_closed_form(case, fraction):
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(ensemble.n) / (1.0 - rho)
     assert result.converged
     assert np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()) <= bound
+
+
+@given(scenarios(), st.floats(0.01, 0.95))
+def test_spectral_radius_matches_kron_reference(case, fraction):
+    # steps below half the bound take the symmetric route, steps above it
+    # fall back to eigvals on B; both must agree with the reference
+    config, ensemble = case
+    scenario = analyse_scenario(config, ensemble)
+    scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
+    _, rho = scale_analysis(scaled, ensemble, scenario.w_star, scenario.theta)
+    reference = reference_radius(scaled, ensemble)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert spectral_check(scaled, ensemble) == rho
 
 
 @given(scenarios(), st.floats(0.003, 0.01))
