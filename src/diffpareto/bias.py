@@ -10,17 +10,17 @@ node's fixed point):
   sizes (not their scale) and is the same vector at every node.
 
 The error propagation matrix is the linear part of the diffusion step,
-lifted to N*M x N*M by ``diffusion``. The limit is built from the Perron
-vector of the composite combination matrix: node weights z (normalized
-step sizes applied to the combined Perron vector), the weighted aggregate
+lifted to N*M x N*M by ``diffusion.lift``. The limit is built from the
+Perron vector of the composite combination matrix: node weights z
+(normalized step sizes applied to a2 theta), the weighted aggregate
 Hessian and gradient at the optimum, and one small solve.
 
-Everything that does not depend on the step scale (the optimum, the
-Perron vector, the limit, the Assumption 1 and 3 verdicts, the step-size
-margins) is analysed once per scenario. Each step scale then goes through
-``analyse_scale``: the recursion iterated from the optimum, the spectral
-radius of B, B lifted once for the closed form, and the two biases
-compared.
+Everything that does not depend on the step scale is analysed once per
+scenario: the optimum, the Perron vector, the limit, the Assumption 1 and
+3 verdicts, the step-size margins, and the c-combined Hessians R and
+gradients and the symmetrised mixing S. ``scale_analysis`` then forms
+the gains I - mu_k R_k, the spectral radius of B and the closed form at
+one scale, and ``analyse_scale`` compares that with the recursion.
 
 The spectral radius comes from a symmetric matrix with the spectrum of B
 (see ``_symmetric_radius``) whenever the composite mixing matrix is
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .diffusion import (
     DiffusionConfig,
     FixedPointResult,
     _StepOperator,
+    lift,
     run_to_fixed_point,
 )
 from .linalg import SingularMatrixError, solve_linear
@@ -115,7 +117,10 @@ class Scenario:
     ``agg_hessian`` is the Hessian sum weighted by their c-combination;
     ``margins`` are the per-node step bounds over the shape, so
     ``margins[tightest]`` is the largest usable mu_max. ``topology`` is set
-    when the scenario was generated from one."""
+    when the scenario was generated from one. ``combined_hessians`` R and
+    ``combined_gradients`` (at w_star) are c-combined per node, and
+    ``mixing`` is S, the symmetrised P = a2 a1, None when P is not
+    reversible: every step scale is formed from these three."""
 
     shape: DiffusionConfig
     ensemble: CostEnsemble
@@ -128,6 +133,9 @@ class Scenario:
     assumption3: Assumption3Report
     margins: np.ndarray
     tightest: int
+    combined_hessians: np.ndarray
+    combined_gradients: np.ndarray
+    mixing: np.ndarray | None
     topology: Topology | None = None
 
     def at_scale(self, mu_max: float) -> DiffusionConfig:
@@ -196,6 +204,9 @@ def analyse_scenario(
         assumption3=check_assumption3(theta, config.a2, omega0, config.c),
         margins=margins,
         tightest=int(np.argmin(margins)),
+        combined_hessians=combine_hessians(config.c, ensemble),
+        combined_gradients=config.c.matrix.T @ gradients,
+        mixing=_reversible_mixing(config, theta),
         topology=topology,
     )
 
@@ -238,61 +249,52 @@ def _symmetric_radius(gain: np.ndarray, s: np.ndarray) -> float | None:
     return float(max(-eigs[0], eigs[-1]))
 
 
+def _operands(config: DiffusionConfig, ensemble: CostEnsemble) -> SimpleNamespace:
+    """R and S of a bare config, as ``_spectral_radius`` reads them from a
+    Scenario; S is None also when the composite has no Perron vector."""
+    try:
+        mixing = _reversible_mixing(config, perron_theta(config.a1, config.a2).theta)
+    except AssumptionError:
+        mixing = None
+    return SimpleNamespace(combined_hessians=combine_hessians(config.c, ensemble), mixing=mixing)
+
+
 def _spectral_radius(
-    op: _StepOperator, config: DiffusionConfig, theta: np.ndarray | None
-) -> tuple[float, np.ndarray | None]:
-    """Spectral radius of B at the operator's step sizes, and B when it had
-    to be lifted for it.
-
-    The symmetric route (``_symmetric_radius``) lifts nothing, and its
-    N*M x N*M matrix is dropped before the caller lifts B. It falls back to
-    ``eigvals`` on B when P is not reversible, when a gain block is not
-    positive definite (a step above half of its bound), or when theta is
-    not given and the composite has no Perron vector."""
-    if theta is None:
-        try:
-            theta = perron_theta(config.a1, config.a2).theta
-        except AssumptionError:
-            pass
-    s = None if theta is None else _reversible_mixing(config, theta)
-    rho = None if s is None else _symmetric_radius(op.gain, s)
+    scenario: Scenario, config: DiffusionConfig
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Spectral radius of B at the config's step sizes, the gains, and B if
+    it was lifted. The symmetric route (``_symmetric_radius``) lifts
+    nothing; ``eigvals`` on B runs instead when the scenario has no S or a
+    gain block is not positive definite (a step above half of its bound)."""
+    r = scenario.combined_hessians
+    gain = np.eye(r.shape[1])[None, :, :] - config.step_sizes[:, None, None] * r
+    rho = None if scenario.mixing is None else _symmetric_radius(gain, scenario.mixing)
     if rho is not None:
-        return rho, None
-    b = op.lifted()
-    return float(np.abs(np.linalg.eigvals(b)).max()), b
+        return rho, gain, None
+    b = lift(config.a1, config.a2, gain)
+    return float(np.abs(np.linalg.eigvals(b)).max()), gain, b
 
 
-def scale_analysis(
-    config: DiffusionConfig,
-    ensemble: CostEnsemble,
-    w_star: np.ndarray,
-    theta: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Closed-form stacked bias (length N*M) and spectral radius at one scale.
+def scale_analysis(scenario: Scenario, config: DiffusionConfig) -> tuple[np.ndarray, float]:
+    """Closed-form stacked bias (length N*M) and spectral radius at one
+    scale of a scenario, ``config`` being the scenario at that scale.
 
-    Solves (I - B) x = rhs, where rhs applies the step sizes and
-    gradient-exchange weights to the gradients at the optimum w_star. With
-    the spectral radius of B below one, I - B is nonsingular; it is formed
-    in B's own storage. A radius at or above one raises AssumptionError.
-
-    theta is the Perron vector of a1 a2 (``Scenario.theta``), computed here
-    when not given. The radius is read from a symmetric matrix similar to B
-    when the mixing is reversible and every gain block is positive
-    definite, and from ``eigvals`` on B otherwise (``_spectral_radius``)."""
-    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    rho, b = _spectral_radius(op, config, theta)
+    Reads only the scenario's three operands. B is lifted from the gains
+    I - mu_k R_k, and (I - B) x = rhs is solved in B's own storage, with rhs
+    the step sizes and a2 applied to the combined gradients. The radius is
+    as in ``_spectral_radius``; at or above one it raises AssumptionError."""
+    rho, gain, b = _spectral_radius(scenario, config)
     if rho >= 1.0:
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
             " the recursion has no stable fixed point for the closed form to describe"
         )
     if b is None:
-        b = op.lifted()
+        b = lift(config.a1, config.a2, gain)
     np.negative(b, out=b)
     b.flat[:: b.shape[0] + 1] += 1.0
-    g0 = stacked_gradient(ensemble, w_star).reshape(ensemble.n, -1)
     mu = config.step_sizes[:, None]
-    rhs = (config.a2.matrix.T @ (mu * (config.c.matrix.T @ g0))).ravel()
+    rhs = (config.a2.matrix.T @ (mu * scenario.combined_gradients)).ravel()
     return np.linalg.solve(b, rhs), rho
 
 
@@ -308,7 +310,7 @@ def analyse_scale(
     w_star, ensemble = scenario.w_star, scenario.ensemble
     init = np.tile(w_star, (config.n, 1))
     result = run_to_fixed_point(config, ensemble, init=init, tol=tol, max_iter=max_iter)
-    closed, rho = scale_analysis(config, ensemble, w_star, scenario.theta)
+    closed, rho = scale_analysis(scenario, config)
     gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
     if result.converged and gap > bound:
@@ -329,20 +331,17 @@ def error_propagation_matrix(
     """One-iteration error map of the recursion, lifted to size N*M: the
     linear part of the diffusion step, the per-node gains I - mu_k * R_k
     mixed through a1 and a2."""
-    return _StepOperator(a1, a2, c, step_sizes, ensemble).lifted()
+    return lift(a1, a2, _StepOperator(a1, a2, c, step_sizes, ensemble).gain)
 
 
-def spectral_check(
-    config: DiffusionConfig, ensemble: CostEnsemble, theta: np.ndarray | None = None
-) -> float:
+def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
     """Spectral radius of the error propagation matrix.
 
     Below one whenever the curvature and step-size conditions hold; a
     value at or above one flags an unstable configuration with a
-    RuntimeWarning. theta and the route taken are as in ``scale_analysis``;
-    on the symmetric route B is never lifted."""
-    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    rho, _ = _spectral_radius(op, config, theta)
+    RuntimeWarning. The route taken is as in ``scale_analysis``; on the
+    symmetric route B is never lifted."""
+    rho, _, _ = _spectral_radius(_operands(config, ensemble), config)
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
@@ -356,7 +355,10 @@ def spectral_check(
 def closed_form_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
     """Exact stacked bias at the configured step sizes (length N*M); raises
     AssumptionError when the error propagation matrix is not stable."""
-    return scale_analysis(config, ensemble, global_optimum(ensemble))[0]
+    operands = _operands(config, ensemble)
+    g0 = stacked_gradient(ensemble, global_optimum(ensemble)).reshape(ensemble.n, -1)
+    operands.combined_gradients = config.c.matrix.T @ g0
+    return scale_analysis(operands, config)[0]
 
 
 def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOperators:
@@ -368,9 +370,8 @@ def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOpe
     n, m = ensemble.n, ensemble.dim
     scenario = analyse_scenario(config, ensemble)
     omega0 = scenario.shape.step_sizes
-    op = _StepOperator(config.a1, config.a2, config.c, omega0, ensemble)
-    mixing_gap = np.eye(n * m) - op.lifted(np.broadcast_to(np.eye(m), (n, m, m)))
-    curvature = op.lifted(omega0[:, None, None] * combine_hessians(config.c, ensemble))
+    mixing_gap = np.eye(n * m) - lift(config.a1, config.a2, np.broadcast_to(np.eye(m), (n, m, m)))
+    curvature = lift(config.a1, config.a2, omega0[:, None, None] * scenario.combined_hessians)
     d = np.column_stack([_solve_aggregate(scenario.agg_hessian, e) for e in np.eye(m)])
     return LimitOperators(
         mixing_gap=mixing_gap,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import spectral_check
+from .bias import scale_analysis
 from .diffusion import validate_step_condition
 from .experiment import (
     DEFAULT_SCHEDULE,
@@ -102,7 +102,8 @@ def _cmd_check(args) -> int:
         f"Step-size condition: {state} (largest usable mu_max {usable:g},"
         f" tightest at node {scenario.tightest})"
     )
-    validate_step_condition(scenario.at_scale(mu_max), scenario.ensemble)
+    scaled = scenario.at_scale(mu_max)
+    validate_step_condition(scaled, scenario.ensemble)
 
     report3 = scenario.assumption3
     if report3.satisfied:
@@ -113,7 +114,7 @@ def _cmd_check(args) -> int:
             f" max deviation={report3.max_deviation:g})"
         )
 
-    rho = spectral_check(scenario.at_scale(mu_max), scenario.ensemble, scenario.theta)
+    _, rho = scale_analysis(scenario, scaled)
     print(f"Error-propagation spectral radius at mu_max={mu_max:g}: {rho:.6g}")
     limit_norm = float(np.linalg.norm(scenario.limit_bias))
     print(f"Small-step-size bias norm (per node): {limit_norm:.6g}")

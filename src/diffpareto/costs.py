@@ -5,12 +5,11 @@ Each node k owns the cost ``|X_k w - y_k|^2`` with exact gradient
 also provides the global optimum of the aggregate cost, the stacked
 gradient across nodes, the c-combined Hessians and gradient offsets the
 recursion steps with, and the checkers for the curvature assumption
-(Assumption 1) and the induced step-size upper bounds, both from one
-batched eigenvalue computation.
+(Assumption 1) and the induced step-size upper bounds.
 
-An ensemble stacks its per-node Hessians and gradient offsets once, at
-construction; every per-node quantity downstream is read from those
-stacks.
+An ensemble stacks its per-node Hessians, gradient offsets and extreme
+Hessian eigenvalues once, at construction; every per-node quantity
+downstream is read from those stacks.
 """
 
 from __future__ import annotations
@@ -70,14 +69,18 @@ class CostEnsemble:
 
     ``hessians`` (N, M, M) and ``offsets`` (N, M) stack every node's
     Hessian and gradient offset 2 X^T y, so that gradient_k(w) =
-    hessians[k] @ w - offsets[k]. Both are derived from the costs and
-    read-only."""
+    hessians[k] @ w - offsets[k]. ``lambda_min`` and ``lambda_max`` (N,)
+    are each Hessian's extreme eigenvalues, from one batched ``eigvalsh``;
+    a bottom one at or below M * eps * lambda_max is rounding noise of a
+    singular Hessian (fewer data rows than dimensions) and is stored as
+    zero. All four are derived from the costs and read-only."""
 
     costs: tuple[QuadraticCost, ...]
     dim: int
-    data_seed: int = 0
     hessians: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
+    lambda_min: np.ndarray = field(init=False, repr=False)
+    lambda_max: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.costs:
@@ -88,10 +91,13 @@ class CostEnsemble:
         object.__setattr__(self, "costs", tuple(self.costs))
         hessians = np.stack([cost.hessian() for cost in self.costs])
         offsets = np.stack([2.0 * cost.x_matrix.T @ cost.y_vector for cost in self.costs])
-        object.__setattr__(self, "hessians", hessians)
-        object.__setattr__(self, "offsets", offsets)
-        hessians.setflags(write=False)
-        offsets.setflags(write=False)
+        eigs = np.linalg.eigvalsh(hessians)
+        lo, hi = eigs[:, 0], eigs[:, -1]
+        lo = np.where(lo <= self.dim * np.finfo(float).eps * hi, 0.0, lo)
+        stacks = {"hessians": hessians, "offsets": offsets, "lambda_min": lo, "lambda_max": hi}
+        for name, stack in stacks.items():
+            object.__setattr__(self, name, stack)
+            stack.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -132,7 +138,7 @@ def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
         x = np.array(rng.normals(rows * m)).reshape(rows, m)
         y = np.array(rng.normals(rows))
         costs.append(QuadraticCost(x_matrix=x, y_vector=y))
-    return CostEnsemble(costs=tuple(costs), dim=m, data_seed=data_seed)
+    return CostEnsemble(costs=tuple(costs), dim=m)
 
 
 def global_optimum(ensemble: CostEnsemble) -> np.ndarray:
@@ -160,16 +166,12 @@ def step_size_bounds(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray
 def check_assumption1(c: CombinationMatrix, ensemble: CostEnsemble) -> Assumption1Report:
     """Weighted curvature lower bounds must be positive at every node.
 
-    The bottom and top eigenvalue of every Hessian come from one batched
-    call to LAPACK's symmetric eigensolver. A bottom eigenvalue at or below
-    M * eps * lambda_max is rounding noise of a singular Hessian (fewer
-    data rows than dimensions) and counts as exactly zero."""
-    eigs = np.linalg.eigvalsh(ensemble.hessians)
-    lo, hi = eigs[:, 0], eigs[:, -1]
-    lo = np.where(lo <= ensemble.dim * np.finfo(float).eps * hi, 0.0, lo)
-    weighted = c.matrix.T @ lo
+    Both the lower bounds and the step bounds are c-combinations of the
+    ensemble's stacked Hessian eigenvalues, so no eigenvalue is computed
+    here."""
+    weighted = c.matrix.T @ ensemble.lambda_min
     with np.errstate(divide="ignore"):  # a node with no curvature has no bound
-        bounds = 2.0 / (c.matrix.T @ hi)
+        bounds = 2.0 / (c.matrix.T @ ensemble.lambda_max)
     return Assumption1Report(
         satisfied=bool((weighted > 0.0).all()), weighted_lambda_min=weighted, step_bounds=bounds
     )

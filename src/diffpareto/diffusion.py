@@ -121,6 +121,24 @@ def _mixing_transpose(a: CombinationMatrix) -> np.ndarray | None:
     return a.matrix.T.copy()
 
 
+def lift(a1: CombinationMatrix, a2: CombinationMatrix, blocks: np.ndarray) -> np.ndarray:
+    """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I),
+    B itself when the blocks are the gains. Block (k, l) of the last two
+    factors is a1[l, k] * blocks[k], formed by broadcasting, and a2^T mixes
+    the node axis in one product; identity factors are skipped."""
+    n, m, _ = blocks.shape
+    a1t, a2t = _mixing_transpose(a1), _mixing_transpose(a2)
+    if a1t is None:
+        out = np.zeros((n, m, n, m))
+        nodes = np.arange(n)
+        out[nodes, :, nodes, :] = blocks
+    else:
+        out = blocks[:, :, None, :] * a1t[:, None, :, None]
+    if a2t is not None:
+        out = a2t @ out.reshape(n, -1)
+    return out.reshape(n * m, n * m)
+
+
 class _StepOperator:
     """Precompiled one-iteration map for a quadratic ensemble.
 
@@ -135,10 +153,8 @@ class _StepOperator:
         if a1.n != n:
             raise ValueError(f"config is for {a1.n} nodes, ensemble has {n}")
         mu = np.asarray(step_sizes, dtype=float)
-        r = combine_hessians(c, ensemble)
-        d = combine_gradient_offsets(c, ensemble)
-        self.gain = np.eye(m)[None, :, :] - mu[:, None, None] * r
-        self.offset = mu[:, None] * d
+        self.gain = np.eye(m)[None, :, :] - mu[:, None, None] * combine_hessians(c, ensemble)
+        self.offset = mu[:, None] * combine_gradient_offsets(c, ensemble)
         self.a1t = _mixing_transpose(a1)
         self.a2t = _mixing_transpose(a2)
         self.shape = (n, m)
@@ -154,24 +170,6 @@ class _StepOperator:
         phi = q if self.a1t is None else (self.a1t @ q.reshape(n, -1)).reshape(q.shape)
         psi = self.gain @ phi
         return psi if self.a2t is None else (self.a2t @ psi.reshape(n, -1)).reshape(q.shape)
-
-    def lifted(self, blocks: np.ndarray | None = None) -> np.ndarray:
-        """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I);
-        with the default blocks, the gains, it is the linear part of apply.
-
-        Block (k, l) of the last two factors is a1[l, k] * blocks[k], formed
-        by broadcasting, and a2^T mixes the node axis in one product."""
-        n, m = self.shape
-        blocks = self.gain if blocks is None else blocks
-        if self.a1t is None:
-            out = np.zeros((n, m, n, m))
-            nodes = np.arange(n)
-            out[nodes, :, nodes, :] = blocks
-        else:
-            out = blocks[:, :, None, :] * self.a1t[:, None, :, None]
-        if self.a2t is not None:
-            out = self.a2t @ out.reshape(n, -1)
-        return out.reshape(n * m, n * m)
 
 
 def _as_state(iterate, shape: tuple[int, int]) -> np.ndarray:
@@ -232,8 +230,8 @@ def run_to_fixed_point(
     ``trace``, when given, is called with (iteration, max update norm)
     for every iteration in order, modelled ones included.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least one")
+    if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
+        raise ValueError("tol must be finite and positive and max_iter at least one")
     validate_step_condition(config, ensemble)
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
     w = np.zeros(op.shape) if init is None else _as_state(init, op.shape)

@@ -159,6 +159,8 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 def draw_step_shape(n: int, mode: str, step_seed: int) -> np.ndarray:
     """Normalized step-size shape. Node 0 pins the maximum; in the unequal
     mode the other nodes draw once from the upper half of the unit range."""
+    if mode not in STEP_MODES:
+        raise ValueError(f"step mode must be one of {STEP_MODES}, got {mode!r}")
     if mode == "equal":
         return np.ones(n)
     rng = SplitMix64(step_seed)
@@ -174,11 +176,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     topology = generate_topology(config.n_nodes, EXPERIMENT_AVG_DEGREE, config.topology_seed)
     ensemble = sample_ensemble(config.n_nodes, config.dim, config.rows, config.data_seed)
     if config.debug_identical_costs:
-        ensemble = CostEnsemble(
-            costs=(ensemble.costs[0],) * config.n_nodes,
-            dim=config.dim,
-            data_seed=config.data_seed,
-        )
+        ensemble = CostEnsemble(costs=(ensemble.costs[0],) * config.n_nodes, dim=config.dim)
     make = atc_config if config.strategy == "atc" else cta_config
     shape = make(
         build_A(topology, config.a_rule),

@@ -43,13 +43,11 @@ class AssumptionError(ValueError):
 class Topology:
     """Undirected connected graph over ``n_nodes`` with closed neighborhoods.
 
-    ``adjacency`` is boolean, symmetric, with an all-true diagonal. ``seed``
-    records the stream that generated it (0 for one built by hand).
+    ``adjacency`` is boolean, symmetric, with an all-true diagonal.
     """
 
     n_nodes: int
     adjacency: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -83,7 +81,6 @@ class CombinationMatrix:
 
     matrix: np.ndarray
     kind: str
-    rule: str = "custom"
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
@@ -185,7 +182,7 @@ def generate_topology(n: int, target_avg_degree: float, seed: int) -> Topology:
     for u, v in edges:
         adjacency[u, v] = True
         adjacency[v, u] = True
-    return Topology(n_nodes=n, adjacency=adjacency, seed=seed)
+    return Topology(n_nodes=n, adjacency=adjacency)
 
 
 def _left_stochastic_by_rule(topology: Topology, rule: str) -> np.ndarray:
@@ -224,7 +221,7 @@ def build_A(topology: Topology, rule: str) -> CombinationMatrix:
         raise ValueError(f"rule must be one of {A_RULES}, got {rule!r}")
     a = _left_stochastic_by_rule(topology, rule)
     kind = DOUBLY_STOCHASTIC if rule == "metropolis" else LEFT_STOCHASTIC
-    return CombinationMatrix(matrix=a, kind=kind, rule=rule)
+    return CombinationMatrix(matrix=a, kind=kind)
 
 
 def build_C(topology: Topology, rule: str) -> CombinationMatrix:
@@ -238,11 +235,11 @@ def build_C(topology: Topology, rule: str) -> CombinationMatrix:
     if rule == "identity":
         return identity_combination(topology.n_nodes)
     c = _left_stochastic_by_rule(topology, rule).T
-    return CombinationMatrix(matrix=c, kind=RIGHT_STOCHASTIC, rule=rule)
+    return CombinationMatrix(matrix=c, kind=RIGHT_STOCHASTIC)
 
 
 def identity_combination(n: int) -> CombinationMatrix:
-    return CombinationMatrix(matrix=np.eye(n), kind=DOUBLY_STOCHASTIC, rule="identity")
+    return CombinationMatrix(matrix=np.eye(n), kind=DOUBLY_STOCHASTIC)
 
 
 def _bfs_levels(pattern: np.ndarray) -> np.ndarray:

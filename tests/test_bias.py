@@ -7,6 +7,7 @@ from kron_reference import kron_reference, reference_radius
 
 from diffpareto import bias as bias_module
 from diffpareto.bias import (
+    analyse_scenario,
     bias_report,
     closed_form_bias,
     error_propagation_matrix,
@@ -314,7 +315,7 @@ def test_spectral_radius_exact_for_clustered_small_step_spectrum(mu_max):
     scenario = build_scenario(config)
     ens = scenario.ensemble
     cfg = scenario.at_scale(mu_max)
-    _, rho = scale_analysis(cfg, ens, scenario.w_star)
+    _, rho = scale_analysis(scenario, cfg)
     b, _ = kron_reference(cfg, ens)
     reference = float(np.abs(np.linalg.eigvals(b)).max())
     assert abs(rho - reference) <= 0.01 * (1.0 - reference)
@@ -361,7 +362,7 @@ def test_symmetric_radius_matches_eigvals(strategy, a_rule, c_rule, eigvals_call
     ens = scenario.ensemble
     for mu_max in (1e-2, 1e-4, 1e-5):
         cfg = scenario.at_scale(mu_max)
-        _, rho = scale_analysis(cfg, ens, scenario.w_star, scenario.theta)
+        _, rho = scale_analysis(scenario, cfg)
         checked = spectral_check(cfg, ens)
         assert eigvals_calls == []
         reference = reference_radius(cfg, ens)
@@ -381,7 +382,7 @@ def test_non_reversible_mixing_falls_back_to_eigvals(eigvals_calls):
     pi = a2.matrix @ perron_theta(a1, a2).theta
     flow = a2.matrix @ a1.matrix * pi
     assert np.abs(flow - flow.T).max() > 0.05 * flow.max()
-    _, rho = scale_analysis(cfg, ens, global_optimum(ens))
+    _, rho = scale_analysis(analyse_scenario(cfg, ens), cfg)
     checked = spectral_check(cfg, ens)
     assert eigvals_calls == [(16, 16), (16, 16)]
     reference = reference_radius(cfg, ens)
@@ -396,7 +397,7 @@ def test_steps_beyond_half_the_bound_fall_back_to_eigvals(eigvals_calls):
     ens = sample_ensemble(8, 3, 5, data_seed=4)
     c = build_C(topo, "relative_degree")
     cfg = atc_config(build_A(topo, "metropolis"), c, 0.75 * step_size_bounds(c, ens))
-    _, rho = scale_analysis(cfg, ens, global_optimum(ens))
+    _, rho = scale_analysis(analyse_scenario(cfg, ens), cfg)
     checked = spectral_check(cfg, ens)
     assert eigvals_calls == [(24, 24), (24, 24)]
     reference = reference_radius(cfg, ens)
@@ -538,6 +539,12 @@ def test_gap_check_raises_for_converged_iterate_off_the_closed_form(monkeypatch,
 def test_gap_check_skips_exhausted_iterate(monkeypatch, caller):
     shift_fixed_points(monkeypatch)
     assert PER_SCALE_CALLERS[caller](5) == [False]
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_bias_report_rejects_tol_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        bias_report(*small_sweep_scale(), tol=tol)
 
 
 def test_bias_report_flags_exhausted_recursion():

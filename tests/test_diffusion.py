@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from plain_loop import plain_fixed_point
@@ -216,6 +218,15 @@ def test_max_iter_exhaustion_reports_not_converged():
     assert not res.converged
     assert res.iterations_used == 10
     assert res.final_update_norm > 0.0
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_run_rejects_tol_not_finite_and_positive(tol):
+    # a negative tol would square into a positive threshold and a NaN one
+    # would never stop the loop
+    cfg = atc_config(A22, identity_combination(2), np.array([0.01, 0.01]))
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        run_to_fixed_point(cfg, two_scalar_ensemble(), tol=tol)
 
 
 def test_run_validates_step_condition():

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from diffpareto import diffusion as diffusion_module
 from diffpareto.cli import cli_main
 from diffpareto.costs import sample_ensemble
 from diffpareto.experiment import (
@@ -111,6 +113,11 @@ def test_step_shape_contract():
     assert np.array_equal(draw_step_shape(4, "equal", step_seed=9), np.ones(4))
 
 
+def test_step_shape_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="step mode must be one of"):
+        draw_step_shape(4, "bogus", step_seed=3)
+
+
 # --- sweeps -------------------------------------------------------------------
 
 
@@ -192,6 +199,50 @@ def test_scenario_inputs_identical_across_scales():
             digest.update(array.tobytes())
         digests.add(digest.hexdigest())
     assert len(digests) == 1
+
+
+def count_calls(monkeypatch, name: str, calls: list) -> None:
+    """Wrap the package function ``name`` in every diffpareto module that
+    binds it, appending ``name`` to ``calls`` on each call."""
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("diffpareto")]
+    original = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
+    # a scale adds one step operator (the fixed-point loop's) and one
+    # symmetric eigvalsh for rho; the Hessian eigenvalues, the Perron vector
+    # and the gradients at the optimum are taken once for the scenario
+    operators, hessian_eigs, radius_eigs, scenario_calls = [], [], [], []
+    init = diffusion_module._StepOperator.__init__
+
+    def counted_init(self, *args, **kwargs):
+        operators.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion_module._StepOperator, "__init__", counted_init)
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        (hessian_eigs if np.ndim(a) == 3 else radius_eigs).append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    count_calls(monkeypatch, "perron_theta", scenario_calls)
+    count_calls(monkeypatch, "stacked_gradient", scenario_calls)
+    rows = run_sweep(small_config(mu_max_schedule=(1e-2, 3e-3)))
+    assert len(rows) == 2 and all(row.converged for row in rows)
+    assert len(operators) == 2
+    assert hessian_eigs == [(12, 2, 2)]
+    assert radius_eigs == [(24, 24), (24, 24)]
+    assert sorted(scenario_calls) == ["perron_theta", "stacked_gradient"]
 
 
 # --- slope fitting --------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_iterated_bias_within_derived_bound_of_closed_form(case, fraction):
     w_star = scenario.w_star
     tol = 1e-10
     result = run_to_fixed_point(scaled, ensemble, init=np.tile(w_star, (ensemble.n, 1)), tol=tol)
-    closed, rho = scale_analysis(scaled, ensemble, w_star)
+    closed, rho = scale_analysis(scenario, scaled)
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(ensemble.n) / (1.0 - rho)
     assert result.converged
     assert np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()) <= bound
@@ -82,7 +82,7 @@ def test_spectral_radius_matches_kron_reference(case, fraction):
     config, ensemble = case
     scenario = analyse_scenario(config, ensemble)
     scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
-    _, rho = scale_analysis(scaled, ensemble, scenario.w_star, scenario.theta)
+    _, rho = scale_analysis(scenario, scaled)
     reference = reference_radius(scaled, ensemble)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert spectral_check(scaled, ensemble) == rho

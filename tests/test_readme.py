@@ -1,0 +1,22 @@
+"""The README's Python example runs as printed and its comments hold."""
+
+import json
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_runs_and_its_claims_hold(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    converged, iterations = lines[0].split()
+    assert converged == "True" and int(iterations) > 0
+    assert lines[1] == "True"  # Assumption 3 holds
+    assert abs(float(lines[2])) <= 1e-12  # the limit bias is about zero
+    doc = json.loads("\n".join(lines[3:]))
+    assert doc["converged"] is True
+    assert doc["iterations"] == int(iterations)
+    assert doc["assumption3"]["satisfied"] is True
