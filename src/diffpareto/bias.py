@@ -18,9 +18,10 @@ Hessian and gradient at the optimum, and one small solve.
 Everything that does not depend on the step scale is analysed once per
 scenario: the optimum, the Perron vector, the limit, the Assumption 1 and
 3 verdicts, the step-size margins, and the c-combined Hessians R and
-gradients and the symmetrised mixing S. ``scale_analysis`` then forms
-the gains I - mu_k R_k, the spectral radius of B and the closed form at
-one scale, and ``analyse_scale`` compares that with the recursion.
+gradients and the symmetrised mixing S. ``scale_analysis(scenario, mu_max)``
+then forms the gains I - mu_k R_k of ``scenario.at_scale(mu_max)``, the
+spectral radius of B and the closed form, and ``analyse_scale`` compares
+that with the recursion.
 
 The spectral radius comes from a symmetric matrix with the spectrum of B
 (see ``_symmetric_radius``) whenever the composite mixing matrix is
@@ -28,11 +29,10 @@ reversible and every gain block I - mu_k R_k is positive definite, which
 holds for the built-in rules below half of each step bound. Otherwise it
 is taken from ``numpy.linalg.eigvals`` on B itself.
 
-The module also exposes
-the supporting operators (mixing gap, scaled curvature, the rank-M
-resolvent limit) so their defining identities can be verified
-numerically, plus a spectral diagnostic certifying that the closed form
-applies.
+The functions of a bare config analyse it as a scenario and take that
+path at its largest step size. The module also exposes the supporting
+operators (mixing gap, scaled curvature, the rank-M resolvent limit) so
+their defining identities can be verified numerically.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,12 +56,12 @@ from .diffusion import (
     DEFAULT_TOL,
     DiffusionConfig,
     FixedPointResult,
-    _StepOperator,
     lift,
     run_to_fixed_point,
 )
 from .linalg import SingularMatrixError, solve_linear
 from .network import (
+    NOT_PRIMITIVE,
     Assumption3Report,
     AssumptionError,
     CombinationMatrix,
@@ -120,26 +119,33 @@ class Scenario:
     when the scenario was generated from one. ``combined_hessians`` R and
     ``combined_gradients`` (at w_star) are c-combined per node, and
     ``mixing`` is S, the symmetrised P = a2 a1, None when P is not
-    reversible: every step scale is formed from these three."""
+    reversible: every step scale is formed from these three. The fields
+    from ``theta`` on are None when a1 a2 is not primitive (Assumption 2)."""
 
     shape: DiffusionConfig
     ensemble: CostEnsemble
     w_star: np.ndarray
-    theta: np.ndarray
-    node_weights: np.ndarray
-    agg_hessian: np.ndarray
-    limit_bias: np.ndarray
     assumption1: Assumption1Report
-    assumption3: Assumption3Report
     margins: np.ndarray
     tightest: int
     combined_hessians: np.ndarray
     combined_gradients: np.ndarray
-    mixing: np.ndarray | None
     topology: Topology | None = None
+    theta: np.ndarray | None = None
+    node_weights: np.ndarray | None = None
+    agg_hessian: np.ndarray | None = None
+    limit_bias: np.ndarray | None = None
+    assumption3: Assumption3Report | None = None
+    mixing: np.ndarray | None = None
 
     def at_scale(self, mu_max: float) -> DiffusionConfig:
         return self.shape.with_step_sizes(mu_max * self.shape.step_sizes)
+
+    def require_primitive(self) -> Scenario:
+        """The scenario, once its composite has a Perron vector (Assumption 2)."""
+        if self.theta is None:
+            raise AssumptionError(NOT_PRIMITIVE)
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,32 +188,38 @@ def analyse_scenario(
     The small-step limit solves the z-weighted aggregate Hessian against
     the z-weighted aggregate gradient at the optimum; it depends only on
     the shape of the step sizes. A violated Assumption 1 is recorded, not
-    raised, unless the limit cannot be formed."""
+    raised, unless the limit cannot be formed; so is a violated Assumption 2."""
     omega0 = normalized_step_shape(config.step_sizes)
-    theta = perron_theta(config.a1, config.a2).theta
     w_star = global_optimum(ensemble)
-    z = omega0 * (config.a2.matrix @ theta)
-    weights = config.c.matrix @ z
-    hbar = np.einsum("l,lij->ij", weights, ensemble.hessians)
     gradients = stacked_gradient(ensemble, w_star).reshape(ensemble.n, -1)
     report1 = check_assumption1(config.c, ensemble)
     margins = report1.step_bounds / omega0
-    return Scenario(
+    scale_free = dict(
         shape=config.with_step_sizes(omega0),
         ensemble=ensemble,
         w_star=w_star,
-        theta=theta,
-        node_weights=z,
-        agg_hessian=hbar,
-        limit_bias=_solve_aggregate(hbar, np.einsum("l,li->i", weights, gradients)),
         assumption1=report1,
-        assumption3=check_assumption3(theta, config.a2, omega0, config.c),
         margins=margins,
         tightest=int(np.argmin(margins)),
         combined_hessians=combine_hessians(config.c, ensemble),
         combined_gradients=config.c.matrix.T @ gradients,
-        mixing=_reversible_mixing(config, theta),
         topology=topology,
+    )
+    try:
+        theta = perron_theta(config.a1, config.a2).theta
+    except AssumptionError:
+        return Scenario(**scale_free)
+    z = omega0 * (config.a2.matrix @ theta)
+    weights = config.c.matrix @ z
+    hbar = np.einsum("l,lij->ij", weights, ensemble.hessians)
+    return Scenario(
+        **scale_free,
+        theta=theta,
+        node_weights=z,
+        agg_hessian=hbar,
+        limit_bias=_solve_aggregate(hbar, np.einsum("l,li->i", weights, gradients)),
+        assumption3=check_assumption3(theta, config.a2, omega0, config.c),
+        mixing=_reversible_mixing(config, theta),
     )
 
 
@@ -249,23 +261,14 @@ def _symmetric_radius(gain: np.ndarray, s: np.ndarray) -> float | None:
     return float(max(-eigs[0], eigs[-1]))
 
 
-def _operands(config: DiffusionConfig, ensemble: CostEnsemble) -> SimpleNamespace:
-    """R and S of a bare config, as ``_spectral_radius`` reads them from a
-    Scenario; S is None also when the composite has no Perron vector."""
-    try:
-        mixing = _reversible_mixing(config, perron_theta(config.a1, config.a2).theta)
-    except AssumptionError:
-        mixing = None
-    return SimpleNamespace(combined_hessians=combine_hessians(config.c, ensemble), mixing=mixing)
-
-
 def _spectral_radius(
-    scenario: Scenario, config: DiffusionConfig
+    scenario: Scenario, mu_max: float
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Spectral radius of B at the config's step sizes, the gains, and B if
-    it was lifted. The symmetric route (``_symmetric_radius``) lifts
+    """Spectral radius of B at ``scenario.at_scale(mu_max)``, the gains, and
+    B if it was lifted. The symmetric route (``_symmetric_radius``) lifts
     nothing; ``eigvals`` on B runs instead when the scenario has no S or a
     gain block is not positive definite (a step above half of its bound)."""
+    config = scenario.at_scale(mu_max)
     r = scenario.combined_hessians
     gain = np.eye(r.shape[1])[None, :, :] - config.step_sizes[:, None, None] * r
     rho = None if scenario.mixing is None else _symmetric_radius(gain, scenario.mixing)
@@ -275,15 +278,16 @@ def _spectral_radius(
     return float(np.abs(np.linalg.eigvals(b)).max()), gain, b
 
 
-def scale_analysis(scenario: Scenario, config: DiffusionConfig) -> tuple[np.ndarray, float]:
-    """Closed-form stacked bias (length N*M) and spectral radius at one
-    scale of a scenario, ``config`` being the scenario at that scale.
+def scale_analysis(scenario: Scenario, mu_max: float) -> tuple[np.ndarray, float]:
+    """Closed-form stacked bias (length N*M) and spectral radius of a
+    scenario at ``scenario.at_scale(mu_max)``.
 
     Reads only the scenario's three operands. B is lifted from the gains
     I - mu_k R_k, and (I - B) x = rhs is solved in B's own storage, with rhs
     the step sizes and a2 applied to the combined gradients. The radius is
     as in ``_spectral_radius``; at or above one it raises AssumptionError."""
-    rho, gain, b = _spectral_radius(scenario, config)
+    config = scenario.at_scale(mu_max)
+    rho, gain, b = _spectral_radius(scenario, mu_max)
     if rho >= 1.0:
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
@@ -299,24 +303,24 @@ def scale_analysis(scenario: Scenario, config: DiffusionConfig) -> tuple[np.ndar
 
 
 def analyse_scale(
-    scenario: Scenario, config: DiffusionConfig, tol: float, max_iter: int
+    scenario: Scenario, mu_max: float, tol: float, max_iter: int
 ) -> tuple[FixedPointResult, np.ndarray, float]:
-    """Iterated fixed point, closed-form stacked bias and spectral radius at
-    one scale of a scenario. The recursion starts at the optimum, which only
-    trims iterations. A converged iterate farther from the closed form than
+    """Iterated fixed point, closed-form stacked bias and spectral radius of
+    a scenario at ``scenario.at_scale(mu_max)``. The recursion starts at the
+    optimum, which only trims iterations. A converged iterate farther from the closed form than
     GAP_FACTOR times the error its stopping rule allows, about
     tol * (1 + |w*|) * sqrt(N) / (1 - rho), raises RuntimeError; one that
     exhausted max_iter is returned unchecked."""
-    w_star, ensemble = scenario.w_star, scenario.ensemble
+    config, w_star = scenario.at_scale(mu_max), scenario.w_star
     init = np.tile(w_star, (config.n, 1))
-    result = run_to_fixed_point(config, ensemble, init=init, tol=tol, max_iter=max_iter)
-    closed, rho = scale_analysis(scenario, config)
+    result = run_to_fixed_point(config, scenario.ensemble, init=init, tol=tol, max_iter=max_iter)
+    closed, rho = scale_analysis(scenario, mu_max)
     gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
     if result.converged and gap > bound:
         raise RuntimeError(
             "iterated fixed point disagrees with the closed-form bias"
-            f" (gap {gap:.3e}, bound {bound:.3e}) at mu_max {config.step_sizes.max():.6g}"
+            f" (gap {gap:.3e}, bound {bound:.3e}) at mu_max {mu_max:.6g}"
         )
     return result, closed, rho
 
@@ -330,8 +334,9 @@ def error_propagation_matrix(
 ) -> np.ndarray:
     """One-iteration error map of the recursion, lifted to size N*M: the
     linear part of the diffusion step, the per-node gains I - mu_k * R_k
-    mixed through a1 and a2."""
-    return lift(a1, a2, _StepOperator(a1, a2, c, step_sizes, ensemble).gain)
+    mixed through a1 and a2; the step sizes are used unchecked."""
+    mu = np.asarray(step_sizes, dtype=float)[:, None, None]
+    return lift(a1, a2, np.eye(ensemble.dim) - mu * combine_hessians(c, ensemble))
 
 
 def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
@@ -339,9 +344,9 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
 
     Below one whenever the curvature and step-size conditions hold; a
     value at or above one flags an unstable configuration with a
-    RuntimeWarning. The route taken is as in ``scale_analysis``; on the
-    symmetric route B is never lifted."""
-    rho, _, _ = _spectral_radius(_operands(config, ensemble), config)
+    RuntimeWarning. The route taken is as in ``scale_analysis``, at the
+    config's largest step size; on the symmetric route B is never lifted."""
+    rho, _, _ = _spectral_radius(analyse_scenario(config, ensemble), config.step_sizes.max())
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
@@ -355,10 +360,7 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
 def closed_form_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
     """Exact stacked bias at the configured step sizes (length N*M); raises
     AssumptionError when the error propagation matrix is not stable."""
-    operands = _operands(config, ensemble)
-    g0 = stacked_gradient(ensemble, global_optimum(ensemble)).reshape(ensemble.n, -1)
-    operands.combined_gradients = config.c.matrix.T @ g0
-    return scale_analysis(operands, config)[0]
+    return scale_analysis(analyse_scenario(config, ensemble), config.step_sizes.max())[0]
 
 
 def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOperators:
@@ -368,7 +370,7 @@ def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOpe
     equals (theta^T kron I) curvature (1 kron I) because a1 is
     left-stochastic, so the resolvent limit is kron(1 theta^T, D)."""
     n, m = ensemble.n, ensemble.dim
-    scenario = analyse_scenario(config, ensemble)
+    scenario = analyse_scenario(config, ensemble).require_primitive()
     omega0 = scenario.shape.step_sizes
     mixing_gap = np.eye(n * m) - lift(config.a1, config.a2, np.broadcast_to(np.eye(m), (n, m, m)))
     curvature = lift(config.a1, config.a2, omega0[:, None, None] * scenario.combined_hessians)
@@ -386,7 +388,7 @@ def limit_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
     """Small-step-size bias, identical at every node (length M). Depends
     only on the shape of the step sizes, so rescaling them all by one
     factor changes nothing."""
-    return analyse_scenario(config, ensemble).limit_bias
+    return analyse_scenario(config, ensemble).require_primitive().limit_bias
 
 
 def bias_report(
@@ -395,10 +397,10 @@ def bias_report(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BiasReport:
-    """Run the recursion at the config's own step sizes through
-    ``analyse_scale`` and assemble every bias quantity and diagnostic."""
-    scenario = analyse_scenario(config, ensemble)
-    result, closed, rho = analyse_scale(scenario, config, tol, max_iter)
+    """Run the recursion through ``analyse_scale`` at the config's largest
+    step size and assemble every bias quantity and diagnostic."""
+    scenario = analyse_scenario(config, ensemble).require_primitive()
+    result, closed, rho = analyse_scale(scenario, config.step_sizes.max(), tol, max_iter)
     return BiasReport(
         empirical_bias=scenario.w_star[None, :] - result.w_infinity,
         closed_form_bias=closed,

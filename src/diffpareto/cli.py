@@ -102,8 +102,7 @@ def _cmd_check(args) -> int:
         f"Step-size condition: {state} (largest usable mu_max {usable:g},"
         f" tightest at node {scenario.tightest})"
     )
-    scaled = scenario.at_scale(mu_max)
-    validate_step_condition(scaled, scenario.ensemble)
+    validate_step_condition(scenario.at_scale(mu_max), scenario.ensemble)
 
     report3 = scenario.assumption3
     if report3.satisfied:
@@ -114,7 +113,7 @@ def _cmd_check(args) -> int:
             f" max deviation={report3.max_deviation:g})"
         )
 
-    _, rho = scale_analysis(scenario, scaled)
+    _, rho = scale_analysis(scenario, mu_max)
     print(f"Error-propagation spectral radius at mu_max={mu_max:g}: {rho:.6g}")
     limit_norm = float(np.linalg.norm(scenario.limit_bias))
     print(f"Small-step-size bias norm (per node): {limit_norm:.6g}")

@@ -183,7 +183,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         build_C(topology, config.c_rule),
         draw_step_shape(config.n_nodes, config.step_mode, config.step_seed),
     )
-    return analyse_scenario(shape, ensemble, topology=topology)
+    return analyse_scenario(shape, ensemble, topology=topology).require_primitive()
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
@@ -196,8 +196,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     limit_sq = config.n_nodes * float(scenario.limit_bias @ scenario.limit_bias)
     rows: list[SweepRow] = []
     for mu_max in sorted(config.mu_max_schedule, reverse=True):
-        dcfg = scenario.at_scale(mu_max)
-        result, _, rho = analyse_scale(scenario, dcfg, config.tol, config.max_iter)
+        result, _, rho = analyse_scale(scenario, mu_max, config.tol, config.max_iter)
         bias = scenario.w_star[None, :] - result.w_infinity
         rows.append(
             SweepRow(

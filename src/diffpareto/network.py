@@ -29,6 +29,7 @@ C_RULES = ("averaging", "relative_degree", "identity")
 
 STOCHASTICITY_TOL = 1e-12
 ASSUMPTION3_DEFAULT_TOL = 1e-8
+NOT_PRIMITIVE = "Assumption 2 violated: the composite combination matrix is not primitive"
 
 # generating a connected graph requires the average open degree to be
 # reachable within +-0.5 of the request
@@ -288,9 +289,7 @@ def perron_theta(a1: CombinationMatrix, a2: CombinationMatrix) -> PerronData:
     yields theta normalized so the entries sum to one."""
     composite = a1.matrix @ a2.matrix
     if not check_primitive(composite):
-        raise AssumptionError(
-            "Assumption 2 violated: the composite combination matrix is not primitive"
-        )
+        raise AssumptionError(NOT_PRIMITIVE)
     n = composite.shape[0]
     bordered = composite - np.eye(n)
     bordered[-1, :] = 1.0

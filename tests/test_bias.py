@@ -315,7 +315,7 @@ def test_spectral_radius_exact_for_clustered_small_step_spectrum(mu_max):
     scenario = build_scenario(config)
     ens = scenario.ensemble
     cfg = scenario.at_scale(mu_max)
-    _, rho = scale_analysis(scenario, cfg)
+    _, rho = scale_analysis(scenario, mu_max)
     b, _ = kron_reference(cfg, ens)
     reference = float(np.abs(np.linalg.eigvals(b)).max())
     assert abs(rho - reference) <= 0.01 * (1.0 - reference)
@@ -362,7 +362,7 @@ def test_symmetric_radius_matches_eigvals(strategy, a_rule, c_rule, eigvals_call
     ens = scenario.ensemble
     for mu_max in (1e-2, 1e-4, 1e-5):
         cfg = scenario.at_scale(mu_max)
-        _, rho = scale_analysis(scenario, cfg)
+        _, rho = scale_analysis(scenario, mu_max)
         checked = spectral_check(cfg, ens)
         assert eigvals_calls == []
         reference = reference_radius(cfg, ens)
@@ -382,7 +382,7 @@ def test_non_reversible_mixing_falls_back_to_eigvals(eigvals_calls):
     pi = a2.matrix @ perron_theta(a1, a2).theta
     flow = a2.matrix @ a1.matrix * pi
     assert np.abs(flow - flow.T).max() > 0.05 * flow.max()
-    _, rho = scale_analysis(analyse_scenario(cfg, ens), cfg)
+    _, rho = scale_analysis(analyse_scenario(cfg, ens), mu)
     checked = spectral_check(cfg, ens)
     assert eigvals_calls == [(16, 16), (16, 16)]
     reference = reference_radius(cfg, ens)
@@ -397,7 +397,7 @@ def test_steps_beyond_half_the_bound_fall_back_to_eigvals(eigvals_calls):
     ens = sample_ensemble(8, 3, 5, data_seed=4)
     c = build_C(topo, "relative_degree")
     cfg = atc_config(build_A(topo, "metropolis"), c, 0.75 * step_size_bounds(c, ens))
-    _, rho = scale_analysis(analyse_scenario(cfg, ens), cfg)
+    _, rho = scale_analysis(analyse_scenario(cfg, ens), cfg.step_sizes.max())
     checked = spectral_check(cfg, ens)
     assert eigvals_calls == [(24, 24), (24, 24)]
     reference = reference_radius(cfg, ens)
@@ -417,6 +417,28 @@ def test_non_primitive_mixing_falls_back_to_eigvals(eigvals_calls):
     assert eigvals_calls == [(6, 6)]
     reference = reference_radius(cfg, ens)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+
+
+def test_non_primitive_composite_raises_only_where_theta_is_needed(eigvals_calls):
+    # with a1 = a2 = I the scenario records no Perron vector; what rests on
+    # it raises Assumption 2, the closed form still comes from eigvals on B
+    ens = sample_ensemble(3, 2, 4, data_seed=5)
+    eye = identity_combination(3)
+    mu = 0.1 * float(step_size_bounds(eye, ens).min())
+    cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.full(3, mu))
+    scenario = analyse_scenario(cfg, ens)
+    assert scenario.theta is None and scenario.limit_bias is None and scenario.mixing is None
+    with pytest.raises(AssumptionError, match="Assumption 2"):
+        scenario.require_primitive()
+    for call in (bias_report, limit_bias, limit_operators):
+        with pytest.raises(AssumptionError, match="Assumption 2"):
+            call(cfg, ens)
+    assert eigvals_calls == []
+    closed = closed_form_bias(cfg, ens)
+    assert eigvals_calls == [(6, 6)]
+    b, rhs = kron_reference(cfg, ens)
+    expected = np.linalg.solve(np.eye(6) - b, rhs)
+    assert np.linalg.norm(closed - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
 
 
 def test_closed_form_bias_rejects_unstable_steps():
@@ -506,6 +528,24 @@ SMALL_SWEEP = ExperimentConfig(
 def small_sweep_scale() -> tuple[DiffusionConfig, CostEnsemble]:
     scenario = build_scenario(SMALL_SWEEP)
     return scenario.at_scale(1e-2), scenario.ensemble
+
+
+def test_scale_analysis_answers_for_its_own_scenario():
+    # two scenarios that differ only in the gradient-exchange matrix c; at
+    # one step scale each gets the closed form and radius of its own config
+    closed_forms = []
+    for c_rule in ("relative_degree", "identity"):
+        scenario = build_scenario(dataclasses.replace(SMALL_SWEEP, c_rule=c_rule))
+        closed, rho = scale_analysis(scenario, 1e-2)
+        cfg = scenario.at_scale(1e-2)
+        b, rhs = kron_reference(cfg, scenario.ensemble)
+        expected = np.linalg.solve(np.eye(rhs.shape[0]) - b, rhs)
+        assert np.abs(closed - expected).max() <= 1e-10
+        reference = reference_radius(cfg, scenario.ensemble)
+        assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+        closed_forms.append(closed)
+    gap = np.linalg.norm(closed_forms[0] - closed_forms[1])
+    assert gap > 0.1 * np.linalg.norm(closed_forms[0])
 
 
 # each caller of analyse_scale, run at a given max_iter; returns the converged flags

@@ -19,6 +19,8 @@ from hypothesis import strategies as st  # noqa: E402
 from diffpareto.bias import (  # noqa: E402
     GAP_FACTOR,
     analyse_scenario,
+    bias_report,
+    closed_form_bias,
     limit_bias,
     normalized_step_shape,
     scale_analysis,
@@ -69,7 +71,7 @@ def test_iterated_bias_within_derived_bound_of_closed_form(case, fraction):
     w_star = scenario.w_star
     tol = 1e-10
     result = run_to_fixed_point(scaled, ensemble, init=np.tile(w_star, (ensemble.n, 1)), tol=tol)
-    closed, rho = scale_analysis(scenario, scaled)
+    closed, rho = scale_analysis(scenario, scaled.step_sizes.max())
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(ensemble.n) / (1.0 - rho)
     assert result.converged
     assert np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()) <= bound
@@ -82,10 +84,23 @@ def test_spectral_radius_matches_kron_reference(case, fraction):
     config, ensemble = case
     scenario = analyse_scenario(config, ensemble)
     scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
-    _, rho = scale_analysis(scenario, scaled)
+    _, rho = scale_analysis(scenario, scaled.step_sizes.max())
     reference = reference_radius(scaled, ensemble)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert spectral_check(scaled, ensemble) == rho
+
+
+@given(scenarios(), st.floats(0.1, 0.3))
+def test_bare_config_calls_take_the_one_per_scale_path(case, fraction):
+    # a bare config is analysed as a scenario and answered at its largest
+    # step, so every entry point returns the per-scale closed form bit for bit
+    config, ensemble = case
+    scenario = analyse_scenario(config, ensemble)
+    mu_max = fraction * scenario.margins[scenario.tightest]
+    closed, _ = scale_analysis(scenario, mu_max)
+    scaled = scenario.at_scale(mu_max)
+    assert np.array_equal(closed_form_bias(scaled, ensemble), closed)
+    assert np.array_equal(bias_report(scaled, ensemble).closed_form_bias, closed)
 
 
 @given(scenarios(), st.floats(0.003, 0.01))
