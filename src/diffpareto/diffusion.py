@@ -11,8 +11,9 @@ Presets cover the two classic orderings: adapt-then-combine (a1 = I,
 a2 = A) and combine-then-adapt (a1 = A, a2 = I). The linear part of the
 one-iteration map, lifted to N*M x N*M, is the error-propagation matrix.
 
-A long run skips its tail through the M slow modes of that matrix (see
-run_to_fixed_point and the tail module).
+run_to_fixed_point steps the recursion in blocks and runs the stopping
+test on a whole block at once; a long run skips its tail through the M
+slow modes of that matrix (see the tail module).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .tail import ENGAGE_AT, PROBE_AT, SlowSubspace, runs_long
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
+# iterations stepped before their stopping tests are run together
+_BLOCK = 32
 
 
 class DivergenceError(RuntimeError):
@@ -211,8 +214,17 @@ def run_to_fixed_point(
     the optimum is far from the origin. The fixed point is unique under
     the standing assumptions, so ``init`` (default all-zeros) only affects
     the iteration count. Exhausting ``max_iter`` is reported through
-    ``converged=False`` rather than an exception; a non-finite iterate
-    raises DivergenceError.
+    ``converged=False`` rather than an exception; a non-finite update
+    raises DivergenceError, naming the node and iteration.
+
+    The iterate is stepped _BLOCK iterations at a time (fewer when max_iter
+    is nearer), and the per-node test and the finiteness check run on the
+    whole block in a few array operations. A walk over the block then acts
+    on each iteration in order, exactly as a loop that stepped and tested
+    one iteration at a time would: the first non-finite update raises, the
+    first pass stops the run, and so does a hand-over to the tail below; the
+    steps computed past the stop are discarded. The iterates, the counts and
+    every value in the result are those of that loop, bit for bit.
 
     A run whose largest update decays slowly skips its tail. From iteration
     256 it steps an N*M x M basis from 1 kron I_M beside the iterate; once
@@ -222,7 +234,7 @@ def run_to_fixed_point(
     test finds the same stopping iteration among them without stepping. A
     model that is refused for good, or not accepted 1024 steps in, is
     dropped and the run goes on plain (see the tail module). ``stepped`` in
-    the result counts the plain steps taken: it equals ``iterations_used``
+    the result counts the plain steps kept: it equals ``iterations_used``
     when the whole run was stepped, and when it is smaller, ``w_infinity``
     and ``final_update_norm`` belong to the modelled iterate at
     ``iterations_used``.
@@ -235,50 +247,58 @@ def run_to_fixed_point(
     validate_step_condition(config, ensemble)
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
     w = np.zeros(op.shape) if init is None else _as_state(init, op.shape)
-    apply_ = op.apply
-    einsum = np.einsum
+    n, m = op.shape
     iterations = 0
-    worst = np.inf
     converged = False
     probe = 0.0
     tracker = None
-    for iterations in range(1, max_iter + 1):
-        wn = apply_(w)
-        diff = wn - w
-        upd2 = einsum("ki,ki->k", diff, diff)
-        worst = float(upd2.max())
-        if not math.isfinite(worst):
-            node = int(np.argmax(~np.isfinite(upd2)))
-            raise DivergenceError(
-                f"iteration diverged: non-finite estimate at node {node}"
-                f" on iteration {iterations}",
-                node=node,
-                iteration=iterations,
-            )
-        if trace is not None:
-            trace(iterations, math.sqrt(worst))
-        w = wn
-        norms2 = einsum("ki,ki->k", wn, wn)
-        gate = tol * (1.0 + math.sqrt(float(norms2.max())))
-        if worst <= gate * gate:
-            # the largest update clears the loosest per-node threshold;
-            # only now is the exact per-node comparison worth its sqrt
+    while not converged and iterations < max_iter:
+        size = min(_BLOCK, max_iter - iterations)
+        block = np.empty((size + 1, n, m))
+        block[0] = w
+        # a divergence is reported by the walk; the steps past it must not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(size):
+                block[i + 1] = op.apply(block[i])
+            diff = (block[1:] - block[:-1]).reshape(-1, m)
+            after = block[1:].reshape(-1, m)
+            upd2 = np.einsum("ki,ki->k", diff, diff).reshape(size, n)
+            norms2 = np.einsum("ki,ki->k", after, after).reshape(size, n)
             rhs = tol * (1.0 + np.sqrt(norms2))
-            if (upd2 <= rhs * rhs).all():
+            passed = (upd2 <= rhs * rhs).all(axis=1).tolist()
+        worsts = upd2.max(axis=1).tolist()
+        for i in range(size):
+            iterations += 1
+            worst = worsts[i]
+            if not math.isfinite(worst):
+                node = int(np.argmax(~np.isfinite(upd2[i])))
+                raise DivergenceError(
+                    f"iteration diverged: non-finite estimate at node {node}"
+                    f" on iteration {iterations}",
+                    node=node,
+                    iteration=iterations,
+                )
+            if trace is not None:
+                trace(iterations, math.sqrt(worst))
+            w = block[i + 1]
+            if passed[i]:
                 converged = True
                 break
-        if tracker is not None and iterations < max_iter:
-            tail = tracker.advance(w)
-            if tail is not None:
-                w, used, converged, final = tail.run(iterations, max_iter, tol, trace)
-                w.setflags(write=False)
-                return FixedPointResult(w, used, converged, final, stepped=iterations)
-            if not tracker.open:
-                tracker = None
-        elif iterations == PROBE_AT:
-            probe = worst
-        elif iterations == ENGAGE_AT and runs_long(probe, worst, gate, tol, max_iter):
-            tracker = SlowSubspace(op)
+            if tracker is not None and iterations < max_iter:
+                tail = tracker.advance(w)
+                if tail is not None:
+                    w, used, converged, final = tail.run(iterations, max_iter, tol, trace)
+                    w.setflags(write=False)
+                    return FixedPointResult(w, used, converged, final, stepped=iterations)
+                if not tracker.open:
+                    tracker = None
+            elif iterations == PROBE_AT:
+                probe = worst
+            elif iterations == ENGAGE_AT:
+                gate = tol * (1.0 + math.sqrt(float(norms2[i].max())))
+                if runs_long(probe, worst, gate, tol, max_iter):
+                    tracker = SlowSubspace(op)
+    w = w.copy()
     w.setflags(write=False)
     return FixedPointResult(
         w_infinity=w,

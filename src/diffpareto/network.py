@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, solve_linear
+from .linalg import as_matrix, as_vector
 from .rng import SplitMix64
 
 LEFT_STOCHASTIC = "left_stochastic"
@@ -286,7 +286,9 @@ def perron_theta(a1: CombinationMatrix, a2: CombinationMatrix) -> PerronData:
     so its eigenvalue one has a positive right eigenvector theta, unique up
     to scale. The columns of (composite - I) sum to zero, so its last row
     is redundant; replacing that row with ones and solving against e_N
-    yields theta normalized so the entries sum to one."""
+    yields theta normalized so the entries sum to one. Primitivity makes
+    that bordered matrix nonsingular, so it is solved by LU alone; a solve
+    that fails anyway raises the same Assumption 2 error."""
     composite = a1.matrix @ a2.matrix
     if not check_primitive(composite):
         raise AssumptionError(NOT_PRIMITIVE)
@@ -295,7 +297,13 @@ def perron_theta(a1: CombinationMatrix, a2: CombinationMatrix) -> PerronData:
     bordered[-1, :] = 1.0
     e_last = np.zeros(n)
     e_last[-1] = 1.0
-    return PerronData(theta=solve_linear(bordered, e_last))
+    try:
+        theta = np.linalg.solve(bordered, e_last)
+    except np.linalg.LinAlgError:
+        theta = np.full(n, np.nan)
+    if not np.isfinite(theta).all():
+        raise AssumptionError(f"{NOT_PRIMITIVE} to working precision")
+    return PerronData(theta=theta)
 
 
 def check_assumption3(

@@ -84,7 +84,7 @@ class SlowSubspace:
         n, m = self.op.shape
         q = np.linalg.qr(self.q.reshape(n * m, m))[0]
         self.q = q.reshape(n, m, m)
-        self.iterates.append(w)
+        self.iterates.append(w.copy())  # a view of w could keep a larger array alive
         self.open = self.steps < _TRACK_LIMIT
         if self.steps < _SETTLE:
             return None

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from plain_loop import plain_fixed_point
 
 from diffpareto.costs import CostEnsemble, QuadraticCost, sample_ensemble, step_size_bounds
 from diffpareto.diffusion import (
+    _BLOCK,
     DiffusionConfig,
     DivergenceError,
+    _StepOperator,
     atc_config,
     cta_config,
     run_to_fixed_point,
@@ -23,6 +26,7 @@ from diffpareto.network import (
     generate_topology,
     identity_combination,
 )
+from diffpareto.tail import ENGAGE_AT
 
 A22 = CombinationMatrix(np.array([[0.7, 0.4], [0.3, 0.6]]), kind="left_stochastic")
 
@@ -339,3 +343,95 @@ def test_tail_exhausting_max_iter():
     assert res.iterations_used == 10_000
     assert res.stepped < res.iterations_used
     assert np.linalg.norm(res.w_infinity - w) <= 1e-10 * np.linalg.norm(w)
+
+
+# --- the blocked loop against the plain loop ------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """A list that grows by one on every call of the step operator's ``name``."""
+    calls = []
+    method = getattr(_StepOperator, name)
+
+    def counted(self, *args):
+        calls.append(None)
+        return method(self, *args)
+
+    monkeypatch.setattr(_StepOperator, name, counted)
+    return calls
+
+
+def assert_bit_identical(config, ens, init=None, **kwargs):
+    """The loop and the plain loop agree to the last bit, trace included."""
+    seen, plain = [], []
+    res = run_to_fixed_point(config, ens, init=init, trace=lambda *e: seen.append(e), **kwargs)
+    w, iterations, converged = plain_fixed_point(
+        config, ens, init=init, trace=lambda *e: plain.append(e), **kwargs
+    )
+    assert np.array_equal(res.w_infinity, w)
+    assert (res.iterations_used, res.stepped, res.converged) == (iterations, iterations, converged)
+    assert res.final_update_norm == plain[-1][1]
+    assert seen == plain
+    return res
+
+
+@pytest.mark.parametrize("strategy", ["atc", "cta"])
+def test_blocked_loop_is_the_plain_loop_bit_for_bit(strategy):
+    config, ens, init = sweep_row(1e-2, strategy=strategy)
+    res = assert_bit_identical(config, ens, init)
+    assert res.converged
+
+
+@pytest.mark.parametrize("max_iter", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_blocked_loop_stops_at_max_iter_inside_and_across_blocks(max_iter):
+    config, ens, init = sweep_row(1e-2)
+    res = assert_bit_identical(config, ens, init, max_iter=max_iter)
+    assert res.iterations_used == max_iter and not res.converged
+
+
+def test_result_owns_its_read_only_iterate():
+    # a view would keep the whole block of iterates alive
+    config, ens, init = sweep_row(1e-2)
+    w = run_to_fixed_point(config, ens, init=init).w_infinity
+    assert w.flags.owndata and not w.flags.writeable
+
+
+SWAP22 = CombinationMatrix(np.array([[0.1, 0.9], [0.9, 0.1]]), kind="doubly_stochastic")
+
+
+@pytest.mark.parametrize(
+    "a, step_size, init",
+    [
+        # both squared updates overflow on the first step, and so does every
+        # squared norm, which makes every per-node threshold infinite: the
+        # divergence must be reported before the stopping test is read
+        (identity_combination(2), 0.5, [[1e200], [1e155]]),
+        # mixing swaps most of the two estimates, so the updates themselves
+        # overflow, which numpy would warn of
+        (SWAP22, 0.01, [[-1e308], [1.7e308]]),
+    ],
+)
+def test_divergence_raises_at_the_first_non_finite_update(a, step_size, init):
+    # the steps taken past the divergence must not warn either
+    cfg = atc_config(a, identity_combination(2), np.full(2, step_size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as excinfo:
+            run_to_fixed_point(cfg, two_scalar_ensemble(), init=init)
+    assert (excinfo.value.node, excinfo.value.iteration) == (0, 1)
+
+
+def test_blocked_loop_steps_at_most_one_block_past_the_stop(monkeypatch):
+    applies = count_calls(monkeypatch, "apply")
+    config, ens, init = sweep_row(1e-2)
+    res = run_to_fixed_point(config, ens, init=init)
+    assert res.iterations_used <= len(applies) <= res.iterations_used + _BLOCK - 1
+
+
+def test_tail_spends_no_basis_products_on_the_overshoot(monkeypatch):
+    products = count_calls(monkeypatch, "apply_linear")
+    config, ens, init = sweep_row(1e-4)
+    res = run_to_fixed_point(config, ens, init=init)
+    # one product per plain step after ENGAGE_AT and one for the model,
+    # accepted at its first offer
+    assert len(products) == res.stepped - ENGAGE_AT + 1 == 513

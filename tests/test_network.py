@@ -234,6 +234,19 @@ def test_perron_rejects_imprimitive_composite():
         perron_theta(swap, identity_combination(2))
 
 
+def singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("solve", [singular_solve, lambda a, b: np.full(b.shape, np.inf)])
+def test_perron_reports_a_failed_bordered_solve_as_assumption2(monkeypatch, solve):
+    # primitivity makes the bordered system nonsingular, so a solve that
+    # fails anyway contradicts Assumption 2 to working precision
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(AssumptionError, match="Assumption 2"):
+        perron_theta(CombinationMatrix(A22, kind="left_stochastic"), identity_combination(2))
+
+
 # --- Assumption 3 ---------------------------------------------------------
 
 
