@@ -154,8 +154,7 @@ def global_optimum(ensemble: CostEnsemble) -> np.ndarray:
 
 def stacked_gradient(ensemble: CostEnsemble, w) -> np.ndarray:
     """All per-node gradients at w, stacked into one vector of length N*M."""
-    w = as_vector(w)
-    return np.concatenate([cost.gradient(w) for cost in ensemble.costs])
+    return (ensemble.hessians @ as_vector(w) - ensemble.offsets).ravel()
 
 
 def step_size_bounds(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:

@@ -226,18 +226,20 @@ def run_to_fixed_point(
     steps computed past the stop are discarded. The iterates, the counts and
     every value in the result are those of that loop, bit for bit.
 
-    A run whose largest update decays slowly skips its tail. From iteration
-    256 it steps an N*M x M basis from 1 kron I_M beside the iterate; once
+    A run whose largest update, decaying at its rate over iterations 128 to
+    256, stays above the threshold for more than 512 further iterations
+    skips its tail. From iteration 256 it steps an N*M x M basis from
+    1 kron I_M beside the iterate. Every 64 steps from 192 steps in, once
     that basis spans an invariant subspace of the error-propagation matrix
-    B and the run's iterates fit it to within their rounding noise, every
-    later iterate is a sum of M geometric sequences, and the same per-node
-    test finds the same stopping iteration among them without stepping. A
-    model that is refused for good, or not accepted 1024 steps in, is
-    dropped and the run goes on plain (see the tail module). ``stepped`` in
-    the result counts the plain steps kept: it equals ``iterations_used``
-    when the whole run was stepped, and when it is smaller, ``w_infinity``
-    and ``final_update_norm`` belong to the modelled iterate at
-    ``iterations_used``.
+    B and the run's iterates 128 steps apart fit it to within their
+    rounding noise, every later iterate is a sum of M geometric sequences,
+    and the same per-node test finds the same stopping iteration among them
+    without stepping. A model that is refused for good, or not accepted
+    1024 steps in, is dropped and the run goes on plain (see the tail
+    module). ``stepped`` in the result counts the plain steps kept: it
+    equals ``iterations_used`` when the whole run was stepped, and when it
+    is smaller, ``w_infinity`` and ``final_update_norm`` belong to the
+    modelled iterate at ``iterations_used``.
 
     ``trace``, when given, is called with (iteration, max update norm)
     for every iteration in order, modelled ones included.

@@ -24,14 +24,19 @@ import numpy as np
 
 # A run is judged long at ENGAGE_AT from the decay of its largest update
 # since PROBE_AT; it then tracks the slow subspace and offers it as a model
-# every _PERIOD tracked steps from _SETTLE on, until _TRACK_LIMIT.
+# every _PERIOD tracked steps, from the first that keeps an iterate _FIT_SPAN
+# back, until _TRACK_LIMIT.
 PROBE_AT = 128
 ENGAGE_AT = 256
 _TRACK_LIMIT = 1024
-_SETTLE = 512
-_LONG_RUN = 4 * _SETTLE  # predicted remaining iterations that make a run long
 _PERIOD = 64  # also the re-orthonormalisation period of the tracked basis
-_FIT_SPAN = 256  # iterations between the two iterates the model is fitted to
+# iterations between the two iterates the model is fitted to; on the
+# built-in networks the fast modes fall below 1e-14 of their start within
+# 150-300 iterations, before the older iterate is kept
+_FIT_SPAN = 128
+# predicted remaining iterations that make a run long: several times the
+# plain steps a model costs
+_LONG_RUN = 4 * _FIT_SPAN
 _RESIDUAL = 1e-13  # |BQ - QS| allowed, relative to |BQ|
 # rounding noise allowed in the fit, relative to |w|; a tol below it puts the
 # stopping test itself in the noise, and such runs stay plain
@@ -47,7 +52,7 @@ def runs_long(probe: float, worst: float, gate: float, tol: float, max_iter: int
     for more than _LONG_RUN further iterations at the rate it decayed
     between the two, max_iter leaves room for a model, and tol sits above
     the rounding noise of an update."""
-    if tol < _NOISE or max_iter <= ENGAGE_AT + _SETTLE:
+    if tol < _NOISE or max_iter <= ENGAGE_AT + _FIT_SPAN + _PERIOD:
         return False
     if worst >= probe:
         return True
@@ -60,9 +65,10 @@ class SlowSubspace:
 
     The span of Q converges to the invariant subspace of B's M slow modes
     at the rate the fast modes die. Q is re-orthonormalised every _PERIOD
-    steps and, from _SETTLE steps on, offered as a model of the run's tail
-    once it is invariant: ||BQ - QS|| small for S = Q^T B Q. Its Ritz pairs,
-    the eigenpairs of S, must be real, slow, distinct and well conditioned.
+    steps and, once it keeps an iterate _FIT_SPAN back, offered as a model
+    of the run's tail when it is invariant: ||BQ - QS|| small for
+    S = Q^T B Q. Its Ritz pairs, the eigenpairs of S, must be real, slow,
+    distinct and well conditioned.
     ``op`` is the run's step operator: its shape (N, M) and apply_linear."""
 
     def __init__(self, op):
@@ -86,7 +92,7 @@ class SlowSubspace:
         self.q = q.reshape(n, m, m)
         self.iterates.append(w.copy())  # a view of w could keep a larger array alive
         self.open = self.steps < _TRACK_LIMIT
-        if self.steps < _SETTLE:
+        if len(self.iterates) < self.iterates.maxlen:
             return None
         bq = self.op.apply_linear(self.q).reshape(n * m, m)
         s = q.T @ bq
@@ -103,7 +109,8 @@ class SlowSubspace:
         if sv[-1] * _COND_LIMIT < sv[0] or gaps.min() <= _SEPARATION * (1.0 - lam).max():
             self.open = False
             return None
-        return ModalTail.fit(q, lam, v, float(sv[-1]), w, self.iterates[0])
+        span = _PERIOD * (len(self.iterates) - 1)
+        return ModalTail.fit(q, lam, v, float(sv[-1]), w, self.iterates[0], span)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +126,11 @@ class ModalTail:
     sigma: float  # smallest singular value of Y
 
     @classmethod
-    def fit(cls, q, lam, v, sigma, w: np.ndarray, w_old: np.ndarray) -> ModalTail | None:
+    def fit(
+        cls, q, lam, v, sigma, w: np.ndarray, w_old: np.ndarray, span: int
+    ) -> ModalTail | None:
         """The model with Ritz pairs (lam, q @ v) through w and w_old,
-        _FIT_SPAN iterations earlier, or None when the run leaves the span
+        ``span`` iterations earlier, or None when the run leaves the span
         of q by more than the rounding noise of its iterates."""
         # the difference of two iterates far apart fits the modes far above
         # the rounding noise that a single update carries
@@ -129,7 +138,7 @@ class ModalTail:
         a = q.T @ d
         if np.linalg.norm(d - q @ a) > _NOISE * np.linalg.norm(w):
             return None
-        decay = lam**_FIT_SPAN
+        decay = lam**span
         coef = np.linalg.solve(v, a) * decay / (decay - 1.0)
         ritz = q @ v
         return cls(lam, ritz, coef, w.ravel() - ritz @ coef, sigma)

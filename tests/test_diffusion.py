@@ -26,7 +26,7 @@ from diffpareto.network import (
     generate_topology,
     identity_combination,
 )
-from diffpareto.tail import ENGAGE_AT
+from diffpareto.tail import _FIT_SPAN, _PERIOD, ENGAGE_AT, ModalTail
 
 A22 = CombinationMatrix(np.array([[0.7, 0.4], [0.3, 0.6]]), kind="left_stochastic")
 
@@ -278,13 +278,44 @@ def assert_same_run(res, ref):
     assert np.abs(res.w_infinity - w).max() <= 1e-12 * (1.0 + np.linalg.norm(w))
 
 
-@pytest.mark.parametrize("mu_max, iterations", [(10**-3.5, 5875), (1e-4, 17350)])
-def test_tail_reproduces_plain_loop_on_sweep_rows(mu_max, iterations):
-    config, ens, init = sweep_row(mu_max)
+# the scenario of the cta_unequal figure family; sweep_row's default is atc_unequal's
+CTA_UNEQUAL = {"strategy": "cta", "c_rule": "averaging"}
+
+
+@pytest.mark.parametrize(
+    "mu_max, fields, iterations",
+    [
+        pytest.param(1e-3, {}, 1980, id="0.001-1980"),
+        pytest.param(1e-3, CTA_UNEQUAL, 2092, id="cta-0.001-2092"),
+        pytest.param(10**-3.5, {}, 5875, id="0.00031622776601683794-5875"),
+        pytest.param(1e-4, {}, 17350, id="0.0001-17350"),
+    ],
+)
+def test_tail_reproduces_plain_loop_on_sweep_rows(mu_max, fields, iterations):
+    config, ens, init = sweep_row(mu_max, **fields)
     res = run_to_fixed_point(config, ens, init=init)
     assert_same_run(res, plain_fixed_point(config, ens, init=init))
     assert res.iterations_used == iterations
     assert res.stepped < res.iterations_used
+
+
+@pytest.mark.parametrize("span", [_PERIOD, _FIT_SPAN, 2 * _FIT_SPAN])
+def test_tail_model_fits_iterates_the_given_span_apart(span):
+    # an exact two-mode run w_p = w_inf + Y diag(lam**p) g of three nodes in
+    # two dimensions, fitted through w_span and w_0
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+    v = np.array([[1.0, 0.3], [-0.2, 1.0]])
+    lam = np.array([0.99, 0.995])
+    g = np.array([1e-3, -2e-3])
+    w_inf = rng.standard_normal(6)
+
+    def iterate(p):
+        return (w_inf + q @ v @ (lam**p * g)).reshape(3, 2)
+
+    tail = ModalTail.fit(q, lam, v, 1.0, iterate(span), iterate(0), span)
+    assert np.abs(tail.w_inf - w_inf).max() <= 1e-12
+    assert np.abs(tail.coef - lam**span * g).max() <= 1e-12
 
 
 def test_tail_reproduces_plain_loop_on_zero_limit_row():
@@ -305,10 +336,12 @@ def test_tail_reproduces_plain_loop_with_identical_costs():
 
 
 def test_short_run_steps_every_iteration():
-    config, ens, init = sweep_row(1e-2)
-    res = run_to_fixed_point(config, ens, init=init)
-    assert_same_run(res, plain_fixed_point(config, ens, init=init))
-    assert res.stepped == res.iterations_used == 220
+    # at 10^-2.5 the run is predicted to end too soon to pay for a model
+    for mu_max, iterations in [(1e-2, 220), (10**-2.5, 664)]:
+        config, ens, init = sweep_row(mu_max)
+        res = run_to_fixed_point(config, ens, init=init)
+        assert_same_run(res, plain_fixed_point(config, ens, init=init))
+        assert res.stepped == res.iterations_used == iterations
 
 
 def test_repeated_slow_modes_finish_plain():
@@ -434,4 +467,4 @@ def test_tail_spends_no_basis_products_on_the_overshoot(monkeypatch):
     res = run_to_fixed_point(config, ens, init=init)
     # one product per plain step after ENGAGE_AT and one for the model,
     # accepted at its first offer
-    assert len(products) == res.stepped - ENGAGE_AT + 1 == 513
+    assert len(products) == res.stepped - ENGAGE_AT + 1 == 193

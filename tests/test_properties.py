@@ -46,7 +46,6 @@ from diffpareto.network import (  # noqa: E402
     identity_combination,
     perron_theta,
 )
-from diffpareto.tail import _SETTLE, ENGAGE_AT  # noqa: E402
 
 
 @st.composite
@@ -115,25 +114,26 @@ def test_tail_reproduces_plain_loop_iterations(case, fraction):
     assert (result.iterations_used, result.converged) == (iterations, converged)
 
 
-@given(scenarios(), st.floats(0.003, 0.3), st.integers(1, ENGAGE_AT + _SETTLE))
+@given(scenarios(), st.floats(0.003, 0.3), st.integers(1, 768))
 def test_blocked_loop_reproduces_plain_loop_bit_for_bit(case, fraction, max_iter):
-    # a max_iter this low leaves the tail no room, so every iteration is stepped
+    # the iterations stepped are the plain loop's to the last bit; a run the
+    # tail took over is compared over its stepped prefix
     config, ensemble = case
     scenario = analyse_scenario(config, ensemble)
     scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
     init = np.tile(scenario.w_star, (ensemble.n, 1))
-    result = run_to_fixed_point(scaled, ensemble, init=init, max_iter=max_iter)
-    updates = []
+    seen, updates = [], []
+    result = run_to_fixed_point(
+        scaled, ensemble, init=init, max_iter=max_iter, trace=lambda _, u: seen.append(u)
+    )
     w, iterations, converged = plain_fixed_point(
-        scaled, ensemble, init=init, max_iter=max_iter, trace=lambda _, u: updates.append(u)
+        scaled, ensemble, init=init, max_iter=result.stepped, trace=lambda _, u: updates.append(u)
     )
-    assert np.array_equal(result.w_infinity, w)
-    assert (result.iterations_used, result.stepped, result.converged) == (
-        iterations,
-        iterations,
-        converged,
-    )
-    assert result.final_update_norm == updates[-1]
+    assert seen[: result.stepped] == updates
+    if result.stepped == result.iterations_used:
+        assert np.array_equal(result.w_infinity, w)
+        assert (result.iterations_used, result.converged) == (iterations, converged)
+        assert result.final_update_norm == updates[-1]
 
 
 @given(scenarios(), st.floats(1e-3, 1e3))
