@@ -141,6 +141,14 @@ class Scenario:
     def at_scale(self, mu_max: float) -> DiffusionConfig:
         return self.shape.with_step_sizes(mu_max * self.shape.step_sizes)
 
+    def limit_floor(self) -> float:
+        """Rounding floor of ``|limit_bias|``: N eps |Hbar^-1|_2 sum_l |weights_l| |g_l(w*)|,
+        weights = c z, g_l node l's gradient at w_star; the sum's error through the solve."""
+        weights = self.shape.c.matrix @ self.node_weights
+        grads = self.ensemble.hessians @ self.w_star - self.ensemble.offsets
+        total = np.abs(weights) @ np.linalg.norm(grads, axis=1)
+        return self.ensemble.n * np.finfo(float).eps * total / np.linalg.norm(self.agg_hessian, -2)
+
     def require_primitive(self) -> Scenario:
         """The scenario, once its composite has a Perron vector (Assumption 2)."""
         if self.theta is None:

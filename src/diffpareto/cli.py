@@ -117,6 +117,9 @@ def _cmd_check(args) -> int:
     print(f"Error-propagation spectral radius at mu_max={mu_max:g}: {rho:.6g}")
     limit_norm = float(np.linalg.norm(scenario.limit_bias))
     print(f"Small-step-size bias norm (per node): {limit_norm:.6g}")
+    floor = scenario.limit_floor()
+    if limit_norm <= floor:
+        print(f"Small-step-size bias: zero to working precision (rounding floor {floor:.1e})")
     return 0
 
 

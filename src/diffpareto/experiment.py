@@ -10,6 +10,7 @@ byte-identical CSV output.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -170,13 +171,25 @@ def draw_step_shape(n: int, mode: str, step_seed: int) -> np.ndarray:
     return shape
 
 
+# Scenarios that differ only in strategy, rules, steps or stopping share their
+# network and data, frozen over read-only arrays, so each distinct pair is built
+# once per process; a run meets few pairs, and eight bound what is kept.
+@functools.lru_cache(maxsize=8)
+def _scenario_inputs(n, dim, rows, topology_seed, data_seed, identical):
+    topology = generate_topology(n, EXPERIMENT_AVG_DEGREE, topology_seed)
+    ensemble = sample_ensemble(n, dim, rows, data_seed)
+    if identical:
+        ensemble = CostEnsemble(costs=(ensemble.costs[0],) * n, dim=dim)
+    return topology, ensemble
+
+
 def build_scenario(config: ExperimentConfig) -> Scenario:
-    """Generate the topology, ensemble, and step shape from the seeds and
-    analyse them once; every step scale of the schedule reuses the result."""
-    topology = generate_topology(config.n_nodes, EXPERIMENT_AVG_DEGREE, config.topology_seed)
-    ensemble = sample_ensemble(config.n_nodes, config.dim, config.rows, config.data_seed)
-    if config.debug_identical_costs:
-        ensemble = CostEnsemble(costs=(ensemble.costs[0],) * config.n_nodes, dim=config.dim)
+    """Build the step shape and analyse the scenario once; every step scale reuses
+    the result. The topology and ensemble come from the seeds, built once per
+    process for each distinct n_nodes, dim, rows, topology_seed, data_seed and
+    debug_identical_costs."""
+    key = (config.n_nodes, config.dim, config.rows, config.topology_seed, config.data_seed)
+    topology, ensemble = _scenario_inputs(*key, config.debug_identical_costs)
     make = atc_config if config.strategy == "atc" else cta_config
     shape = make(
         build_A(topology, config.a_rule),
@@ -189,7 +202,8 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run one scenario over its schedule, largest step size first.
 
-    The scenario is built and analysed once; each scale goes through
+    The scenario is built and analysed once, on the network and data of its
+    six input fields (``build_scenario``); each scale goes through
     ``analyse_scale``, which checks a converged row against the closed form.
     A row that exhausts max_iter is recorded with converged=False."""
     scenario = build_scenario(config)

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from diffpareto import diffusion as diffusion_module
+from diffpareto import experiment as experiment_module
 from diffpareto.cli import cli_main
 from diffpareto.costs import sample_ensemble
 from diffpareto.experiment import (
     CSV_HEADER,
     ExperimentConfig,
     SweepRow,
+    build_scenario,
     builtin_figure_configs,
     config_from_dict,
     draw_step_shape,
@@ -219,8 +221,12 @@ def count_calls(monkeypatch, name: str, calls: list) -> None:
 def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     # a scale adds one step operator (the fixed-point loop's) and one
     # symmetric eigvalsh for rho; the Hessian eigenvalues, the Perron vector
-    # and the gradients at the optimum are taken once for the scenario
+    # and the gradients at the optimum are taken once for the scenario; the
+    # network and data are built once for both sweeps, which differ only in
+    # a_rule
+    experiment_module._scenario_inputs.cache_clear()
     operators, hessian_eigs, radius_eigs, scenario_calls = [], [], [], []
+    input_calls = []
     init = diffusion_module._StepOperator.__init__
 
     def counted_init(self, *args, **kwargs):
@@ -237,12 +243,116 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     count_calls(monkeypatch, "perron_theta", scenario_calls)
     count_calls(monkeypatch, "stacked_gradient", scenario_calls)
+    count_calls(monkeypatch, "sample_ensemble", input_calls)
+    count_calls(monkeypatch, "generate_topology", input_calls)
     rows = run_sweep(small_config(mu_max_schedule=(1e-2, 3e-3)))
     assert len(rows) == 2 and all(row.converged for row in rows)
     assert len(operators) == 2
     assert hessian_eigs == [(12, 2, 2)]
     assert radius_eigs == [(24, 24), (24, 24)]
     assert sorted(scenario_calls) == ["perron_theta", "stacked_gradient"]
+    assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
+
+    rows = run_sweep(small_config(a_rule="averaging", mu_max_schedule=(1e-2, 3e-3)))
+    assert len(rows) == 2 and all(row.converged for row in rows)
+    assert len(operators) == 4
+    assert hessian_eigs == [(12, 2, 2)]
+    assert radius_eigs == [(24, 24)] * 4
+    assert sorted(scenario_calls) == ["perron_theta"] * 2 + ["stacked_gradient"] * 2
+    assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
+
+
+# --- the memo of network and data ----------------------------------------------
+
+
+def inputs_of(config: ExperimentConfig):
+    scenario = build_scenario(config)
+    return scenario.topology, scenario.ensemble
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_nodes", 13),
+        ("dim", 3),
+        ("rows", 5),
+        ("topology_seed", 7),
+        ("data_seed", 9),
+        ("debug_identical_costs", True),
+    ],
+)
+def test_each_input_field_gives_other_inputs(field, value):
+    topology, ensemble = inputs_of(small_config())
+    cfg = small_config(**{field: value})
+    other_topology, other_ensemble = inputs_of(cfg)
+    assert other_topology is not topology and other_ensemble is not ensemble
+    # the memo holds what the public generators build for the changed fields
+    fresh = generate_topology(cfg.n_nodes, 4.0, cfg.topology_seed)
+    assert np.array_equal(other_topology.adjacency, fresh.adjacency)
+    data = sample_ensemble(cfg.n_nodes, cfg.dim, cfg.rows, cfg.data_seed)
+    expected = data.hessians[[0] * cfg.n_nodes] if cfg.debug_identical_costs else data.hessians
+    assert np.array_equal(other_ensemble.hessians, expected)
+    same_topology = np.array_equal(other_topology.adjacency, topology.adjacency)
+    same_data = np.array_equal(other_ensemble.offsets, ensemble.offsets)
+    assert not (same_topology and same_data)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(strategy="cta"),
+        dict(a_rule="averaging"),
+        dict(c_rule="averaging"),
+        dict(step_mode="unequal_uniform_half"),
+        dict(step_seed=11),
+        dict(mu_max_schedule=(1e-2,)),
+        dict(tol=1e-10),
+        dict(max_iter=50),
+    ],
+    ids=lambda overrides: next(iter(overrides)),
+)
+def test_other_fields_share_the_inputs(overrides):
+    topology, ensemble = inputs_of(small_config())
+    other_topology, other_ensemble = inputs_of(small_config(**overrides))
+    assert other_topology is topology and other_ensemble is ensemble
+
+
+def test_identical_costs_never_get_the_plain_ensemble():
+    for order in ((False, True), (True, False)):
+        experiment_module._scenario_inputs.cache_clear()
+        ensembles = {flag: inputs_of(small_config(debug_identical_costs=flag))[1] for flag in order}
+        plain, identical = ensembles[False], ensembles[True]
+        assert identical is not plain
+        assert all(cost is identical.costs[0] for cost in identical.costs)
+        assert np.array_equal(identical.hessians[0], plain.hessians[0])
+        assert len({id(cost) for cost in plain.costs}) == plain.n
+        assert not np.array_equal(identical.hessians, plain.hessians)
+
+
+def test_memo_keeps_csv_bytes(tmp_path):
+    families = list(builtin_figure_configs((1e-2, 10**-2.5)).values())[:2]
+
+    def csv_bytes(name):
+        rows = [row for configs in families for config in configs for row in run_sweep(config)]
+        emit_csv(rows, tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    experiment_module._scenario_inputs.cache_clear()
+    cold = csv_bytes("cold.csv")
+    info = experiment_module._scenario_inputs.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    assert csv_bytes("warm.csv") == cold
+    assert experiment_module._scenario_inputs.cache_info().misses == 1
+
+
+def test_memo_stays_within_its_bound():
+    memo = experiment_module._scenario_inputs
+    bound = memo.cache_parameters()["maxsize"]
+    memo.cache_clear()
+    for seed in range(bound + 4):
+        build_scenario(small_config(data_seed=seed))
+        assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().currsize == bound
 
 
 # --- slope fitting --------------------------------------------------------------
@@ -483,6 +593,43 @@ def test_cli_check_honours_identical_costs_flag(tmp_path, capsys):
     # one cost at every node: the optimum is shared and the limit bias vanishes
     assert printed_limit_norm(debug_identical_costs=True) <= 1e-12
     assert printed_limit_norm() > 1e-6
+
+
+@pytest.mark.parametrize(
+    "strategy, c_rule, step_mode, at_floor",
+    [
+        ("atc", "relative_degree", "equal", True),
+        ("cta", "averaging", "equal", True),
+        ("atc", "relative_degree", "unequal_uniform_half", False),
+    ],
+)
+def test_cli_check_marks_a_limit_at_its_rounding_floor(
+    tmp_path, capsys, strategy, c_rule, step_mode, at_floor
+):
+    # the two built-in Assumption-3 scenarios have a zero limit, computed as
+    # noise below the floor; unequal steps break Assumption 3 and leave a
+    # limit far above it
+    config = write_config(
+        tmp_path,
+        strategy=strategy,
+        c_rule=c_rule,
+        step_mode=step_mode,
+        n_nodes=50,
+        dim=4,
+        rows=6,
+        mu_max_schedule=[1e-3],
+    )
+    assert cli_main(["check", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("Small-step-size bias norm"))
+    norm = float(lines[at].rsplit(":", 1)[1])
+    zero = [ln for ln in lines if ln.startswith("Small-step-size bias: zero")]
+    if at_floor:
+        assert lines[at + 1 :] == zero
+        floor = float(zero[0].rsplit(" ", 1)[1].rstrip(")"))
+        assert norm <= floor <= 1e-13
+    else:
+        assert zero == [] and norm > 1e-3
 
 
 def test_cli_unknown_flag_exits_one(capsys):
