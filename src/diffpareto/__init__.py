@@ -12,7 +12,6 @@ from .bias import (
     LimitOperators,
     bias_report,
     closed_form_bias,
-    error_propagation_matrix,
     limit_bias,
     limit_operators,
     normalized_step_shape,
@@ -36,7 +35,6 @@ from .diffusion import (
     atc_config,
     cta_config,
     run_to_fixed_point,
-    step,
     validate_step_condition,
 )
 from .experiment import (

@@ -9,11 +9,11 @@ node's fixed point):
 * the small-step-size limit, which depends only on the shape of the step
   sizes (not their scale) and is the same vector at every node.
 
-The error propagation matrix is the linear part of the diffusion step,
-lifted to N*M x N*M by ``diffusion.lift``. The limit is built from the
-Perron vector of the composite combination matrix: node weights z
-(normalized step sizes applied to a2 theta), the weighted aggregate
-Hessian and gradient at the optimum, and one small solve.
+The error propagation matrix B, the linear part of the diffusion step,
+is the gains lifted to N*M x N*M by ``diffusion.lift``. The limit is
+built from the Perron vector of the composite combination matrix: node
+weights z (normalized step sizes applied to a2 theta), the weighted
+aggregate Hessian and gradient at the optimum, and one small solve.
 
 Everything that does not depend on the step scale is analysed once per
 scenario: the optimum, the Perron vector, the limit, the Assumption 1 and
@@ -64,7 +64,6 @@ from .network import (
     NOT_PRIMITIVE,
     Assumption3Report,
     AssumptionError,
-    CombinationMatrix,
     Topology,
     check_assumption3,
     perron_theta,
@@ -142,12 +141,16 @@ class Scenario:
         return self.shape.with_step_sizes(mu_max * self.shape.step_sizes)
 
     def limit_floor(self) -> float:
-        """Rounding floor of ``|limit_bias|``: N eps |Hbar^-1|_2 sum_l |weights_l| |g_l(w*)|,
-        weights = c z, g_l node l's gradient at w_star; the sum's error through the solve."""
+        """Rounding floor of ``|limit_bias|``: N eps |Hbar^-1|_2 sum_l |weights_l| s_l,
+        weights = c z and s_l = |g_l(w*)| + |H_l|_2 |w*|, g_l node l's gradient at
+        w_star; the second term is the rounding of w* that every g_l inherits. It is
+        the sum's error carried through the solve."""
         weights = self.shape.c.matrix @ self.node_weights
-        grads = self.ensemble.hessians @ self.w_star - self.ensemble.offsets
-        total = np.abs(weights) @ np.linalg.norm(grads, axis=1)
-        return self.ensemble.n * np.finfo(float).eps * total / np.linalg.norm(self.agg_hessian, -2)
+        ens = self.ensemble
+        grads = np.linalg.norm(ens.hessians @ self.w_star - ens.offsets, axis=1)
+        sizes = grads + np.linalg.norm(ens.hessians, 2, axis=(1, 2)) * np.linalg.norm(self.w_star)
+        total = np.abs(weights) @ sizes
+        return ens.n * np.finfo(float).eps * total / np.linalg.norm(self.agg_hessian, -2)
 
     def require_primitive(self) -> Scenario:
         """The scenario, once its composite has a Perron vector (Assumption 2)."""
@@ -331,20 +334,6 @@ def analyse_scale(
             f" (gap {gap:.3e}, bound {bound:.3e}) at mu_max {mu_max:.6g}"
         )
     return result, closed, rho
-
-
-def error_propagation_matrix(
-    a1: CombinationMatrix,
-    a2: CombinationMatrix,
-    c: CombinationMatrix,
-    step_sizes,
-    ensemble: CostEnsemble,
-) -> np.ndarray:
-    """One-iteration error map of the recursion, lifted to size N*M: the
-    linear part of the diffusion step, the per-node gains I - mu_k * R_k
-    mixed through a1 and a2; the step sizes are used unchecked."""
-    mu = np.asarray(step_sizes, dtype=float)[:, None, None]
-    return lift(a1, a2, np.eye(ensemble.dim) - mu * combine_hessians(c, ensemble))
 
 
 def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:

@@ -125,20 +125,21 @@ def _mixing_transpose(a: CombinationMatrix) -> np.ndarray | None:
 
 
 def lift(a1: CombinationMatrix, a2: CombinationMatrix, blocks: np.ndarray) -> np.ndarray:
-    """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I),
-    B itself when the blocks are the gains. Block (k, l) of the last two
-    factors is a1[l, k] * blocks[k], formed by broadcasting, and a2^T mixes
-    the node axis in one product; identity factors are skipped."""
+    """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I), B itself
+    when the blocks are the gains. With a1 = I, block (k, l) is a2[l, k] * blocks[l],
+    written straight into one C-ordered array with no N*M x N*M temporary; adding 0.0
+    clears negative zeros, whose sign eigvals' reflections would see. Otherwise block
+    (k, l) is a1[l, k] * blocks[k], then mixed by a2^T in one product unless a2 = I."""
     n, m, _ = blocks.shape
-    a1t, a2t = _mixing_transpose(a1), _mixing_transpose(a2)
+    a1t = _mixing_transpose(a1)
     if a1t is None:
-        out = np.zeros((n, m, n, m))
-        nodes = np.arange(n)
-        out[nodes, :, nodes, :] = blocks
+        out = np.multiply(a2.matrix.T[:, None, :, None], blocks.transpose(1, 0, 2), order="C")
+        out += 0.0
     else:
         out = blocks[:, :, None, :] * a1t[:, None, :, None]
-    if a2t is not None:
-        out = a2t @ out.reshape(n, -1)
+        a2t = _mixing_transpose(a2)
+        if a2t is not None:
+            out = a2t @ out.reshape(n, -1)
     return out.reshape(n * m, n * m)
 
 
@@ -184,29 +185,12 @@ def _as_state(iterate, shape: tuple[int, int]) -> np.ndarray:
     return w
 
 
-def step(iterate, config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
-    """One synchronous update of all nodes from the previous iterate.
-
-    ``iterate`` is the node-major state array of shape (N, M); the return
-    value is the next state."""
-    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    w = _as_state(iterate, op.shape)
-    out = op.apply(w)
-    if not np.isfinite(out).all():
-        node = int(np.argmax(~np.isfinite(out).all(axis=1)))
-        raise DivergenceError(
-            f"non-finite estimate at node {node} after one step", node=node, iteration=1
-        )
-    return out
-
-
 def run_to_fixed_point(
     config: DiffusionConfig,
     ensemble: CostEnsemble,
     init=None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    trace=None,
 ) -> FixedPointResult:
     """Iterate until every node's update is below tol * (1 + |w_k|).
 
@@ -240,9 +224,6 @@ def run_to_fixed_point(
     equals ``iterations_used`` when the whole run was stepped, and when it
     is smaller, ``w_infinity`` and ``final_update_norm`` belong to the
     modelled iterate at ``iterations_used``.
-
-    ``trace``, when given, is called with (iteration, max update norm)
-    for every iteration in order, modelled ones included.
     """
     if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be finite and positive and max_iter at least one")
@@ -280,8 +261,6 @@ def run_to_fixed_point(
                     node=node,
                     iteration=iterations,
                 )
-            if trace is not None:
-                trace(iterations, math.sqrt(worst))
             w = block[i + 1]
             if passed[i]:
                 converged = True
@@ -289,7 +268,7 @@ def run_to_fixed_point(
             if tracker is not None and iterations < max_iter:
                 tail = tracker.advance(w)
                 if tail is not None:
-                    w, used, converged, final = tail.run(iterations, max_iter, tol, trace)
+                    w, used, converged, final = tail.run(iterations, max_iter, tol)
                     w.setflags(write=False)
                     return FixedPointResult(w, used, converged, final, stepped=iterations)
                 if not tracker.open:

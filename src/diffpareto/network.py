@@ -28,7 +28,7 @@ A_RULES = ("averaging", "relative_degree", "metropolis")
 C_RULES = ("averaging", "relative_degree", "identity")
 
 STOCHASTICITY_TOL = 1e-12
-ASSUMPTION3_DEFAULT_TOL = 1e-8
+ASSUMPTION3_TOL = 1e-8
 NOT_PRIMITIVE = "Assumption 2 violated: the composite combination matrix is not primitive"
 
 # generating a connected graph requires the average open degree to be
@@ -311,14 +311,14 @@ def check_assumption3(
     a2: CombinationMatrix,
     omega0,
     c: CombinationMatrix,
-    tol: float = ASSUMPTION3_DEFAULT_TOL,
 ) -> Assumption3Report:
     """Check that the weighted row vector built from (theta, a2, omega0, c)
     is constant, i.e. equals c0 times the all-ones row.
 
     ``omega0`` holds the normalized step sizes (entries in (0, 1], max one).
     The constant is estimated as the mean of the vector; the report carries
-    the max-norm deviation from it."""
+    the max-norm deviation from it, and the verdict allows a deviation of
+    ASSUMPTION3_TOL."""
     theta = as_vector(theta)
     omega0 = as_vector(omega0)
     n = theta.shape[0]
@@ -333,7 +333,9 @@ def check_assumption3(
     v = c.matrix @ z
     c0 = float(v.mean())
     max_dev = float(np.abs(v - c0).max())
-    return Assumption3Report(satisfied=max_dev <= tol, c0_estimate=c0, max_deviation=max_dev)
+    return Assumption3Report(
+        satisfied=max_dev <= ASSUMPTION3_TOL, c0_estimate=c0, max_deviation=max_dev
+    )
 
 
 def design_step_sizes_for_assumption3(

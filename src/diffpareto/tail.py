@@ -8,7 +8,8 @@ dies at about the rate of the second eigenvalue of the combination
 matrix. Once those have died, every later iterate is
 w_inf + Y diag(lam**p) g for the M slow eigenpairs (lam, Y) of B, and the
 stopping test of the plain loop can be evaluated on thousands of such
-iterates at once. The pairs come from an N*M x M basis stepped from
+iterates at once, starting from the first that a bound on its update
+leaves able to pass. The pairs come from an N*M x M basis stepped from
 1 kron I_M beside the plain loop, reduced to the M x M Rayleigh-Ritz
 matrix S = Q^T B Q; B itself is never formed. This module is the engine
 of ``diffusion.run_to_fixed_point``, which decides when to call it.
@@ -143,11 +144,12 @@ class ModalTail:
         ritz = q @ v
         return cls(lam, ritz, coef, w.ravel() - ritz @ coef, sigma)
 
-    def run(self, j: int, max_iter: int, tol: float, trace) -> tuple[np.ndarray, int, bool, float]:
+    def run(self, j: int, max_iter: int, tol: float) -> tuple[np.ndarray, int, bool, float]:
         """Continue a run that stopped stepping at iteration j < max_iter:
         the per-node stopping test of the plain loop, applied to the
-        modelled iterates. Returns the last iterate, its iteration, whether
-        it passed and its largest update norm; ``trace`` as in the loop."""
+        modelled iterates from the first that ``_first_possible`` leaves.
+        Returns the last iterate, its iteration, whether it passed and its
+        largest update norm."""
         m = self.lam.size
         n = self.w_inf.size // m
         lam = self.lam
@@ -168,9 +170,8 @@ class ModalTail:
         cu = form(np.zeros(n * m), yu)
 
         last = max_iter - j
-        first = 1 if trace is not None else self._first_possible(tol, yw, last)
         block = max(16, _SCAN_BYTES // (8 * (4 * n + rows.size)))
-        for start in range(first, last + 1, block):
+        for start in range(self._first_possible(tol, yw, last), last + 1, block):
             p = np.arange(start, min(start + block, last + 1))
             z = np.ones((p.size, m + 1))
             z[:, 1:] = lam ** (p - 1)[:, None]
@@ -180,13 +181,10 @@ class ModalTail:
             passed = (upd2 <= rhs * rhs).all(axis=1)
             done = bool(passed.any())
             stop = int(np.argmax(passed)) if done else p.size - 1
-            worst = np.sqrt(np.maximum(upd2[: stop + 1].max(axis=1), 0.0))
-            if trace is not None:
-                for i in range(stop + 1):
-                    trace(j + int(p[i]), float(worst[i]))
             if done or p[-1] == last:
                 w = (self.w_inf + yw @ z[stop, 1:]).reshape(n, m)
-                return w, j + int(p[stop]), done, float(worst[stop])
+                final = math.sqrt(max(upd2[stop].max(), 0.0))
+                return w, j + int(p[stop]), done, final
         raise AssertionError("the scan always ends at max_iter")
 
     def _first_possible(self, tol: float, yw: np.ndarray, last: int) -> int:

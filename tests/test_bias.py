@@ -10,7 +10,6 @@ from diffpareto.bias import (
     analyse_scenario,
     bias_report,
     closed_form_bias,
-    error_propagation_matrix,
     limit_bias,
     limit_operators,
     normalized_step_shape,
@@ -32,8 +31,8 @@ from diffpareto.diffusion import (
     DiffusionConfig,
     atc_config,
     cta_config,
+    lift,
     run_to_fixed_point,
-    step,
 )
 from diffpareto.experiment import ExperimentConfig, build_scenario, run_sweep
 from diffpareto.network import (
@@ -74,6 +73,12 @@ def random_valid_config(index: int) -> tuple[DiffusionConfig, CostEnsemble]:
     shape = np.linspace(0.6, 1.0, n) if index % 4 < 2 else np.ones(n)
     mu = 0.25 * float((step_size_bounds(c, ens) / shape).min())
     return make(a, c, mu * shape), ens
+
+
+def lifted_gains(cfg: DiffusionConfig, ens: CostEnsemble, step_sizes) -> np.ndarray:
+    """B at the given step sizes: the gains I - mu_k R_k lifted through a1 and a2."""
+    mu = np.asarray(step_sizes, dtype=float)[:, None, None]
+    return lift(cfg.a1, cfg.a2, np.eye(ens.dim) - mu * combine_hessians(cfg.c, ens))
 
 
 # --- block Hessians ----------------------------------------------------------
@@ -147,7 +152,7 @@ def test_error_propagation_and_closed_form_match_kron_build(index):
         a = build_A(generate_topology(cfg.n, 3.0, seed=504), "metropolis")
         cfg = DiffusionConfig(a1=a, a2=cfg.a2, c=cfg.c, step_sizes=cfg.step_sizes)
     b, rhs = kron_reference(cfg, ens)
-    built = error_propagation_matrix(cfg.a1, cfg.a2, cfg.c, cfg.step_sizes, ens)
+    built = lifted_gains(cfg, ens, cfg.step_sizes)
     if index < 4:
         # ATC and CTA: every entry of B is one product, so the build is exact
         assert np.array_equal(built, b)
@@ -160,7 +165,8 @@ def test_error_propagation_and_closed_form_match_kron_build(index):
 
 @pytest.mark.parametrize("kind", ["atc", "cta", "general"])
 def test_step_is_lifted_matrix_plus_offset(kind):
-    # the recursion is affine: step(w) = B vec(w) + step(0), B the lifted gains
+    # the recursion is affine: its first step from w is B vec(w) plus its
+    # first step from zero, B the lifted gains
     cfg, ens = random_valid_config(0 if kind == "atc" else 1)
     if kind == "general":
         a = build_A(generate_topology(cfg.n, 3.0, seed=504), "metropolis")
@@ -168,9 +174,10 @@ def test_step_is_lifted_matrix_plus_offset(kind):
     assert np.array_equal(cfg.a1.matrix, np.eye(cfg.n)) == (kind == "atc")
     assert np.array_equal(cfg.a2.matrix, np.eye(cfg.n)) == (kind == "cta")
     w = np.random.default_rng(7).normal(size=(ens.n, ens.dim))
-    b = error_propagation_matrix(cfg.a1, cfg.a2, cfg.c, cfg.step_sizes, ens)
-    expected = b @ w.ravel() + step(np.zeros_like(w), cfg, ens).ravel()
-    assert np.abs(step(w, cfg, ens).ravel() - expected).max() <= 1e-14
+    first = run_to_fixed_point(cfg, ens, init=w, max_iter=1).w_infinity
+    offset = run_to_fixed_point(cfg, ens, init=np.zeros_like(w), max_iter=1).w_infinity
+    expected = lifted_gains(cfg, ens, cfg.step_sizes) @ w.ravel() + offset.ravel()
+    assert np.abs(first.ravel() - expected).max() <= 1e-14
 
 
 # --- limit operators -----------------------------------------------------------
@@ -297,7 +304,7 @@ def test_spectral_check_below_one_for_valid_config():
 
 def test_error_propagation_at_zero_steps_has_unit_radius():
     cfg, ens = random_valid_config(2)
-    b = error_propagation_matrix(cfg.a1, cfg.a2, cfg.c, np.zeros(ens.n), ens)
+    b = lifted_gains(cfg, ens, np.zeros(ens.n))
     assert np.abs(np.linalg.eigvals(b)).max() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -632,6 +632,27 @@ def test_cli_check_marks_a_limit_at_its_rounding_floor(
         assert zero == [] and norm > 1e-3
 
 
+def test_cli_check_marks_a_zero_limit_of_identical_costs(tmp_path, capsys):
+    # identical costs make the limit exactly zero without Assumption 3; every
+    # g_l(w*) is then the rounding of w*, which the floor must cover
+    config = write_config(
+        tmp_path,
+        a_rule="averaging",
+        step_mode="unequal_uniform_half",
+        n_nodes=20,
+        debug_identical_costs=True,
+        mu_max_schedule=[1e-3],
+    )
+    assert cli_main(["check", "--config", str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("Assumption 3: NOT SATISFIED") for ln in lines)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("Small-step-size bias norm"))
+    norm = float(lines[at].rsplit(":", 1)[1])
+    assert lines[at + 1].startswith("Small-step-size bias: zero to working precision")
+    floor = float(lines[at + 1].rsplit(" ", 1)[1].rstrip(")"))
+    assert norm <= floor <= 1e-13
+
+
 def test_cli_unknown_flag_exits_one(capsys):
     assert cli_main(["sweep", "--config", "x", "--out", "y", "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

@@ -275,8 +275,8 @@ def test_assumption3_inverse_step_construction():
     eye = identity_combination(2)
     theta = perron_theta(a1, eye).theta
     steps = design_step_sizes_for_assumption3(a1, eye, mu_max=0.01)
-    report = check_assumption3(theta, eye, steps / steps.max(), eye, tol=1e-10)
-    assert report.satisfied
+    report = check_assumption3(theta, eye, steps / steps.max(), eye)
+    assert report.satisfied and report.max_deviation <= 1e-10
 
 
 def test_assumption3_rejects_bad_shapes():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from kron_reference import reference_radius
-from plain_loop import plain_fixed_point
+from plain_loop import assert_bit_identical, plain_fixed_point
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -122,18 +122,7 @@ def test_blocked_loop_reproduces_plain_loop_bit_for_bit(case, fraction, max_iter
     scenario = analyse_scenario(config, ensemble)
     scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
     init = np.tile(scenario.w_star, (ensemble.n, 1))
-    seen, updates = [], []
-    result = run_to_fixed_point(
-        scaled, ensemble, init=init, max_iter=max_iter, trace=lambda _, u: seen.append(u)
-    )
-    w, iterations, converged = plain_fixed_point(
-        scaled, ensemble, init=init, max_iter=result.stepped, trace=lambda _, u: updates.append(u)
-    )
-    assert seen[: result.stepped] == updates
-    if result.stepped == result.iterations_used:
-        assert np.array_equal(result.w_infinity, w)
-        assert (result.iterations_used, result.converged) == (iterations, converged)
-        assert result.final_update_norm == updates[-1]
+    assert_bit_identical(scaled, ensemble, init, max_iter=max_iter)
 
 
 @given(scenarios(), st.floats(1e-3, 1e3))
