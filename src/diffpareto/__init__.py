@@ -48,7 +48,6 @@ from .experiment import (
     load_config,
     run_sweep,
 )
-from .linalg import SingularMatrixError, solve_linear
 from .network import (
     Assumption3Report,
     AssumptionError,

@@ -49,6 +49,7 @@ from .costs import (
     check_assumption1,
     combine_hessians,
     global_optimum,
+    solve_assumption1,
     stacked_gradient,
 )
 from .diffusion import (
@@ -59,7 +60,6 @@ from .diffusion import (
     lift,
     run_to_fixed_point,
 )
-from .linalg import SingularMatrixError, solve_linear
 from .network import (
     NOT_PRIMITIVE,
     Assumption3Report,
@@ -72,6 +72,9 @@ from .network import (
 # a converged iterate's gap to the closed form may reach this multiple of
 # the error its stopping rule allows
 GAP_FACTOR = 10.0
+
+# the Assumption 1 system the small-step limit solves
+AGGREGATE_HESSIAN = "z-weighted aggregate Hessian"
 
 # P diag(pi) counts as symmetric when no entry is farther from its transpose
 # than this share of its largest entry. For a reversible P the residue is
@@ -179,16 +182,6 @@ def normalized_step_shape(step_sizes) -> np.ndarray:
     return steps / steps.max()
 
 
-def _solve_aggregate(hbar: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return solve_linear(hbar, rhs)
-    except SingularMatrixError as exc:
-        raise AssumptionError(
-            "Assumption 1 violated: the z-weighted aggregate Hessian is singular"
-            f" ({exc})"
-        ) from exc
-
-
 def analyse_scenario(
     config: DiffusionConfig,
     ensemble: CostEnsemble,
@@ -228,7 +221,9 @@ def analyse_scenario(
         theta=theta,
         node_weights=z,
         agg_hessian=hbar,
-        limit_bias=_solve_aggregate(hbar, np.einsum("l,li->i", weights, gradients)),
+        limit_bias=solve_assumption1(
+            hbar, np.einsum("l,li->i", weights, gradients), AGGREGATE_HESSIAN
+        ),
         assumption3=check_assumption3(theta, config.a2, omega0, config.c),
         mixing=_reversible_mixing(config, theta),
     )
@@ -371,7 +366,7 @@ def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOpe
     omega0 = scenario.shape.step_sizes
     mixing_gap = np.eye(n * m) - lift(config.a1, config.a2, np.broadcast_to(np.eye(m), (n, m, m)))
     curvature = lift(config.a1, config.a2, omega0[:, None, None] * scenario.combined_hessians)
-    d = np.column_stack([_solve_aggregate(scenario.agg_hessian, e) for e in np.eye(m)])
+    d = solve_assumption1(scenario.agg_hessian, np.eye(m), AGGREGATE_HESSIAN)
     return LimitOperators(
         mixing_gap=mixing_gap,
         curvature=curvature,

@@ -5,7 +5,9 @@ Each node k owns the cost ``|X_k w - y_k|^2`` with exact gradient
 also provides the global optimum of the aggregate cost, the stacked
 gradient across nodes, the c-combined Hessians and gradient offsets the
 recursion steps with, and the checkers for the curvature assumption
-(Assumption 1) and the induced step-size upper bounds.
+(Assumption 1) and the induced step-size upper bounds. The M x M
+aggregate-Hessian systems that Assumption 1 makes nonsingular are solved
+in one place, ``solve_assumption1``, behind a QR singularity test.
 
 An ensemble stacks its per-node Hessians, gradient offsets and extreme
 Hessian eigenvalues once, at construction; every per-node quantity
@@ -18,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SingularMatrixError, as_matrix, as_vector, solve_linear
-from .network import AssumptionError, CombinationMatrix
+from .network import AssumptionError, CombinationMatrix, as_matrix, as_vector
 from .rng import SplitMix64
 
 
@@ -141,15 +142,30 @@ def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
     return CostEnsemble(costs=tuple(costs), dim=m)
 
 
+def solve_assumption1(matrix: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """Solve an aggregate-Hessian system that Assumption 1 makes nonsingular,
+    with LAPACK's LU solver; ``rhs`` is a vector or has one column per system.
+
+    The M x M ``matrix`` counts as singular when a diagonal entry of its QR
+    factor R is at most M * eps * max|matrix|; AssumptionError then names
+    the matrix, the column and that magnitude."""
+    a = as_matrix(matrix)
+    threshold = a.shape[0] * np.finfo(float).eps * np.abs(a).max()
+    pivots = np.abs(np.diagonal(np.linalg.qr(a, mode="r")))
+    k = int(np.argmin(pivots))
+    if pivots[k] <= threshold:
+        raise AssumptionError(
+            f"Assumption 1 violated: the {name} is singular (matrix is singular to"
+            f" working precision at column {k} (pivot magnitude {pivots[k]:.3e}))"
+        )
+    return np.linalg.solve(a, rhs)
+
+
 def global_optimum(ensemble: CostEnsemble) -> np.ndarray:
     """Minimizer of the equally weighted aggregate cost (global LS solution)."""
-    try:
-        return solve_linear(ensemble.hessians.sum(axis=0), ensemble.offsets.sum(axis=0))
-    except SingularMatrixError as exc:
-        raise AssumptionError(
-            "Assumption 1 violated: the aggregate normal matrix is singular"
-            f" ({exc})"
-        ) from exc
+    return solve_assumption1(
+        ensemble.hessians.sum(axis=0), ensemble.offsets.sum(axis=0), "aggregate normal matrix"
+    )
 
 
 def stacked_gradient(ensemble: CostEnsemble, w) -> np.ndarray:

@@ -11,9 +11,11 @@ Presets cover the two classic orderings: adapt-then-combine (a1 = I,
 a2 = A) and combine-then-adapt (a1 = A, a2 = I). The linear part of the
 one-iteration map, lifted to N*M x N*M, is the error-propagation matrix.
 
-run_to_fixed_point steps the recursion in blocks and runs the stopping
-test on a whole block at once; a long run skips its tail through the M
-slow modes of that matrix (see the tail module).
+run_to_fixed_point starts from an optional initial state, coerced by
+``network.as_matrix`` to a finite N x M array, steps the recursion in
+blocks and runs the stopping test on a whole block at once; a long run
+skips its tail through the M slow modes of that matrix (see the tail
+module).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostEnsemble, combine_gradient_offsets, combine_hessians, step_size_bounds
-from .network import AssumptionError, CombinationMatrix, identity_combination
+from .network import AssumptionError, CombinationMatrix, as_matrix, identity_combination
 from .tail import ENGAGE_AT, PROBE_AT, SlowSubspace, runs_long
 
 DEFAULT_TOL = 1e-12
@@ -176,15 +178,6 @@ class _StepOperator:
         return psi if self.a2t is None else (self.a2t @ psi.reshape(n, -1)).reshape(q.shape)
 
 
-def _as_state(iterate, shape: tuple[int, int]) -> np.ndarray:
-    w = np.array(iterate, dtype=float)
-    if w.shape != shape:
-        raise ValueError(f"state must have shape {shape}, got {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("state entries must be finite")
-    return w
-
-
 def run_to_fixed_point(
     config: DiffusionConfig,
     ensemble: CostEnsemble,
@@ -229,7 +222,9 @@ def run_to_fixed_point(
         raise ValueError("tol must be finite and positive and max_iter at least one")
     validate_step_condition(config, ensemble)
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    w = np.zeros(op.shape) if init is None else _as_state(init, op.shape)
+    w = np.zeros(op.shape) if init is None else as_matrix(init)
+    if w.shape != op.shape:
+        raise ValueError(f"state must have shape {op.shape}, got {w.shape}")
     n, m = op.shape
     iterations = 0
     converged = False

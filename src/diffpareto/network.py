@@ -7,6 +7,9 @@ constructions are the averaging, relative-degree, and Metropolis rules.
 The Perron vector of the composite combination matrix drives all of the
 small-step-size bias analysis, and Assumption 3 is the joint condition
 on combination matrices and step sizes under which that bias vanishes.
+The package's input coercion, to finite float64 matrices and vectors,
+lives here too, in the lowest domain module, which ``costs`` and
+``diffusion`` import.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
 from .rng import SplitMix64
 
 LEFT_STOCHASTIC = "left_stochastic"
@@ -38,6 +40,26 @@ _DEGREE_SLACK = 0.5
 
 class AssumptionError(ValueError):
     """A standing assumption of the algorithm is violated."""
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
+    m = np.array(a, dtype=float, order="C")
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def as_vector(v) -> np.ndarray:
+    """Coerce to a 1-D float64 array, rejecting non-finite entries."""
+    x = np.array(v, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got ndim={x.ndim}")
+    if not np.isfinite(x).all():
+        raise ValueError("vector entries must be finite")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,11 +381,7 @@ def design_step_sizes_for_assumption3(
 
 def topology_to_edge_list(topology: Topology) -> str:
     """Plain-text edge list: 'N <count>' then one 'u v' line per edge."""
-    lines = [f"N {topology.n_nodes}"]
-    adj = topology.adjacency
-    for u in range(topology.n_nodes):
-        for v in range(u + 1, topology.n_nodes):
-            if adj[u, v]:
-                lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    us, vs = np.nonzero(np.triu(topology.adjacency, 1))
+    edges = [f"{u} {v}" for u, v in zip(us.tolist(), vs.tolist())]
+    return "\n".join([f"N {topology.n_nodes}", *edges]) + "\n"
 

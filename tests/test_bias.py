@@ -448,6 +448,21 @@ def test_non_primitive_composite_raises_only_where_theta_is_needed(eigvals_calls
     assert np.linalg.norm(closed - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
 
 
+def test_perron_vector_with_a_zero_entry_falls_back_to_eigvals(eigvals_calls):
+    # a2 sends everything to node 0, so pi = a2 theta = (1, 0): P is
+    # primitive but S = D^-1/2 P D^1/2 does not exist
+    a1 = CombinationMatrix(np.full((2, 2), 0.5), kind="doubly_stochastic")
+    a2 = CombinationMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]), kind="left_stochastic")
+    cfg = DiffusionConfig(a1=a1, a2=a2, c=identity_combination(2), step_sizes=np.full(2, 0.01))
+    ens = sample_ensemble(2, 2, 4, 5)
+    assert analyse_scenario(cfg, ens).mixing is None
+    rho = spectral_check(cfg, ens)
+    assert eigvals_calls == [(4, 4)]
+    reference = reference_radius(cfg, ens)
+    assert reference == pytest.approx(0.9275534, abs=1e-7)
+    assert rho == pytest.approx(reference, abs=1e-12)
+
+
 def test_closed_form_bias_rejects_unstable_steps():
     eye = identity_combination(1)
     cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.array([1.5]))

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from diffpareto.bias import limit_bias
 from diffpareto.costs import (
     CostEnsemble,
     QuadraticCost,
@@ -10,12 +13,20 @@ from diffpareto.costs import (
     stacked_gradient,
     step_size_bounds,
 )
+from diffpareto.diffusion import DiffusionConfig
 from diffpareto.network import (
     AssumptionError,
     CombinationMatrix,
     build_C,
     generate_topology,
     identity_combination,
+)
+
+# every data row lies along (1, 2), so its Hessian has rank one
+RANK_ONE = QuadraticCost(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+SINGULAR = (
+    r"Assumption 1 violated: the {} is singular \(matrix is singular to working"
+    r" precision at column (\d+) \(pivot magnitude (\S+)\)\)"
 )
 
 
@@ -181,6 +192,31 @@ def test_global_optimum_singular_names_assumption1():
     zero = QuadraticCost(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(AssumptionError, match="Assumption 1"):
         global_optimum(CostEnsemble(costs=(zero,), dim=2))
+
+
+def test_global_optimum_singular_names_the_column_and_carries_the_pivot():
+    with pytest.raises(AssumptionError) as excinfo:
+        global_optimum(CostEnsemble(costs=(RANK_ONE, RANK_ONE), dim=2))
+    found = re.fullmatch(SINGULAR.format("aggregate normal matrix"), str(excinfo.value))
+    assert found is not None
+    assert found[1] == "1"
+    assert float(found[2]) <= 1e-12
+
+
+def test_limit_names_a_singular_z_weighted_aggregate_hessian():
+    # a2 sends everything to node 0, so z = (1, 0) and the limit weights node
+    # 0's rank-one Hessian alone while the aggregate normal matrix is regular
+    ens = CostEnsemble(costs=(RANK_ONE, QuadraticCost(np.eye(2), np.ones(2))), dim=2)
+    a1 = CombinationMatrix(np.full((2, 2), 0.5), kind="doubly_stochastic")
+    a2 = CombinationMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]), kind="left_stochastic")
+    cfg = DiffusionConfig(a1=a1, a2=a2, c=identity_combination(2), step_sizes=np.full(2, 0.01))
+    global_optimum(ens)
+    with pytest.raises(AssumptionError) as excinfo:
+        limit_bias(cfg, ens)
+    found = re.fullmatch(SINGULAR.format("z-weighted aggregate Hessian"), str(excinfo.value))
+    assert found is not None
+    assert found[1] == "1"
+    assert float(found[2]) <= 1e-12
 
 
 def test_stacked_gradient_hand_value():

@@ -27,7 +27,7 @@ from diffpareto.network import (
     generate_topology,
     identity_combination,
 )
-from diffpareto.tail import _FIT_SPAN, _PERIOD, ENGAGE_AT, ModalTail
+from diffpareto.tail import _FIT_SPAN, _PERIOD, ENGAGE_AT, ModalTail, SlowSubspace, runs_long
 
 A22 = CombinationMatrix(np.array([[0.7, 0.4], [0.3, 0.6]]), kind="left_stochastic")
 
@@ -326,6 +326,47 @@ def test_tail_model_fits_iterates_the_given_span_apart(span):
     assert np.abs(tail.coef - lam**span * g).max() <= 1e-12
 
 
+# an orthonormal basis of 1 kron I_2 over three nodes, and two slow modes
+CONSENSUS = np.linalg.qr(np.tile(np.eye(2), (3, 1)))[0]
+SLOW = np.array([0.5, 0.6])
+
+
+def test_tail_model_refuses_a_run_that_leaves_the_basis():
+    w = np.zeros((3, 2))
+    w[0, 0] = 1.0  # only node 0 moves, which no consensus mode can carry
+    assert ModalTail.fit(CONSENSUS, SLOW, np.eye(2), 1.0, w, np.zeros((3, 2)), _FIT_SPAN) is None
+
+
+def test_tail_scan_can_stop_at_the_first_modelled_iterate():
+    # modes too weak to move anything: the stopping test passes at once
+    tail = ModalTail(SLOW, CONSENSUS, np.full(2, 1e-20), np.ones(6), 1.0)
+    _, used, converged, _ = tail.run(300, 10**6, 1e-12)
+    assert (used, converged) == (301, True)
+
+
+def test_a_run_whose_largest_update_grows_is_long():
+    assert runs_long(1.0, 2.0, 1e-12, 1e-12, 10**6)
+
+
+class Rotation:
+    """A step operator over three nodes in two dimensions whose linear part
+    turns every node's estimate by 0.01 rad and shrinks it by 0.99: 1 kron
+    I_2 is invariant from the start, and its Ritz values are complex."""
+
+    shape = (3, 2)
+    gain = 0.99 * np.array([[math.cos(0.01), -math.sin(0.01)], [math.sin(0.01), math.cos(0.01)]])
+
+    def apply_linear(self, q):
+        return self.gain @ q
+
+
+def test_complex_ritz_values_end_the_tracking():
+    tracker = SlowSubspace(Rotation())
+    w = np.zeros((3, 2))
+    assert all(tracker.advance(w) is None for _ in range(_FIT_SPAN + _PERIOD))
+    assert not tracker.open
+
+
 def test_tail_reproduces_plain_loop_on_zero_limit_row():
     # a zero-limit scenario: Assumption 3 holds, so the run starts close to its fixed point
     config, ens, init = sweep_row(1e-4, a_rule="metropolis", step_mode="equal")
@@ -447,6 +488,17 @@ def test_divergence_raises_at_the_first_non_finite_update(a, step_size, init):
         with pytest.raises(DivergenceError) as excinfo:
             run_to_fixed_point(cfg, two_scalar_ensemble(), init=init)
     assert (excinfo.value.node, excinfo.value.iteration) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "init, message",
+    # a (1, M) state would broadcast over every node without the shape check
+    [([[1.0], [np.nan]], "finite"), ([[1.0]], "state must have shape")],
+)
+def test_run_rejects_a_non_finite_or_misshapen_init(init, message):
+    cfg = atc_config(identity_combination(2), identity_combination(2), np.full(2, 0.1))
+    with pytest.raises(ValueError, match=message):
+        run_to_fixed_point(cfg, two_scalar_ensemble(), init=init)
 
 
 def test_blocked_loop_steps_at_most_one_block_past_the_stop(monkeypatch):

@@ -1,10 +1,12 @@
-"""The README's Python example runs as printed and its comments hold."""
+"""The README's Python example runs as printed and its comments hold, and
+its library table names the package's modules."""
 
 import json
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_example_runs_and_its_claims_hold(capsys):
@@ -20,3 +22,11 @@ def test_readme_example_runs_and_its_claims_hold(capsys):
     assert doc["converged"] is True
     assert doc["iterations"] == int(iterations)
     assert doc["assumption3"]["satisfied"] is True
+
+
+def test_readme_library_table_names_exactly_the_modules():
+    documented = re.findall(
+        r"^\| `diffpareto\.(\w+)` +\|", README.read_text(encoding="utf-8"), re.M
+    )
+    modules = {path.stem for path in (ROOT / "src" / "diffpareto").glob("*.py")} - {"__init__"}
+    assert sorted(documented) == sorted(modules)
