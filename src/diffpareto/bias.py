@@ -4,7 +4,7 @@ Two complementary routes to the per-node bias (global optimum minus the
 node's fixed point):
 
 * the exact closed form at finite step sizes, obtained by solving one
-  dense linear system whose operator is the identity minus the error
+  linear system whose operator is the identity minus the error
   propagation matrix of the recursion;
 * the small-step-size limit, which depends only on the shape of the step
   sizes (not their scale) and is the same vector at every node.
@@ -18,16 +18,25 @@ aggregate Hessian and gradient at the optimum, and one small solve.
 Everything that does not depend on the step scale is analysed once per
 scenario: the optimum, the Perron vector, the limit, the Assumption 1 and
 3 verdicts, the step-size margins, and the c-combined Hessians R and
-gradients and the symmetrised mixing S. ``scale_analysis(scenario, mu_max)``
-then forms the gains I - mu_k R_k of ``scenario.at_scale(mu_max)``, the
-spectral radius of B and the closed form, and ``analyse_scale`` compares
-that with the recursion.
+gradients and the symmetrised mixing S, with lambda_min(S) at N*M of
+MATRIX_FREE_NM and above. ``scale_analysis(scenario, mu_max)`` then forms
+the gains I - mu_k R_k of ``scenario.at_scale(mu_max)``, the spectral
+radius of B and the closed form, and ``analyse_scale`` compares that with
+the recursion.
 
-The spectral radius comes from a symmetric matrix with the spectrum of B
-(see ``_symmetric_radius``) whenever the composite mixing matrix is
-reversible and every gain block I - mu_k R_k is positive definite, which
-holds for the built-in rules below half of each step bound. Otherwise it
-is taken from ``numpy.linalg.eigvals`` on B itself.
+The radius and closed form take one of three routes:
+
+* matrix-free, at N*M of MATRIX_FREE_NM (400) and above, when the
+  composite mixing matrix is reversible and every gain block
+  I - mu_k R_k is positive definite: block Lanczos for the radius and
+  deflated CG for the closed form, both on a symmetric matrix C with the
+  spectrum of B, applied blockwise and never formed (``_SlowModes``);
+* dense symmetric, under the same conditions below the crossover, or as
+  the fallback when Lanczos or CG has not converged within its cap: one
+  ``eigvalsh`` of C (``_symmetric_radius``) and B lifted once and solved;
+* ``numpy.linalg.eigvals`` on B itself otherwise, with the same solve.
+
+The conditions hold for the built-in rules below half of each step bound.
 
 The functions of a bare config analyse it as a scenario and take that
 path at its largest step size. The module also exposes the supporting
@@ -85,6 +94,16 @@ AGGREGATE_HESSIAN = "z-weighted aggregate Hessian"
 # asymmetry t moves rho by up to about N * t * max(pi) / min(pi).
 REVERSIBLE_TOL = 1e-10
 
+# N*M from which a reversible scenario takes rho and the closed form from the
+# matrix-free route (``_SlowModes``) when every gain block is positive
+# definite. Per scale, with M = 4 and one BLAS thread on a 2-core x86 box, the
+# dense route took 5 ms at N = 50 against 11-14 ms, and 19-21 ms at N = 100
+# against 15-16 ms
+MATRIX_FREE_NM = 400
+# a matrix-free run that reaches either cap falls back to the dense route
+LANCZOS_STEPS = 120
+CG_STEPS = 300
+
 
 @dataclass(frozen=True, eq=False)
 class LimitOperators:
@@ -121,7 +140,8 @@ class Scenario:
     when the scenario was generated from one. ``combined_hessians`` R and
     ``combined_gradients`` (at w_star) are c-combined per node, and
     ``mixing`` is S, the symmetrised P = a2 a1, None when P is not
-    reversible: every step scale is formed from these three. The fields
+    reversible: every step scale is formed from these three. ``mixing_min``
+    is lambda_min(S), set when N*M is at least MATRIX_FREE_NM. The fields
     from ``theta`` on are None when a1 a2 is not primitive (Assumption 2)."""
 
     shape: DiffusionConfig
@@ -139,6 +159,7 @@ class Scenario:
     limit_bias: np.ndarray | None = None
     assumption3: Assumption3Report | None = None
     mixing: np.ndarray | None = None
+    mixing_min: float | None = None
 
     def at_scale(self, mu_max: float) -> DiffusionConfig:
         return self.shape.with_step_sizes(mu_max * self.shape.step_sizes)
@@ -216,6 +237,8 @@ def analyse_scenario(
     z = omega0 * (config.a2.matrix @ theta)
     weights = config.c.matrix @ z
     hbar = np.einsum("l,lij->ij", weights, ensemble.hessians)
+    mixing = _reversible_mixing(config, theta)
+    large = mixing is not None and ensemble.n * ensemble.dim >= MATRIX_FREE_NM
     return Scenario(
         **scale_free,
         theta=theta,
@@ -225,7 +248,8 @@ def analyse_scenario(
             hbar, np.einsum("l,li->i", weights, gradients), AGGREGATE_HESSIAN
         ),
         assumption3=check_assumption3(theta, config.a2, omega0, config.c),
-        mixing=_reversible_mixing(config, theta),
+        mixing=mixing,
+        mixing_min=float(np.linalg.eigvalsh(mixing)[0]) if large else None,
     )
 
 
@@ -267,38 +291,145 @@ def _symmetric_radius(gain: np.ndarray, s: np.ndarray) -> float | None:
     return float(max(-eigs[0], eigs[-1]))
 
 
+class _SlowModes:
+    """C = L^T (S kron I) L of ``_symmetric_radius`` at one step scale, applied
+    blockwise (L, then S on the node axis, then L^T: O(N^2 M + N M^2) a
+    product) and never formed, with its M slow Ritz vectors once ``radius``
+    has converged. ``root`` is sqrt(pi), the Perron vector of S."""
+
+    def __init__(self, gain: np.ndarray, s: np.ndarray, root: np.ndarray):
+        # raises LinAlgError when a gain block is not positive definite
+        self.chol, self.s, self.root = np.linalg.cholesky(gain), s, root
+        self.slow = None
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        n, m, _ = self.chol.shape
+        u = self.chol @ y.reshape(n, m, -1)
+        v = (self.s @ u.reshape(n, -1)).reshape(u.shape)
+        return (self.chol.transpose(0, 2, 1) @ v).reshape(y.shape)
+
+    def radius(self, s_min: float) -> float | None:
+        """lambda_max(C) by block Lanczos from sqrt(pi) kron I_M, with full
+        reorthogonalisation, stopped once the top Ritz value's residual bound
+        min(res, res^2 / gap) is 1e-11 (1 - theta). It is rho because every R_k
+        is positive semidefinite, so the gains have eigenvalues in (0, 1] and
+        lambda_min(C) >= min(lambda_min(S), 0) = min(s_min, 0) lies above
+        -theta. None when either test fails within LANCZOS_STEPS."""
+        n, m, _ = self.chol.shape
+        steps = min(LANCZOS_STEPS, n)
+        basis = np.empty((n * m, steps * m))
+        t = np.zeros(((steps + 1) * m, (steps + 1) * m))
+        q = np.kron(self.root[:, None] / np.linalg.norm(self.root), np.eye(m))
+        for j in range(steps):
+            lo, hi = j * m, (j + 1) * m
+            basis[:, lo:hi] = q
+            w = self.apply(q)
+            t[lo:hi, lo:hi] = q.T @ w
+            w -= basis[:, max(lo - m, 0) : hi] @ t[max(lo - m, 0) : hi, lo:hi]
+            w -= basis[:, :hi] @ (basis[:, :hi].T @ w)
+            q, beta = np.linalg.qr(w)
+            t[hi : hi + m, lo:hi] = beta
+            t[lo:hi, hi : hi + m] = beta.T
+            # T's eigenpairs every eighth step, on the last, and on a breakdown
+            if (j + 1) % 8 and j + 1 < steps and np.abs(np.diagonal(beta)).min() > 1e-8:
+                continue
+            theta, vecs = np.linalg.eigh(t[:hi, :hi])
+            res = float(np.linalg.norm(beta @ vecs[-m:, -1]))
+            gap = theta[-1] - theta[-2 if hi > 1 else -1]
+            if (res * min(1.0, res / gap) if gap > 0.0 else res) <= 1e-11 * (1.0 - theta[-1]):
+                if theta[-1] <= -min(s_min, 0.0):
+                    return None
+                self.slow = basis[:, :hi] @ vecs[:, -m:]
+                return float(theta[-1])
+        return None
+
+    def closed_form(self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+        """Stacked x of (I - B) x = rhs, rhs of shape (N, M). Writing
+        (D^1/2 kron I) G (a1^T kron I) x = L y turns the system into
+        (I - C) y = b = L^T (D^1/2 a1^T kron I) rhs, and then
+        x = (a2^T D^-1/2 kron I) L y + rhs. I - C is positive definite as
+        rho < 1; CG deflated by the slow Ritz vectors W (Saad, Yeung, Erhel
+        and Guyomarc'h, 2000) solves it, stopping at a residual of 1e-13 |b|
+        or after CG_STEPS iterations. None when the residual recomputed from
+        y then misses 1e-12 |b|."""
+        n, m, _ = self.chol.shape
+        b = self.chol.transpose(0, 2, 1) @ (self.root[:, None] * (a1.T @ rhs))[..., None]
+        b = b.reshape(n * m, 1)
+        w = self.slow
+        aw = w - self.apply(w)
+        coarse = w.T @ aw
+        correct = np.linalg.solve(coarse, aw.T)
+        start = np.linalg.solve(coarse, w.T @ b)
+        y, r = w @ start, b - aw @ start
+        p = r - w @ (correct @ r)
+        rr, stop = float(np.vdot(r, r)), 1e-26 * float(np.vdot(b, b))
+        for _ in range(CG_STEPS):
+            if rr <= stop:
+                break
+            ap = p - self.apply(p)
+            alpha = rr / float(np.vdot(p, ap))
+            y += alpha * p
+            r -= alpha * ap
+            rr, last = float(np.vdot(r, r)), rr
+            p = (rr / last) * p + r - w @ (correct @ r)
+        if not np.linalg.norm(b - y + self.apply(y)) <= 1e-12 * np.linalg.norm(b):
+            return None
+        ly = (self.chol @ y.reshape(n, m, 1))[..., 0]
+        return (a2.T @ (ly / self.root[:, None]) + rhs).ravel()
+
+
 def _spectral_radius(
     scenario: Scenario, mu_max: float
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Spectral radius of B at ``scenario.at_scale(mu_max)``, the gains, and
-    B if it was lifted. The symmetric route (``_symmetric_radius``) lifts
-    nothing; ``eigvals`` on B runs instead when the scenario has no S or a
-    gain block is not positive definite (a step above half of its bound)."""
+) -> tuple[float, np.ndarray, np.ndarray | None, _SlowModes | None]:
+    """Spectral radius of B at ``scenario.at_scale(mu_max)``, the gains, B if
+    it was lifted, and the matrix-free operator if it gave the radius.
+
+    With S and every gain block positive definite, a scenario with
+    ``mixing_min`` (N*M at least MATRIX_FREE_NM) takes rho from
+    ``_SlowModes.radius`` and any other from ``_symmetric_radius``; neither
+    lifts B, and a matrix-free run that fails falls back to the second.
+    ``eigvals`` on B runs instead when the scenario has no S or a gain block
+    is not positive definite (a step above half of its bound)."""
     config = scenario.at_scale(mu_max)
     r = scenario.combined_hessians
     gain = np.eye(r.shape[1])[None, :, :] - config.step_sizes[:, None, None] * r
+    if scenario.mixing_min is not None:
+        try:
+            modes = _SlowModes(gain, scenario.mixing, np.sqrt(config.a2.matrix @ scenario.theta))
+        except np.linalg.LinAlgError:
+            modes = None
+        rho = None if modes is None else modes.radius(scenario.mixing_min)
+        if rho is not None:
+            return rho, gain, None, modes
     rho = None if scenario.mixing is None else _symmetric_radius(gain, scenario.mixing)
     if rho is not None:
-        return rho, gain, None
+        return rho, gain, None, None
     b = lift(config.a1, config.a2, gain)
-    return float(np.abs(np.linalg.eigvals(b)).max()), gain, b
+    return float(np.abs(np.linalg.eigvals(b)).max()), gain, b, None
 
 
 def scale_analysis(scenario: Scenario, mu_max: float) -> tuple[np.ndarray, float]:
     """Closed-form stacked bias (length N*M) and spectral radius of a
     scenario at ``scenario.at_scale(mu_max)``.
 
-    Reads only the scenario's three operands. B is lifted from the gains
-    I - mu_k R_k, and (I - B) x = rhs is solved in B's own storage, with rhs
-    the step sizes and a2 applied to the combined gradients. The radius is
-    as in ``_spectral_radius``; at or above one it raises AssumptionError."""
+    Reads only the scenario's operands. The radius is as in
+    ``_spectral_radius``; at or above one it raises AssumptionError. The
+    system is (I - B) x = rhs, with rhs the step sizes and a2 applied to the
+    combined gradients. Where the radius came from ``_SlowModes``, deflated CG
+    solves it matrix-free; otherwise, or when CG fails, B is lifted from the
+    gains I - mu_k R_k and the system solved densely in B's own storage."""
     config = scenario.at_scale(mu_max)
-    rho, gain, b = _spectral_radius(scenario, mu_max)
+    rho, gain, b, modes = _spectral_radius(scenario, mu_max)
     if rho >= 1.0:
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
             " the recursion has no stable fixed point for the closed form to describe"
         )
+    if modes is not None:
+        rhs = config.a2.matrix.T @ (config.step_sizes[:, None] * scenario.combined_gradients)
+        closed = modes.closed_form(config.a1.matrix, config.a2.matrix, rhs)
+        if closed is not None:
+            return closed, rho
     if b is None:
         b = lift(config.a1, config.a2, gain)
     np.negative(b, out=b)
@@ -338,7 +469,7 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
     value at or above one flags an unstable configuration with a
     RuntimeWarning. The route taken is as in ``scale_analysis``, at the
     config's largest step size; on the symmetric route B is never lifted."""
-    rho, _, _ = _spectral_radius(analyse_scenario(config, ensemble), config.step_sizes.max())
+    rho = _spectral_radius(analyse_scenario(config, ensemble), config.step_sizes.max())[0]
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"

@@ -463,6 +463,117 @@ def test_perron_vector_with_a_zero_entry_falls_back_to_eigvals(eigvals_calls):
     assert rho == pytest.approx(reference, abs=1e-12)
 
 
+# --- the matrix-free route ---------------------------------------------------------
+
+
+@pytest.fixture
+def matrix_free(monkeypatch):
+    """Every reversible scenario analysed from here on takes the matrix-free
+    route. Returns the N*M of each lift and the size of each two-dimensional
+    eigvalsh the package runs."""
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 0)
+    calls = {"lift": [], "eigvalsh": []}
+    lift_, eigvalsh = bias_module.lift, np.linalg.eigvalsh
+
+    def counted_lift(a1, a2, blocks):
+        calls["lift"].append(blocks.shape[0] * blocks.shape[1])
+        return lift_(a1, a2, blocks)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls["eigvalsh"].append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(bias_module, "lift", counted_lift)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return calls
+
+
+def kron_answers(cfg, ens) -> tuple[np.ndarray, float]:
+    """Closed form and spectral radius from the kron-built B."""
+    b, rhs = kron_reference(cfg, ens)
+    return np.linalg.solve(np.eye(len(rhs)) - b, rhs), float(np.abs(np.linalg.eigvals(b)).max())
+
+
+@pytest.mark.parametrize("c_rule", C_RULES)
+@pytest.mark.parametrize("a_rule", A_RULES)
+@pytest.mark.parametrize("strategy", ["atc", "cta"])
+def test_matrix_free_route_matches_the_kron_reference(strategy, a_rule, c_rule, matrix_free):
+    # the cases of test_symmetric_radius_matches_eigvals, forced onto block
+    # Lanczos and deflated CG: no lift and no N*M x N*M eigvalsh runs, rho is
+    # within 1e-9 (1 - rho) and the closed form within 1e-10 relative. The
+    # slow Ritz vectors that deflate CG are orthonormal to working precision,
+    # which takes the full reorthogonalisation: without it they drift to 1e-13
+    config = ExperimentConfig(
+        strategy=strategy,
+        a_rule=a_rule,
+        c_rule=c_rule,
+        step_mode="unequal_uniform_half",
+        mu_max_schedule=(1e-2,),
+    )
+    scenario = build_scenario(config)
+    ens = scenario.ensemble
+    for mu_max in (1e-2, 1e-4, 1e-5):
+        cfg = scenario.at_scale(mu_max)
+        closed, rho = scale_analysis(scenario, mu_max)
+        checked = spectral_check(cfg, ens)
+        expected, reference = kron_answers(cfg, ens)
+        assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+        assert abs(checked - reference) <= 1e-9 * (1.0 - reference)
+        assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+        slow = bias_module._spectral_radius(scenario, mu_max)[3].slow
+        assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
+    assert matrix_free["lift"] == []
+    assert max(matrix_free["eigvalsh"]) == ens.n
+
+
+@pytest.mark.parametrize("cap", ["LANCZOS_STEPS", "CG_STEPS"])
+def test_matrix_free_run_at_its_cap_falls_back_to_the_dense_route(cap, matrix_free, monkeypatch):
+    # one Lanczos step or one CG iteration cannot converge here; the answer is
+    # then the dense route's, and its closed form lifts B once
+    config = ExperimentConfig(
+        strategy="atc",
+        a_rule="metropolis",
+        c_rule="relative_degree",
+        step_mode="unequal_uniform_half",
+        mu_max_schedule=(1e-3,),
+    )
+    scenario = build_scenario(config)
+    dense_closed, dense_rho = scale_analysis(dataclasses.replace(scenario, mixing_min=None), 1e-3)
+    matrix_free["lift"].clear()
+    monkeypatch.setattr(bias_module, cap, 1)
+    closed, rho = scale_analysis(scenario, 1e-3)
+    assert matrix_free["lift"] == [200]
+    assert np.array_equal(closed, dense_closed)
+    assert abs(rho - dense_rho) <= 1e-9 * (1.0 - dense_rho)
+
+
+def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matrix_free):
+    # three nodes mixing on a triangle, so lambda_min(S) = -1/2, each gain
+    # nearly the projector on its own direction, the three 120 degrees apart:
+    # B's eigenvalue largest in modulus is -0.475, while lambda_max(C) is
+    # about 0.32. Lanczos finds the top end only, which cannot be certified
+    # above 1/2, so rho comes from the dense symmetric route
+    mu, costs = 0.1, []
+    for k in range(3):
+        d = np.array([np.cos(2 * np.pi * k / 3), np.sin(2 * np.pi * k / 3)])
+        gain = 0.95 * np.outer(d, d) + 0.05 * (np.eye(2) - np.outer(d, d))
+        lam, vecs = np.linalg.eigh((np.eye(2) - gain) / (2 * mu))
+        costs.append(QuadraticCost(vecs * np.sqrt(lam) @ vecs.T, np.array([1.0 + k, -k])))
+    ens = CostEnsemble(costs=tuple(costs), dim=2)
+    triangle = CombinationMatrix((np.ones((3, 3)) - np.eye(3)) / 2, kind="doubly_stochastic")
+    eye = identity_combination(3)
+    cfg = DiffusionConfig(a1=triangle, a2=eye, c=eye, step_sizes=np.full(3, mu))
+    closed, rho = scale_analysis(analyse_scenario(cfg, ens), mu)
+    eigs = np.linalg.eigvals(kron_reference(cfg, ens)[0])
+    assert eigs[np.argmax(np.abs(eigs))].real == pytest.approx(-0.475, abs=1e-9)
+    assert eigs.real.max() < 0.33
+    expected, reference = kron_answers(cfg, ens)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert matrix_free["eigvalsh"] == [3, 6]
+    assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def test_closed_form_bias_rejects_unstable_steps():
     eye = identity_combination(1)
     cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.array([1.5]))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from diffpareto import bias as bias_module
 from diffpareto import diffusion as diffusion_module
 from diffpareto import experiment as experiment_module
 from diffpareto.cli import cli_main
@@ -260,6 +261,43 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     assert radius_eigs == [(24, 24)] * 4
     assert sorted(scenario_calls) == ["perron_theta"] * 2 + ["stacked_gradient"] * 2
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
+
+
+def test_sweep_above_the_crossover_forms_no_n_m_square_matrix(monkeypatch):
+    # the counterpart at N*M = MATRIX_FREE_NM: a scenario adds one N x N
+    # eigvalsh, lambda_min of S, and a scale runs no N*M x N*M eigvalsh and
+    # lifts nothing, as block Lanczos and deflated CG answer it matrix-free
+    experiment_module._scenario_inputs.cache_clear()
+    config = small_config(n_nodes=100, dim=4, rows=6)
+    assert config.n_nodes * config.dim == bias_module.MATRIX_FREE_NM
+    operators, hessian_eigs, radius_eigs, lifts = [], [], [], []
+    init = diffusion_module._StepOperator.__init__
+
+    def counted_init(self, *args, **kwargs):
+        operators.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion_module._StepOperator, "__init__", counted_init)
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        (hessian_eigs if np.ndim(a) == 3 else radius_eigs).append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    count_calls(monkeypatch, "lift", lifts)
+    rows = run_sweep(config)
+    assert len(rows) == 2 and all(row.converged for row in rows)
+    assert len(operators) == 2
+    assert hessian_eigs == [(100, 4, 4)]
+    assert radius_eigs == [(100, 100)]
+
+    rows = run_sweep(dataclasses.replace(config, a_rule="averaging"))
+    assert len(rows) == 2 and all(row.converged for row in rows)
+    assert len(operators) == 4
+    assert hessian_eigs == [(100, 4, 4)]
+    assert radius_eigs == [(100, 100)] * 2
+    assert lifts == []
 
 
 # --- the memo of network and data ----------------------------------------------
@@ -573,6 +611,33 @@ def test_cli_check_and_sweep_reject_the_same_node_beyond_its_step_bound(tmp_path
     assert captured.err.startswith("error: step size 0.5 at node 8 ")
     assert cli_main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: step size 0.5 at node 8 ")
+
+
+def test_cli_check_at_a_thousand_nodes_forms_no_n_m_square_matrix(tmp_path, monkeypatch, capsys):
+    # N*M = 4000: dense, B and C would take 128 MB each; the matrix-free route
+    # lifts nothing and hands no dense routine an array as wide as N*M
+    lifts, shapes = [], []
+    count_calls(monkeypatch, "lift", lifts)
+    for name in ("eigvalsh", "eigvals", "solve"):
+
+        def counted(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    config = write_config(
+        tmp_path,
+        step_mode="unequal_uniform_half",
+        mu_max_schedule=[1e-3],
+        n_nodes=1000,
+        dim=4,
+        rows=6,
+    )
+    assert cli_main(["check", "--config", str(config)]) == 0
+    assert "Error-propagation spectral radius at mu_max=0.001: 0.99" in capsys.readouterr().out
+    assert lifts == []
+    assert (1000, 1000) in shapes
+    assert max(max(shape) for shape in shapes) < 4000
 
 
 def test_cli_check_honours_identical_costs_flag(tmp_path, capsys):

@@ -9,13 +9,14 @@ import math
 
 import numpy as np
 import pytest
-from kron_reference import reference_radius
+from kron_reference import kron_reference, reference_radius
 from plain_loop import assert_bit_identical, plain_fixed_point
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from diffpareto import bias as bias_module  # noqa: E402
 from diffpareto.bias import (  # noqa: E402
     GAP_FACTOR,
     analyse_scenario,
@@ -88,6 +89,27 @@ def test_spectral_radius_matches_kron_reference(case, fraction):
     reference = reference_radius(scaled, ensemble)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert spectral_check(scaled, ensemble) == rho
+
+
+@given(scenarios(), st.floats(0.01, 0.45))
+def test_matrix_free_route_matches_kron_reference(case, fraction):
+    # forced onto block Lanczos and deflated CG; below half the bound every
+    # gain is positive definite, and a run that cannot converge or certify
+    # its radius falls back to the dense route, so both bounds always hold.
+    # A bias that is zero in exact arithmetic (c averaging over a complete
+    # graph) is rounding noise on both routes, hence the absolute floor
+    config, ensemble = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bias_module, "MATRIX_FREE_NM", 0)
+        scenario = analyse_scenario(config, ensemble)
+        scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
+        closed, rho = scale_analysis(scenario, scaled.step_sizes.max())
+    b, rhs = kron_reference(scaled, ensemble)
+    expected = np.linalg.solve(np.eye(len(rhs)) - b, rhs)
+    reference = reference_radius(scaled, ensemble)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    floor = 1e-14 * (1.0 + np.linalg.norm(scenario.w_star))
+    assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected) + floor
 
 
 @given(scenarios(), st.floats(0.1, 0.3))
