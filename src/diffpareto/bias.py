@@ -5,15 +5,15 @@ node's fixed point):
 
 * the exact closed form at finite step sizes, obtained by solving one
   linear system whose operator is the identity minus the error
-  propagation matrix of the recursion;
+  propagation matrix B of the recursion;
 * the small-step-size limit, which depends only on the shape of the step
   sizes (not their scale) and is the same vector at every node.
 
-The error propagation matrix B, the linear part of the diffusion step,
-is the gains lifted to N*M x N*M by ``diffusion.lift``. The limit is
-built from the Perron vector of the composite combination matrix: node
-weights z (normalized step sizes applied to a2 theta), the weighted
-aggregate Hessian and gradient at the optimum, and one small solve.
+B, the linear part of the diffusion step, is the gains lifted to
+N*M x N*M by ``diffusion.lift``. The limit is built from the Perron
+vector of the composite combination matrix: node weights z (normalized
+step sizes applied to a2 theta), the weighted aggregate Hessian and
+gradient at the optimum, and one small solve.
 
 Everything that does not depend on the step scale is analysed once per
 scenario: the optimum, the Perron vector, the limit, the Assumption 1 and
@@ -24,19 +24,21 @@ the gains I - mu_k R_k of ``scenario.at_scale(mu_max)``, the spectral
 radius of B and the closed form, and ``analyse_scale`` compares that with
 the recursion.
 
-The radius and closed form take one of three routes:
+The radius and closed form come from one operator per step scale. When
+the composite mixing matrix is reversible and every gain block
+I - mu_k R_k is positive definite, that is ``_SlowModes``: a symmetric
+matrix C with the spectrum of B, which the closed form is solved through.
 
-* matrix-free, at N*M of MATRIX_FREE_NM (400) and above, when the
-  composite mixing matrix is reversible and every gain block
-  I - mu_k R_k is positive definite: block Lanczos for the radius and
-  deflated CG for the closed form, both on a symmetric matrix C with the
-  spectrum of B, applied blockwise and never formed (``_SlowModes``);
-* dense symmetric, under the same conditions below the crossover, or as
-  the fallback when Lanczos or CG has not converged within its cap: one
-  ``eigvalsh`` of C (``_symmetric_radius``) and B lifted once and solved;
-* ``numpy.linalg.eigvals`` on B itself otherwise, with the same solve.
+* At N*M of MATRIX_FREE_NM (400) and above, C is applied blockwise and
+  never formed: block Lanczos gives the radius and deflated CG the
+  closed form;
+* below the crossover, or as the fallback when Lanczos or CG has not
+  converged within its cap, C is formed once: one ``eigvalsh`` gives the
+  radius and one dense solve the closed form.
 
-The conditions hold for the built-in rules below half of each step bound.
+Otherwise B is lifted once, ``numpy.linalg.eigvals`` gives the radius and
+one dense solve the closed form. The conditions for C hold for the
+built-in rules below half of each step bound.
 
 The functions of a bare config analyse it as a scenario and take that
 path at its largest step size. The module also exposes the supporting
@@ -269,33 +271,16 @@ def _reversible_mixing(config: DiffusionConfig, theta: np.ndarray) -> np.ndarray
     return 0.5 * (s + s.T)
 
 
-def _symmetric_radius(gain: np.ndarray, s: np.ndarray) -> float | None:
-    """Spectral radius of B from one symmetric eigenvalue computation.
-
-    B = (a2^T kron I) G (a1^T kron I), with G the block diagonal of the
-    gains, has the spectrum of G (P^T kron I) (cyclic permutation), which
-    is similar to G (S kron I) because D kron I commutes with G. With
-    G = L L^T blockwise, that is similar to C = L^T (S kron I) L, whose
-    block (k, l) is S[k, l] L_k^T L_l. None when a gain block is not
-    positive definite."""
-    try:
-        chol = np.linalg.cholesky(gain)
-    except np.linalg.LinAlgError:
-        return None
-    n, m, _ = gain.shape
-    left = chol.transpose(0, 2, 1).reshape(n * m, m)
-    right = chol.transpose(1, 0, 2).reshape(m, n * m)
-    c = (left @ right).reshape(n, m, n, m)
-    c *= s[:, None, :, None]
-    eigs = np.linalg.eigvalsh(c.reshape(n * m, n * m))
-    return float(max(-eigs[0], eigs[-1]))
-
-
 class _SlowModes:
-    """C = L^T (S kron I) L of ``_symmetric_radius`` at one step scale, applied
-    blockwise (L, then S on the node axis, then L^T: O(N^2 M + N M^2) a
-    product) and never formed, with its M slow Ritz vectors once ``radius``
-    has converged. ``root`` is sqrt(pi), the Perron vector of S."""
+    """C = L^T (S kron I) L at one step scale, a symmetric matrix with the
+    spectrum of B. B = (a2^T kron I) G (a1^T kron I), with G the block diagonal
+    of the gains, has the spectrum of G (P^T kron I) (cyclic permutation), which
+    is similar to G (S kron I) because D kron I commutes with G; with G = L L^T
+    blockwise, that is similar to C, whose block (k, l) is S[k, l] L_k^T L_l.
+    ``apply`` takes C blockwise (L, then S on the node axis, then L^T:
+    O(N^2 M + N M^2) a product) and ``form`` builds it as one N*M x N*M array.
+    ``slow`` holds the M slow Ritz vectors once ``radius`` has converged.
+    ``root`` is sqrt(pi), the Perron vector of S."""
 
     def __init__(self, gain: np.ndarray, s: np.ndarray, root: np.ndarray):
         # raises LinAlgError when a gain block is not positive definite
@@ -307,6 +292,14 @@ class _SlowModes:
         u = self.chol @ y.reshape(n, m, -1)
         v = (self.s @ u.reshape(n, -1)).reshape(u.shape)
         return (self.chol.transpose(0, 2, 1) @ v).reshape(y.shape)
+
+    def form(self) -> np.ndarray:
+        n, m, _ = self.chol.shape
+        left = self.chol.transpose(0, 2, 1).reshape(n * m, m)
+        right = self.chol.transpose(1, 0, 2).reshape(m, n * m)
+        c = (left @ right).reshape(n, m, n, m)
+        c *= self.s[:, None, :, None]
+        return c.reshape(n * m, n * m)
 
     def radius(self, s_min: float) -> float | None:
         """lambda_max(C) by block Lanczos from sqrt(pi) kron I_M, with full
@@ -343,18 +336,30 @@ class _SlowModes:
                 return float(theta[-1])
         return None
 
-    def closed_form(self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-        """Stacked x of (I - B) x = rhs, rhs of shape (N, M). Writing
+    def closed_form(
+        self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray, c: np.ndarray | None
+    ) -> np.ndarray:
+        """Stacked x of (I - B) x = rhs, rhs of shape (N, M), with ``c`` the
+        formed C if there is one; it is overwritten. Writing
         (D^1/2 kron I) G (a1^T kron I) x = L y turns the system into
         (I - C) y = b = L^T (D^1/2 a1^T kron I) rhs, and then
         x = (a2^T D^-1/2 kron I) L y + rhs. I - C is positive definite as
-        rho < 1; CG deflated by the slow Ritz vectors W (Saad, Yeung, Erhel
-        and Guyomarc'h, 2000) solves it, stopping at a residual of 1e-13 |b|
-        or after CG_STEPS iterations. None when the residual recomputed from
-        y then misses 1e-12 |b|."""
+        rho < 1. With slow Ritz vectors, ``_deflated_cg`` solves it; without
+        them, or when CG fails, one dense solve in C's storage does."""
         n, m, _ = self.chol.shape
         b = self.chol.transpose(0, 2, 1) @ (self.root[:, None] * (a1.T @ rhs))[..., None]
         b = b.reshape(n * m, 1)
+        y = None if self.slow is None else self._deflated_cg(b)
+        if y is None:
+            y = _solve_identity_minus(self.form() if c is None else c, b)
+        ly = (self.chol @ y.reshape(n, m, 1))[..., 0]
+        return (a2.T @ (ly / self.root[:, None]) + rhs).ravel()
+
+    def _deflated_cg(self, b: np.ndarray) -> np.ndarray | None:
+        """y of (I - C) y = b by CG deflated by the slow Ritz vectors W (Saad,
+        Yeung, Erhel and Guyomarc'h, 2000), stopping at a residual of 1e-13 |b|
+        or after CG_STEPS iterations. None when the residual recomputed from y
+        then misses 1e-12 |b|."""
         w = self.slow
         aw = w - self.apply(w)
         coarse = w.T @ aw
@@ -374,38 +379,45 @@ class _SlowModes:
             p = (rr / last) * p + r - w @ (correct @ r)
         if not np.linalg.norm(b - y + self.apply(y)) <= 1e-12 * np.linalg.norm(b):
             return None
-        ly = (self.chol @ y.reshape(n, m, 1))[..., 0]
-        return (a2.T @ (ly / self.root[:, None]) + rhs).ravel()
+        return y
+
+
+def _solve_identity_minus(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x of (I - a) x = rhs by one dense solve in a's own storage."""
+    np.negative(a, out=a)
+    a.flat[:: a.shape[0] + 1] += 1.0
+    return np.linalg.solve(a, rhs)
 
 
 def _spectral_radius(
     scenario: Scenario, mu_max: float
-) -> tuple[float, np.ndarray, np.ndarray | None, _SlowModes | None]:
-    """Spectral radius of B at ``scenario.at_scale(mu_max)``, the gains, B if
-    it was lifted, and the matrix-free operator if it gave the radius.
+) -> tuple[float, np.ndarray | None, _SlowModes | None]:
+    """Spectral radius of B at ``scenario.at_scale(mu_max)``, the N*M x N*M
+    matrix formed for it (C, B or none), and the ``_SlowModes`` of C if C exists.
 
-    With S and every gain block positive definite, a scenario with
-    ``mixing_min`` (N*M at least MATRIX_FREE_NM) takes rho from
-    ``_SlowModes.radius`` and any other from ``_symmetric_radius``; neither
-    lifts B, and a matrix-free run that fails falls back to the second.
-    ``eigvals`` on B runs instead when the scenario has no S or a gain block
-    is not positive definite (a step above half of its bound)."""
+    C exists when the scenario has S and every gain block is positive definite.
+    A scenario with ``mixing_min`` (N*M at least MATRIX_FREE_NM) then takes rho
+    from ``_SlowModes.radius``; any other, or one whose Lanczos run fails, from
+    one ``eigvalsh`` of the formed C. Without C, B is lifted and ``eigvals``
+    runs on it (no S, or a step above half of its bound)."""
     config = scenario.at_scale(mu_max)
     r = scenario.combined_hessians
     gain = np.eye(r.shape[1])[None, :, :] - config.step_sizes[:, None, None] * r
-    if scenario.mixing_min is not None:
+    modes = None
+    if scenario.mixing is not None:
         try:
             modes = _SlowModes(gain, scenario.mixing, np.sqrt(config.a2.matrix @ scenario.theta))
         except np.linalg.LinAlgError:
-            modes = None
-        rho = None if modes is None else modes.radius(scenario.mixing_min)
-        if rho is not None:
-            return rho, gain, None, modes
-    rho = None if scenario.mixing is None else _symmetric_radius(gain, scenario.mixing)
+            pass
+    if modes is None:
+        b = lift(config.a1, config.a2, gain)
+        return float(np.abs(np.linalg.eigvals(b)).max()), b, None
+    rho = None if scenario.mixing_min is None else modes.radius(scenario.mixing_min)
     if rho is not None:
-        return rho, gain, None, None
-    b = lift(config.a1, config.a2, gain)
-    return float(np.abs(np.linalg.eigvals(b)).max()), gain, b, None
+        return rho, None, modes
+    c = modes.form()
+    eigs = np.linalg.eigvalsh(c)
+    return float(max(-eigs[0], eigs[-1])), c, modes
 
 
 def scale_analysis(scenario: Scenario, mu_max: float) -> tuple[np.ndarray, float]:
@@ -415,28 +427,19 @@ def scale_analysis(scenario: Scenario, mu_max: float) -> tuple[np.ndarray, float
     Reads only the scenario's operands. The radius is as in
     ``_spectral_radius``; at or above one it raises AssumptionError. The
     system is (I - B) x = rhs, with rhs the step sizes and a2 applied to the
-    combined gradients. Where the radius came from ``_SlowModes``, deflated CG
-    solves it matrix-free; otherwise, or when CG fails, B is lifted from the
-    gains I - mu_k R_k and the system solved densely in B's own storage."""
+    combined gradients. Where C exists, ``_SlowModes.closed_form`` solves it
+    through C; otherwise it is solved densely in the lifted B's own storage."""
     config = scenario.at_scale(mu_max)
-    rho, gain, b, modes = _spectral_radius(scenario, mu_max)
+    rho, formed, modes = _spectral_radius(scenario, mu_max)
     if rho >= 1.0:
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
             " the recursion has no stable fixed point for the closed form to describe"
         )
+    rhs = config.a2.matrix.T @ (config.step_sizes[:, None] * scenario.combined_gradients)
     if modes is not None:
-        rhs = config.a2.matrix.T @ (config.step_sizes[:, None] * scenario.combined_gradients)
-        closed = modes.closed_form(config.a1.matrix, config.a2.matrix, rhs)
-        if closed is not None:
-            return closed, rho
-    if b is None:
-        b = lift(config.a1, config.a2, gain)
-    np.negative(b, out=b)
-    b.flat[:: b.shape[0] + 1] += 1.0
-    mu = config.step_sizes[:, None]
-    rhs = (config.a2.matrix.T @ (mu * scenario.combined_gradients)).ravel()
-    return np.linalg.solve(b, rhs), rho
+        return modes.closed_form(config.a1.matrix, config.a2.matrix, rhs, formed), rho
+    return _solve_identity_minus(formed, rhs.ravel()), rho
 
 
 def analyse_scale(
@@ -468,7 +471,7 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
     Below one whenever the curvature and step-size conditions hold; a
     value at or above one flags an unstable configuration with a
     RuntimeWarning. The route taken is as in ``scale_analysis``, at the
-    config's largest step size; on the symmetric route B is never lifted."""
+    config's largest step size; where C exists B is never lifted."""
     rho = _spectral_radius(analyse_scenario(config, ensemble), config.step_sizes.max())[0]
     if rho >= 1.0:
         warnings.warn(

@@ -128,21 +128,11 @@ def _mixing_transpose(a: CombinationMatrix) -> np.ndarray | None:
 
 def lift(a1: CombinationMatrix, a2: CombinationMatrix, blocks: np.ndarray) -> np.ndarray:
     """The N*M x N*M matrix (a2^T kron I) blockdiag(blocks) (a1^T kron I), B itself
-    when the blocks are the gains. With a1 = I, block (k, l) is a2[l, k] * blocks[l],
-    written straight into one C-ordered array with no N*M x N*M temporary; adding 0.0
-    clears negative zeros, whose sign eigvals' reflections would see. Otherwise block
-    (k, l) is a1[l, k] * blocks[k], then mixed by a2^T in one product unless a2 = I."""
+    when the blocks are the gains: a2^T times the matrix whose block (k, l) is
+    a1[l, k] * blocks[k]."""
     n, m, _ = blocks.shape
-    a1t = _mixing_transpose(a1)
-    if a1t is None:
-        out = np.multiply(a2.matrix.T[:, None, :, None], blocks.transpose(1, 0, 2), order="C")
-        out += 0.0
-    else:
-        out = blocks[:, :, None, :] * a1t[:, None, :, None]
-        a2t = _mixing_transpose(a2)
-        if a2t is not None:
-            out = a2t @ out.reshape(n, -1)
-    return out.reshape(n * m, n * m)
+    inner = blocks[:, :, None, :] * a1.matrix.T[:, None, :, None]
+    return (a2.matrix.T @ inner.reshape(n, -1)).reshape(n * m, n * m)
 
 
 class _StepOperator:

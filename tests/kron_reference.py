@@ -28,3 +28,9 @@ def kron_reference(cfg, ens) -> tuple[np.ndarray, np.ndarray]:
 def reference_radius(cfg, ens) -> float:
     """The largest |eigvals| of the reference B."""
     return float(np.abs(eigvals(kron_reference(cfg, ens)[0])).max())
+
+
+def reference_answers(cfg, ens) -> tuple[np.ndarray, float]:
+    """The closed form and the largest |eigvals| of the reference B."""
+    b, rhs = kron_reference(cfg, ens)
+    return np.linalg.solve(np.eye(len(rhs)) - b, rhs), float(np.abs(eigvals(b)).max())

@@ -1,9 +1,10 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
-from kron_reference import kron_reference, reference_radius
+from kron_reference import kron_reference, reference_answers, reference_radius
 
 from diffpareto import bias as bias_module
 from diffpareto.bias import (
@@ -351,32 +352,6 @@ def eigvals_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("c_rule", C_RULES)
-@pytest.mark.parametrize("a_rule", A_RULES)
-@pytest.mark.parametrize("strategy", ["atc", "cta"])
-def test_symmetric_radius_matches_eigvals(strategy, a_rule, c_rule, eigvals_calls):
-    # every built-in rule is reversible under ATC and CTA, so no eigvals
-    # runs, and rho stays within 1e-9 (1 - rho) of the reference even where
-    # the spectrum clusters just below one
-    config = ExperimentConfig(
-        strategy=strategy,
-        a_rule=a_rule,
-        c_rule=c_rule,
-        step_mode="unequal_uniform_half",
-        mu_max_schedule=(1e-2,),
-    )
-    scenario = build_scenario(config)
-    ens = scenario.ensemble
-    for mu_max in (1e-2, 1e-4, 1e-5):
-        cfg = scenario.at_scale(mu_max)
-        _, rho = scale_analysis(scenario, mu_max)
-        checked = spectral_check(cfg, ens)
-        assert eigvals_calls == []
-        reference = reference_radius(cfg, ens)
-        assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
-        assert abs(checked - reference) <= 1e-9 * (1.0 - reference)
-
-
 def test_non_reversible_mixing_falls_back_to_eigvals(eigvals_calls):
     # two non-identity factors, Metropolis then averaging: P = a2 a1 is
     # not reversible, P diag(pi) is asymmetric at a tenth of its largest entry
@@ -467,11 +442,9 @@ def test_perron_vector_with_a_zero_entry_falls_back_to_eigvals(eigvals_calls):
 
 
 @pytest.fixture
-def matrix_free(monkeypatch):
-    """Every reversible scenario analysed from here on takes the matrix-free
-    route. Returns the N*M of each lift and the size of each two-dimensional
-    eigvalsh the package runs."""
-    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 0)
+def counts(monkeypatch):
+    """The N*M of each lift and the size of each two-dimensional eigvalsh the
+    package runs from here on."""
     calls = {"lift": [], "eigvalsh": []}
     lift_, eigvalsh = bias_module.lift, np.linalg.eigvalsh
 
@@ -489,61 +462,101 @@ def matrix_free(monkeypatch):
     return calls
 
 
-def kron_answers(cfg, ens) -> tuple[np.ndarray, float]:
-    """Closed form and spectral radius from the kron-built B."""
-    b, rhs = kron_reference(cfg, ens)
-    return np.linalg.solve(np.eye(len(rhs)) - b, rhs), float(np.abs(np.linalg.eigvals(b)).max())
+@pytest.fixture
+def matrix_free(monkeypatch, counts):
+    """``counts``, with every reversible scenario analysed from here on taking
+    the matrix-free route."""
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 0)
+    return counts
 
 
-@pytest.mark.parametrize("c_rule", C_RULES)
-@pytest.mark.parametrize("a_rule", A_RULES)
-@pytest.mark.parametrize("strategy", ["atc", "cta"])
-def test_matrix_free_route_matches_the_kron_reference(strategy, a_rule, c_rule, matrix_free):
-    # the cases of test_symmetric_radius_matches_eigvals, forced onto block
-    # Lanczos and deflated CG: no lift and no N*M x N*M eigvalsh runs, rho is
-    # within 1e-9 (1 - rho) and the closed form within 1e-10 relative. The
-    # slow Ritz vectors that deflate CG are orthonormal to working precision,
-    # which takes the full reorthogonalisation: without it they drift to 1e-13
-    config = ExperimentConfig(
+RULE_SCALES = (1e-2, 1e-4, 1e-5)
+
+
+def rule_case(strategy: str, a_rule: str, c_rule: str) -> ExperimentConfig:
+    return ExperimentConfig(
         strategy=strategy,
         a_rule=a_rule,
         c_rule=c_rule,
         step_mode="unequal_uniform_half",
         mu_max_schedule=(1e-2,),
     )
-    scenario = build_scenario(config)
+
+
+@functools.cache
+def rule_case_answers(strategy: str, a_rule: str, c_rule: str, mu_max: float):
+    """``reference_answers`` of a rule case at one scale, built once for both
+    routes."""
+    scenario = build_scenario(rule_case(strategy, a_rule, c_rule))
+    return reference_answers(scenario.at_scale(mu_max), scenario.ensemble)
+
+
+def rule_cases(test):
+    """Parametrize a test over the 18 ATC/CTA x rule cases of ``rule_case``."""
+    for name, values in (("strategy", ["atc", "cta"]), ("a_rule", A_RULES), ("c_rule", C_RULES)):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+def check_symmetric_route(route, strategy, a_rule, c_rule, counts, eigvals_calls) -> None:
+    """Every built-in rule is reversible under ATC and CTA, so neither route
+    runs eigvals or lifts B. rho stays within 1e-9 (1 - rho) of the reference
+    even where the spectrum clusters just below one, and the closed form within
+    1e-10 relative. On block Lanczos and deflated CG, no N*M x N*M eigvalsh runs
+    either, and the slow Ritz vectors that deflate CG are orthonormal to working
+    precision, which takes the full reorthogonalisation: without it they drift
+    to 1e-13."""
+    scenario = build_scenario(rule_case(strategy, a_rule, c_rule))
     ens = scenario.ensemble
-    for mu_max in (1e-2, 1e-4, 1e-5):
+    for mu_max in RULE_SCALES:
         cfg = scenario.at_scale(mu_max)
         closed, rho = scale_analysis(scenario, mu_max)
         checked = spectral_check(cfg, ens)
-        expected, reference = kron_answers(cfg, ens)
+        expected, reference = rule_case_answers(strategy, a_rule, c_rule, mu_max)
         assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
         assert abs(checked - reference) <= 1e-9 * (1.0 - reference)
         assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
-        slow = bias_module._spectral_radius(scenario, mu_max)[3].slow
-        assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
-    assert matrix_free["lift"] == []
-    assert max(matrix_free["eigvalsh"]) == ens.n
+        if route == "matrix_free":
+            slow = bias_module._spectral_radius(scenario, mu_max)[2].slow
+            assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
+    assert eigvals_calls == []
+    assert counts["lift"] == []
+    if route == "matrix_free":
+        assert max(counts["eigvalsh"]) == ens.n
+
+
+@rule_cases
+def test_symmetric_radius_matches_eigvals(strategy, a_rule, c_rule, counts, eigvals_calls):
+    # below the crossover: the dense route
+    check_symmetric_route("dense", strategy, a_rule, c_rule, counts, eigvals_calls)
+
+
+@rule_cases
+def test_matrix_free_route_matches_the_kron_reference(
+    strategy, a_rule, c_rule, matrix_free, eigvals_calls
+):
+    # the same cases forced onto block Lanczos and deflated CG
+    check_symmetric_route("matrix_free", strategy, a_rule, c_rule, matrix_free, eigvals_calls)
 
 
 @pytest.mark.parametrize("cap", ["LANCZOS_STEPS", "CG_STEPS"])
 def test_matrix_free_run_at_its_cap_falls_back_to_the_dense_route(cap, matrix_free, monkeypatch):
     # one Lanczos step or one CG iteration cannot converge here; the answer is
-    # then the dense route's, and its closed form lifts B once
-    config = ExperimentConfig(
-        strategy="atc",
-        a_rule="metropolis",
-        c_rule="relative_degree",
-        step_mode="unequal_uniform_half",
-        mu_max_schedule=(1e-3,),
-    )
-    scenario = build_scenario(config)
+    # then the dense route's, from C formed once, and B is never lifted
+    scenario = build_scenario(rule_case("atc", "metropolis", "relative_degree"))
     dense_closed, dense_rho = scale_analysis(dataclasses.replace(scenario, mixing_min=None), 1e-3)
-    matrix_free["lift"].clear()
+    formed, form = [], bias_module._SlowModes.form
+
+    def counted_form(modes):
+        c = form(modes)
+        formed.append(c.shape)
+        return c
+
+    monkeypatch.setattr(bias_module._SlowModes, "form", counted_form)
     monkeypatch.setattr(bias_module, cap, 1)
     closed, rho = scale_analysis(scenario, 1e-3)
-    assert matrix_free["lift"] == [200]
+    assert matrix_free["lift"] == []
+    assert formed == [(200, 200)]
     assert np.array_equal(closed, dense_closed)
     assert abs(rho - dense_rho) <= 1e-9 * (1.0 - dense_rho)
 
@@ -568,7 +581,7 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     eigs = np.linalg.eigvals(kron_reference(cfg, ens)[0])
     assert eigs[np.argmax(np.abs(eigs))].real == pytest.approx(-0.475, abs=1e-9)
     assert eigs.real.max() < 0.33
-    expected, reference = kron_answers(cfg, ens)
+    expected, reference = reference_answers(cfg, ens)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert matrix_free["eigvalsh"] == [3, 6]
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)

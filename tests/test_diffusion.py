@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +13,6 @@ from diffpareto.diffusion import (
     _StepOperator,
     atc_config,
     cta_config,
-    lift,
     run_to_fixed_point,
     validate_step_condition,
 )
@@ -149,23 +147,6 @@ def test_step_against_literal_recursion(kind):
     )
     expected = np.array([sum(a2.matrix[l, k] * psi[l] for l in range(5)) for k in range(5)])
     assert np.abs(first_iterate(cfg, ens, w) - expected).max() <= 1e-12
-
-
-def test_adapt_then_combine_lift_holds_one_matrix():
-    # a second N*M x N*M array beside B leaves a hole that the closed form's
-    # slightly larger LAPACK buffer cannot reuse, so peak memory would then
-    # depend on heap fragmentation
-    topo = generate_topology(100, 3.0, seed=2)
-    blocks = np.eye(4) - 0.01 * sample_ensemble(100, 4, 6, data_seed=2).hessians
-    size = (100 * 4) ** 2 * 8
-    tracemalloc.start()
-    try:
-        b = lift(identity_combination(100), build_A(topo, "metropolis"), blocks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert b.shape == (400, 400) and b.flags.c_contiguous
-    assert peak < 1.5 * size
 
 
 # --- fixed points -------------------------------------------------------------
