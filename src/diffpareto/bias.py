@@ -18,11 +18,10 @@ gradient at the optimum, and one small solve.
 Everything that does not depend on the step scale is analysed once per
 scenario: the optimum, the Perron vector, the limit, the Assumption 1 and
 3 verdicts, the step-size margins, and the c-combined Hessians R and
-gradients and the symmetrised mixing S, with lambda_min(S) at N*M of
-MATRIX_FREE_NM and above. ``scale_analysis(scenario, mu_max)`` then forms
-the gains I - mu_k R_k of ``scenario.at_scale(mu_max)``, the spectral
-radius of B and the closed form, and ``analyse_scale`` compares that with
-the recursion.
+gradients and the symmetrised mixing S. ``scale_analysis(scenario, mu_max)``
+then forms the gains I - mu_k R_k of ``scenario.at_scale(mu_max)``, the
+spectral radius of B and the closed form, and ``analyse_scale`` compares
+that with the recursion.
 
 The radius and closed form come from one operator per step scale. When
 the composite mixing matrix is reversible and every gain block
@@ -31,7 +30,7 @@ matrix C with the spectrum of B, which the closed form is solved through.
 
 * At N*M of MATRIX_FREE_NM (400) and above, C is applied blockwise and
   never formed: block Lanczos gives the radius and deflated CG the
-  closed form;
+  closed form, with lambda_min(S) taken once per scenario;
 * below the crossover, or as the fallback when Lanczos or CG has not
   converged within its cap, C is formed once: one ``eigvalsh`` gives the
   radius and one dense solve the closed form.
@@ -41,15 +40,18 @@ one dense solve the closed form. The conditions for C hold for the
 built-in rules below half of each step bound.
 
 The functions of a bare config analyse it as a scenario and take that
-path at its largest step size. The module also exposes the supporting
-operators (mixing gap, scaled curvature, the rank-M resolvent limit) so
-their defining identities can be verified numerically.
+path at its largest step size, where ``at_scale`` gives back the config
+itself. The module also exposes the supporting operators (mixing gap,
+scaled curvature, the rank-M resolvent limit) so their defining
+identities can be verified numerically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,19 +136,19 @@ class LimitOperators:
 class Scenario:
     """Everything about a scenario that does not depend on the step scale.
 
-    ``shape`` is the diffusion config at the normalized step shape (largest
-    step one); ``node_weights`` are z, the shape applied to a2 @ theta, and
-    ``agg_hessian`` is the Hessian sum weighted by their c-combination;
-    ``margins`` are the per-node step bounds over the shape, so
-    ``margins[tightest]`` is the largest usable mu_max. ``topology`` is set
-    when the scenario was generated from one. ``combined_hessians`` R and
-    ``combined_gradients`` (at w_star) are c-combined per node, and
-    ``mixing`` is S, the symmetrised P = a2 a1, None when P is not
-    reversible: every step scale is formed from these three. ``mixing_min``
-    is lambda_min(S), set when N*M is at least MATRIX_FREE_NM. The fields
-    from ``theta`` on are None when a1 a2 is not primitive (Assumption 2)."""
+    ``config`` is the diffusion config the scenario was built from; its
+    normalized step shape (largest step one) applied to a2 @ theta gives
+    ``node_weights`` z, and ``agg_hessian`` is the Hessian sum weighted by
+    their c-combination; ``margins`` are the per-node step bounds over the
+    shape, so ``margins[tightest]`` is the largest usable mu_max.
+    ``topology`` is set when the scenario was generated from one.
+    ``combined_hessians`` R and ``combined_gradients`` (at w_star) are
+    c-combined per node, and ``mixing`` is S, the symmetrised P = a2 a1,
+    None when P is not reversible: every step scale is formed from these
+    three. The fields from ``theta`` on are None when a1 a2 is not
+    primitive (Assumption 2)."""
 
-    shape: DiffusionConfig
+    config: DiffusionConfig
     ensemble: CostEnsemble
     w_star: np.ndarray
     assumption1: Assumption1Report
@@ -161,17 +163,24 @@ class Scenario:
     limit_bias: np.ndarray | None = None
     assumption3: Assumption3Report | None = None
     mixing: np.ndarray | None = None
-    mixing_min: float | None = None
 
     def at_scale(self, mu_max: float) -> DiffusionConfig:
-        return self.shape.with_step_sizes(mu_max * self.shape.step_sizes)
+        """The config with its steps scaled to a largest step of mu_max;
+        the config itself at its own largest step."""
+        steps = self.config.step_sizes
+        return self.config.with_step_sizes(steps * (mu_max / steps.max()))
+
+    @functools.cached_property
+    def mixing_min(self) -> float:
+        """lambda_min(S), taken when a step scale first runs matrix-free."""
+        return float(np.linalg.eigvalsh(self.mixing)[0])
 
     def limit_floor(self) -> float:
         """Rounding floor of ``|limit_bias|``: N eps |Hbar^-1|_2 sum_l |weights_l| s_l,
         weights = c z and s_l = |g_l(w*)| + |H_l|_2 |w*|, g_l node l's gradient at
         w_star; the second term is the rounding of w* that every g_l inherits. It is
         the sum's error carried through the solve."""
-        weights = self.shape.c.matrix @ self.node_weights
+        weights = self.config.c.matrix @ self.node_weights
         ens = self.ensemble
         grads = np.linalg.norm(ens.hessians @ self.w_star - ens.offsets, axis=1)
         sizes = grads + np.linalg.norm(ens.hessians, 2, axis=(1, 2)) * np.linalg.norm(self.w_star)
@@ -222,7 +231,7 @@ def analyse_scenario(
     report1 = check_assumption1(config.c, ensemble)
     margins = report1.step_bounds / omega0
     scale_free = dict(
-        shape=config.with_step_sizes(omega0),
+        config=config,
         ensemble=ensemble,
         w_star=w_star,
         assumption1=report1,
@@ -239,8 +248,6 @@ def analyse_scenario(
     z = omega0 * (config.a2.matrix @ theta)
     weights = config.c.matrix @ z
     hbar = np.einsum("l,lij->ij", weights, ensemble.hessians)
-    mixing = _reversible_mixing(config, theta)
-    large = mixing is not None and ensemble.n * ensemble.dim >= MATRIX_FREE_NM
     return Scenario(
         **scale_free,
         theta=theta,
@@ -250,8 +257,7 @@ def analyse_scenario(
             hbar, np.einsum("l,li->i", weights, gradients), AGGREGATE_HESSIAN
         ),
         assumption3=check_assumption3(theta, config.a2, omega0, config.c),
-        mixing=mixing,
-        mixing_min=float(np.linalg.eigvalsh(mixing)[0]) if large else None,
+        mixing=_reversible_mixing(config, theta),
     )
 
 
@@ -279,13 +285,14 @@ class _SlowModes:
     blockwise, that is similar to C, whose block (k, l) is S[k, l] L_k^T L_l.
     ``apply`` takes C blockwise (L, then S on the node axis, then L^T:
     O(N^2 M + N M^2) a product) and ``form`` builds it as one N*M x N*M array.
-    ``slow`` holds the M slow Ritz vectors once ``radius`` has converged.
-    ``root`` is sqrt(pi), the Perron vector of S."""
+    ``radius`` leaves either the M slow Ritz vectors in ``slow`` or the
+    formed C in ``c`` for ``closed_form``. ``root`` is sqrt(pi), the Perron
+    vector of S."""
 
     def __init__(self, gain: np.ndarray, s: np.ndarray, root: np.ndarray):
         # raises LinAlgError when a gain block is not positive definite
         self.chol, self.s, self.root = np.linalg.cholesky(gain), s, root
-        self.slow = None
+        self.slow = self.c = None
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         n, m, _ = self.chol.shape
@@ -301,7 +308,17 @@ class _SlowModes:
         c *= self.s[:, None, :, None]
         return c.reshape(n * m, n * m)
 
-    def radius(self, s_min: float) -> float | None:
+    def radius(self, s_min: float | None) -> float:
+        """rho, from ``_lanczos`` when ``s_min`` = lambda_min(S) is given;
+        without it, or when Lanczos fails, as the largest |lambda| of one
+        ``eigvalsh`` of C, formed once and kept."""
+        if s_min is not None and (rho := self._lanczos(s_min)) is not None:
+            return rho
+        self.c = self.form()
+        eigs = np.linalg.eigvalsh(self.c)
+        return float(max(-eigs[0], eigs[-1]))
+
+    def _lanczos(self, s_min: float) -> float | None:
         """lambda_max(C) by block Lanczos from sqrt(pi) kron I_M, with full
         reorthogonalisation, stopped once the top Ritz value's residual bound
         min(res, res^2 / gap) is 1e-11 (1 - theta). It is rho because every R_k
@@ -336,22 +353,23 @@ class _SlowModes:
                 return float(theta[-1])
         return None
 
-    def closed_form(
-        self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray, c: np.ndarray | None
-    ) -> np.ndarray:
-        """Stacked x of (I - B) x = rhs, rhs of shape (N, M), with ``c`` the
-        formed C if there is one; it is overwritten. Writing
+    def closed_form(self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Stacked x of (I - B) x = rhs, rhs of shape (N, M). Writing
         (D^1/2 kron I) G (a1^T kron I) x = L y turns the system into
         (I - C) y = b = L^T (D^1/2 a1^T kron I) rhs, and then
         x = (a2^T D^-1/2 kron I) L y + rhs. I - C is positive definite as
         rho < 1. With slow Ritz vectors, ``_deflated_cg`` solves it; without
-        them, or when CG fails, one dense solve in C's storage does."""
+        them, or when CG fails, one dense solve in the storage of C, the
+        kept one or one formed now, does, and C is dropped."""
         n, m, _ = self.chol.shape
         b = self.chol.transpose(0, 2, 1) @ (self.root[:, None] * (a1.T @ rhs))[..., None]
         b = b.reshape(n * m, 1)
         y = None if self.slow is None else self._deflated_cg(b)
         if y is None:
-            y = _solve_identity_minus(self.form() if c is None else c, b)
+            c, self.c = (self.form() if self.c is None else self.c), None
+            np.negative(c, out=c)
+            c.flat[:: n * m + 1] += 1.0
+            y = np.linalg.solve(c, b)
         ly = (self.chol @ y.reshape(n, m, 1))[..., 0]
         return (a2.T @ (ly / self.root[:, None]) + rhs).ravel()
 
@@ -382,64 +400,51 @@ class _SlowModes:
         return y
 
 
-def _solve_identity_minus(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x of (I - a) x = rhs by one dense solve in a's own storage."""
-    np.negative(a, out=a)
-    a.flat[:: a.shape[0] + 1] += 1.0
-    return np.linalg.solve(a, rhs)
+def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[float, Callable[[], np.ndarray]]:
+    """Spectral radius of B at ``scenario.at_scale(mu_max)`` and a function
+    that solves for the stacked closed-form bias there, (I - B) x = rhs with
+    rhs the step sizes and a2 applied to the combined gradients.
 
-
-def _spectral_radius(
-    scenario: Scenario, mu_max: float
-) -> tuple[float, np.ndarray | None, _SlowModes | None]:
-    """Spectral radius of B at ``scenario.at_scale(mu_max)``, the N*M x N*M
-    matrix formed for it (C, B or none), and the ``_SlowModes`` of C if C exists.
-
-    C exists when the scenario has S and every gain block is positive definite.
-    A scenario with ``mixing_min`` (N*M at least MATRIX_FREE_NM) then takes rho
-    from ``_SlowModes.radius``; any other, or one whose Lanczos run fails, from
-    one ``eigvalsh`` of the formed C. Without C, B is lifted and ``eigvals``
-    runs on it (no S, or a step above half of its bound)."""
+    When the scenario has S and every gain block is positive definite, both
+    come from the ``_SlowModes`` of C, matrix-free at N*M of MATRIX_FREE_NM
+    and above. Otherwise B is lifted, ``eigvals`` gives rho and the solve
+    runs in B's storage (no S, or a step above half of its bound)."""
     config = scenario.at_scale(mu_max)
+    a1, a2 = config.a1.matrix, config.a2.matrix
     r = scenario.combined_hessians
-    gain = np.eye(r.shape[1])[None, :, :] - config.step_sizes[:, None, None] * r
-    modes = None
+    n, m, _ = r.shape
+    gain = np.eye(m)[None, :, :] - config.step_sizes[:, None, None] * r
+    rhs = a2.T @ (config.step_sizes[:, None] * scenario.combined_gradients)
     if scenario.mixing is not None:
         try:
-            modes = _SlowModes(gain, scenario.mixing, np.sqrt(config.a2.matrix @ scenario.theta))
+            modes = _SlowModes(gain, scenario.mixing, np.sqrt(a2 @ scenario.theta))
         except np.linalg.LinAlgError:
             pass
-    if modes is None:
-        b = lift(config.a1, config.a2, gain)
-        return float(np.abs(np.linalg.eigvals(b)).max()), b, None
-    rho = None if scenario.mixing_min is None else modes.radius(scenario.mixing_min)
-    if rho is not None:
-        return rho, None, modes
-    c = modes.form()
-    eigs = np.linalg.eigvalsh(c)
-    return float(max(-eigs[0], eigs[-1])), c, modes
+        else:
+            rho = modes.radius(scenario.mixing_min if n * m >= MATRIX_FREE_NM else None)
+            return rho, lambda: modes.closed_form(a1, a2, rhs)
+    b = lift(config.a1, config.a2, gain)
+
+    def solve() -> np.ndarray:
+        np.negative(b, out=b)
+        b.flat[:: n * m + 1] += 1.0
+        return np.linalg.solve(b, rhs.ravel())
+
+    return float(np.abs(np.linalg.eigvals(b)).max()), solve
 
 
 def scale_analysis(scenario: Scenario, mu_max: float) -> tuple[np.ndarray, float]:
     """Closed-form stacked bias (length N*M) and spectral radius of a
-    scenario at ``scenario.at_scale(mu_max)``.
-
-    Reads only the scenario's operands. The radius is as in
-    ``_spectral_radius``; at or above one it raises AssumptionError. The
-    system is (I - B) x = rhs, with rhs the step sizes and a2 applied to the
-    combined gradients. Where C exists, ``_SlowModes.closed_form`` solves it
-    through C; otherwise it is solved densely in the lifted B's own storage."""
-    config = scenario.at_scale(mu_max)
-    rho, formed, modes = _spectral_radius(scenario, mu_max)
+    scenario at ``scenario.at_scale(mu_max)``, from ``_scale_operator``.
+    Reads only the scenario's operands; a radius at or above one raises
+    AssumptionError."""
+    rho, closed_form = _scale_operator(scenario, mu_max)
     if rho >= 1.0:
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
             " the recursion has no stable fixed point for the closed form to describe"
         )
-    rhs = config.a2.matrix.T @ (config.step_sizes[:, None] * scenario.combined_gradients)
-    if modes is not None:
-        return modes.closed_form(config.a1.matrix, config.a2.matrix, rhs, formed), rho
-    return _solve_identity_minus(formed, rhs.ravel()), rho
+    return closed_form(), rho
 
 
 def analyse_scale(
@@ -472,7 +477,7 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
     value at or above one flags an unstable configuration with a
     RuntimeWarning. The route taken is as in ``scale_analysis``, at the
     config's largest step size; where C exists B is never lifted."""
-    rho = _spectral_radius(analyse_scenario(config, ensemble), config.step_sizes.max())[0]
+    rho = _scale_operator(analyse_scenario(config, ensemble), config.step_sizes.max())[0]
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
@@ -497,7 +502,7 @@ def limit_operators(config: DiffusionConfig, ensemble: CostEnsemble) -> LimitOpe
     left-stochastic, so the resolvent limit is kron(1 theta^T, D)."""
     n, m = ensemble.n, ensemble.dim
     scenario = analyse_scenario(config, ensemble).require_primitive()
-    omega0 = scenario.shape.step_sizes
+    omega0 = normalized_step_shape(config.step_sizes)
     mixing_gap = np.eye(n * m) - lift(config.a1, config.a2, np.broadcast_to(np.eye(m), (n, m, m)))
     curvature = lift(config.a1, config.a2, omega0[:, None, None] * scenario.combined_hessians)
     d = solve_assumption1(scenario.agg_hessian, np.eye(m), AGGREGATE_HESSIAN)

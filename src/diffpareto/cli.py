@@ -124,8 +124,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.schedule is None:
         schedule = DEFAULT_SCHEDULE
     else:
@@ -133,7 +131,10 @@ def _cmd_figures(args) -> int:
             schedule = tuple(float(part) for part in args.schedule.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --schedule value: {exc}") from exc
-    for name, configs in builtin_figure_configs(schedule).items():
+    families = builtin_figure_configs(schedule)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, configs in families.items():
         rows = []
         for config in configs:
             rows.extend(run_sweep(config))

@@ -8,8 +8,8 @@ dies at about the rate of the second eigenvalue of the combination
 matrix. Once those have died, every later iterate is
 w_inf + Y diag(lam**p) g for the M slow eigenpairs (lam, Y) of B, and the
 stopping test of the plain loop can be evaluated on thousands of such
-iterates at once, starting from the first that a bound on its update
-leaves able to pass. The pairs come from an N*M x M basis stepped from
+iterates at once, starting where a closed-form bound on its update stops
+excluding a pass. The pairs come from an N*M x M basis stepped from
 1 kron I_M beside the plain loop, reduced to the M x M Rayleigh-Ritz
 matrix S = Q^T B Q; B itself is never formed. This module is the engine
 of ``diffusion.run_to_fixed_point``, which decides when to call it.
@@ -147,7 +147,7 @@ class ModalTail:
     def run(self, j: int, max_iter: int, tol: float) -> tuple[np.ndarray, int, bool, float]:
         """Continue a run that stopped stepping at iteration j < max_iter:
         the per-node stopping test of the plain loop, applied to the
-        modelled iterates from the first that ``_first_possible`` leaves.
+        modelled iterates from the start ``_first_possible`` gives.
         Returns the last iterate, its iteration, whether it passed and its
         largest update norm."""
         m = self.lam.size
@@ -188,14 +188,15 @@ class ModalTail:
         raise AssertionError("the scan always ends at max_iter")
 
     def _first_possible(self, tol: float, yw: np.ndarray, last: int) -> int:
-        """The first p <= last that the stopping test might pass at, or last.
+        """Where the scan starts, at most last: no earlier p can pass.
 
         A pass needs the total squared update, at least sigma**2 times
-        sum_i ((lam_i - 1) g_i)**2 lam_i**(2(p-1)), to be at most the sum of
-        the squared per-node thresholds, which |y| <= 1 bounds by
-        tol**2 sum_k (1 + |w_inf_k| + sum_i |yw_k,i|)**2. The left side
-        falls with p, so every p before the first that meets this bound
-        fails; a factor two covers rounding in both sides."""
+        sum_i h_i**2 lam_i**(2(p-1)) with h_i = (lam_i - 1) g_i, to be at most
+        the sum of the squared per-node thresholds, which |y| <= 1 bounds by
+        tol**2 sum_k (1 + |w_inf_k| + sum_i |yw_k,i|)**2. ``target`` is that
+        bound over sigma**2, doubled to cover rounding in both sides. Each term
+        falls with p, and before 1 + floor(max_i log(target / h_i**2) /
+        (2 log lam_i)) one term alone exceeds the target."""
         m = self.lam.size
         n = self.w_inf.size // m
         bound = (
@@ -205,22 +206,6 @@ class ModalTail:
         )
         target = 2.0 * (tol * np.linalg.norm(bound) / self.sigma) ** 2
         h2 = ((self.lam - 1.0) * self.coef) ** 2
-
-        def excluded(p: int) -> bool:
-            return float(h2 @ self.lam ** (2 * (p - 1))) > target
-
-        if not excluded(1):
-            return 1
-        hi = 2
-        while hi < last and excluded(hi):
-            hi *= 2
-        lo, hi = hi // 2, min(hi, last)
-        if excluded(hi):
-            return last
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if excluded(mid):
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        with np.errstate(divide="ignore", over="ignore"):  # h_i = 0 excludes nothing
+            excluded = np.log(target / h2) / (2.0 * np.log(self.lam))
+        return int(np.clip(1.0 + np.floor(excluded.max()), 1, last))

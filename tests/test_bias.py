@@ -464,9 +464,18 @@ def counts(monkeypatch):
 
 @pytest.fixture
 def matrix_free(monkeypatch, counts):
-    """``counts``, with every reversible scenario analysed from here on taking
-    the matrix-free route."""
+    """``counts``, with every reversible step scale analysed from here on
+    taking the matrix-free route, and under "slow" the slow Ritz vectors
+    that deflate each CG run."""
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 0)
+    counts["slow"] = []
+    deflated_cg = bias_module._SlowModes._deflated_cg
+
+    def recorded(modes, b):
+        counts["slow"].append(modes.slow)
+        return deflated_cg(modes, b)
+
+    monkeypatch.setattr(bias_module._SlowModes, "_deflated_cg", recorded)
     return counts
 
 
@@ -516,13 +525,13 @@ def check_symmetric_route(route, strategy, a_rule, c_rule, counts, eigvals_calls
         assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
         assert abs(checked - reference) <= 1e-9 * (1.0 - reference)
         assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
-        if route == "matrix_free":
-            slow = bias_module._spectral_radius(scenario, mu_max)[2].slow
-            assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
     assert eigvals_calls == []
     assert counts["lift"] == []
     if route == "matrix_free":
         assert max(counts["eigvalsh"]) == ens.n
+        assert len(counts["slow"]) == len(RULE_SCALES)
+        for slow in counts["slow"]:
+            assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
 
 
 @rule_cases
@@ -544,7 +553,9 @@ def test_matrix_free_run_at_its_cap_falls_back_to_the_dense_route(cap, matrix_fr
     # one Lanczos step or one CG iteration cannot converge here; the answer is
     # then the dense route's, from C formed once, and B is never lifted
     scenario = build_scenario(rule_case("atc", "metropolis", "relative_degree"))
-    dense_closed, dense_rho = scale_analysis(dataclasses.replace(scenario, mixing_min=None), 1e-3)
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
+    dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 0)
     formed, form = [], bias_module._SlowModes.form
 
     def counted_form(modes):
@@ -585,6 +596,26 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert matrix_free["eigvalsh"] == [3, 6]
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_dense_symmetric_closed_form_within_2e_12_of_a_refined_reference():
+    # the worst of the 84 default figures rows for the solve through the formed
+    # C, off by 9.4e-13 relative; the reference is the dense solve through B,
+    # refined once with the residual of B taken in longdouble from the same gains
+    scenario = build_scenario(rule_case("atc", "metropolis", "relative_degree"))
+    cfg = scenario.at_scale(1e-5)
+    n, m, _ = scenario.combined_hessians.shape
+    gain = np.eye(m) - cfg.step_sizes[:, None, None] * scenario.combined_hessians
+    rhs = (cfg.a2.matrix.T @ (cfg.step_sizes[:, None] * scenario.combined_gradients)).ravel()
+    blocks = np.zeros((n, m, n, m), dtype=np.longdouble)
+    blocks[np.arange(n), :, np.arange(n), :] = gain
+    eye = np.eye(m, dtype=np.longdouble)
+    a1t, a2t = (np.kron(a.matrix.T.astype(np.longdouble), eye) for a in (cfg.a1, cfg.a2))
+    a = np.eye(n * m, dtype=np.longdouble) - a2t @ blocks.reshape(n * m, n * m) @ a1t
+    x = np.linalg.solve(a.astype(float), rhs)
+    x += np.linalg.solve(a.astype(float), (rhs - a @ x).astype(float))
+    closed, _ = scale_analysis(scenario, 1e-5)
+    assert np.linalg.norm(closed - x) <= 2e-12 * np.linalg.norm(x)
 
 
 def test_closed_form_bias_rejects_unstable_steps():
@@ -692,6 +723,25 @@ def test_scale_analysis_answers_for_its_own_scenario():
         closed_forms.append(closed)
     gap = np.linalg.norm(closed_forms[0] - closed_forms[1])
     assert gap > 0.1 * np.linalg.norm(closed_forms[0])
+
+
+def test_bare_config_calls_analyse_the_config_they_are_given(monkeypatch):
+    # steps for which max * (steps / max) moves 2 of the 12 entries by an ulp:
+    # the bare-config path iterates and solves at the steps themselves
+    scenario = build_scenario(SMALL_SWEEP)
+    steps = 3e-3 * (0.4 + 0.6 * np.random.default_rng(1).random(12))
+    assert not np.array_equal(steps.max() * (steps / steps.max()), steps)
+    cfg, ens = scenario.at_scale(1e-2).with_step_sizes(steps), scenario.ensemble
+    assert np.array_equal(analyse_scenario(cfg, ens).at_scale(steps.max()).step_sizes, steps)
+    iterated, run = [], bias_module.run_to_fixed_point
+
+    def recorded(config, *args, **kwargs):
+        iterated.append(config.step_sizes)
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(bias_module, "run_to_fixed_point", recorded)
+    bias_report(cfg, ens)
+    assert len(iterated) == 1 and np.array_equal(iterated[0], steps)
 
 
 # each caller of analyse_scale, run at a given max_iter; returns the converged flags

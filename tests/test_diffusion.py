@@ -325,6 +325,33 @@ def test_tail_scan_can_stop_at_the_first_modelled_iterate():
     assert (used, converged) == (301, True)
 
 
+def test_tail_scan_starts_where_no_single_mode_excludes_a_pass(monkeypatch):
+    # two modes, the stronger one faster: before the start one mode's squared
+    # update alone exceeds the target of the stopping test's bound, the start
+    # is the first p that no single mode excludes or, by the floor, the one
+    # before it, and a scan from p = 1 stops at the same iterate
+    lam, coef, tol = np.array([0.99, 0.9]), np.array([1e-2, 1.0]), 1e-12
+    tail = ModalTail(lam, CONSENSUS, coef, np.ones(6), 1.0)
+    yw = tail.ritz * (lam * coef)
+    per_node = 1.0 + np.linalg.norm(np.ones((3, 2)), axis=1)
+    per_node += np.linalg.norm(yw.reshape(3, 2, 2), axis=1).sum(axis=1)
+    target = 2.0 * (tol * np.linalg.norm(per_node)) ** 2
+    p = np.arange(1, 10**4)
+    excluded = ((lam - 1.0) * coef) ** 2 * lam ** (2 * (p[:, None] - 1)) > target
+    free = int(p[~excluded.any(axis=1)][0])
+    start = tail._first_possible(tol, yw, 10**6)
+    assert excluded[: start - 1].any(axis=1).all()
+    assert free - 1 <= start <= free
+    assert excluded[0].all() and not excluded[start - 1, 1]  # the slow mode sets the start
+    assert tail._first_possible(tol, yw, start - 10) == start - 10
+    assert tail._first_possible(1.0, yw, 10**6) == 1
+    run = tail.run(0, 10**6, tol)
+    monkeypatch.setattr(ModalTail, "_first_possible", lambda *args: 1)
+    scanned = tail.run(0, 10**6, tol)
+    assert run[1:] == scanned[1:] and np.array_equal(run[0], scanned[0])
+    assert run[1] > free
+
+
 def test_a_run_whose_largest_update_grows_is_long():
     assert runs_long(1.0, 2.0, 1e-12, 1e-12, 10**6)
 

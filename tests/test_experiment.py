@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_bias import shift_fixed_points
 
 from diffpareto import bias as bias_module
 from diffpareto import diffusion as diffusion_module
@@ -802,3 +803,36 @@ def test_cli_figures_smoke(tmp_path):
     first = (outdir / "sweep_atc_equal.csv").read_text().splitlines()
     assert first[0] == CSV_HEADER
     assert len(first) == 1 + 3 * 2  # three scenarios, two schedule points
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        pytest.param(
+            "1e-2,abc",
+            "error: bad --schedule value: could not convert string to float: 'abc'",
+            id="not-a-number",
+        ),
+        pytest.param(
+            "1e-2,-1", "error: mu_max_schedule entries must be positive and finite", id="negative"
+        ),
+    ],
+)
+def test_cli_figures_rejects_a_bad_schedule_before_creating_outdir(
+    tmp_path, capsys, schedule, message
+):
+    outdir = tmp_path / "figs"
+    assert cli_main(["figures", "--outdir", str(outdir), "--schedule", schedule]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not outdir.exists()
+
+
+def test_cli_sweep_runtime_failure_exits_two_and_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # a converged row moved off the closed form, as a broken recursion would leave it
+    shift_fixed_points(monkeypatch)
+    out = tmp_path / "rows.csv"
+    assert cli_main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime failure: iterated fixed point disagrees")
+    assert captured.out == ""
+    assert not out.exists()
