@@ -30,7 +30,8 @@ matrix C with the spectrum of B, which the closed form is solved through.
 
 * At N*M of MATRIX_FREE_NM (400) and above, C is applied blockwise and
   never formed: block Lanczos gives the radius and deflated CG the
-  closed form, with lambda_min(S) taken once per scenario;
+  closed form. The radius is certified by a Gershgorin bound on
+  lambda_min(S), and by the exact value only where the bound falls short;
 * below the crossover, or as the fallback when Lanczos or CG has not
   converged within its cap, C is formed once: one ``eigvalsh`` gives the
   radius and one dense solve the closed form.
@@ -79,6 +80,7 @@ from .network import (
     AssumptionError,
     Topology,
     check_assumption3,
+    mixing_product,
     perron_theta,
 )
 
@@ -171,8 +173,22 @@ class Scenario:
         return self.config.with_step_sizes(steps * (mu_max / steps.max()))
 
     @functools.cached_property
+    def mixing_bound(self) -> float:
+        """A lower bound on lambda_min(S) from Gershgorin's theorem on the
+        columns of D^1/2 S D^-1/2, D = diag(pi): that matrix is P up to the
+        rounding in S, so the bound is min_k (2 P_kk - 1) with the column sums
+        of the S at hand in place of one. It takes one product of S with
+        sqrt(pi) and allows 4 N eps for the rounding of that sum, of the
+        division and of the difference."""
+        root = np.sqrt(self.config.a2.matrix @ self.theta)
+        column_sums = (self.mixing @ root) / root
+        slack = 4 * len(root) * np.finfo(float).eps
+        return float((2.0 * self.mixing.diagonal() - column_sums).min() - slack)
+
+    @functools.cached_property
     def mixing_min(self) -> float:
-        """lambda_min(S), taken when a step scale first runs matrix-free."""
+        """lambda_min(S) from one ``eigvalsh``, taken when ``mixing_bound``
+        first fails to certify a matrix-free radius."""
         return float(np.linalg.eigvalsh(self.mixing)[0])
 
     def limit_floor(self) -> float:
@@ -269,12 +285,19 @@ def _reversible_mixing(config: DiffusionConfig, theta: np.ndarray) -> np.ndarray
     pi = config.a2.matrix @ theta
     if not (pi > 0.0).all():
         return None
-    flow = (config.a2.matrix @ config.a1.matrix) * pi
-    if np.abs(flow - flow.T).max() > REVERSIBLE_TOL * flow.max():
+    # two N x N arrays: the flow P diag(pi), divided into S in place, and one
+    # scratch that holds the asymmetry, then the outer product of sqrt(pi),
+    # then the symmetrised S
+    flow = mixing_product(config.a2, config.a1)
+    flow *= pi
+    scratch = np.subtract(flow, flow.T)
+    if np.abs(scratch, out=scratch).max() > REVERSIBLE_TOL * flow.max():
         return None
     root = np.sqrt(pi)
-    s = flow / np.outer(root, root)
-    return 0.5 * (s + s.T)
+    np.divide(flow, np.multiply.outer(root, root, out=scratch), out=flow)
+    np.add(flow, flow.T, out=scratch)
+    scratch *= 0.5
+    return scratch
 
 
 class _SlowModes:
@@ -308,46 +331,51 @@ class _SlowModes:
         c *= self.s[:, None, :, None]
         return c.reshape(n * m, n * m)
 
-    def radius(self, s_min: float | None) -> float:
-        """rho, from ``_lanczos`` when ``s_min`` = lambda_min(S) is given;
-        without it, or when Lanczos fails, as the largest |lambda| of one
-        ``eigvalsh`` of C, formed once and kept."""
-        if s_min is not None and (rho := self._lanczos(s_min)) is not None:
+    def radius(self, scenario: Scenario | None) -> float:
+        """rho, from ``_lanczos`` when the scenario of S is given for its
+        bounds on lambda_min(S); without it, or when Lanczos fails, as the
+        largest |lambda| of one ``eigvalsh`` of C, formed once and kept."""
+        if scenario is not None and (rho := self._lanczos(scenario)) is not None:
             return rho
         self.c = self.form()
         eigs = np.linalg.eigvalsh(self.c)
         return float(max(-eigs[0], eigs[-1]))
 
-    def _lanczos(self, s_min: float) -> float | None:
+    def _lanczos(self, scenario: Scenario) -> float | None:
         """lambda_max(C) by block Lanczos from sqrt(pi) kron I_M, with full
         reorthogonalisation, stopped once the top Ritz value's residual bound
         min(res, res^2 / gap) is 1e-11 (1 - theta). It is rho because every R_k
         is positive semidefinite, so the gains have eigenvalues in (0, 1] and
-        lambda_min(C) >= min(lambda_min(S), 0) = min(s_min, 0) lies above
-        -theta. None when either test fails within LANCZOS_STEPS."""
+        lambda_min(C) >= min(lambda_min(S), 0) lies above -theta: by the
+        scenario's Gershgorin ``mixing_bound``, or failing that by its exact
+        ``mixing_min``. None when either test fails within LANCZOS_STEPS.
+
+        The basis is column-major and T's blocks are stacked per step, so
+        only the steps taken touch memory."""
         n, m, _ = self.chol.shape
         steps = min(LANCZOS_STEPS, n)
-        basis = np.empty((n * m, steps * m))
-        t = np.zeros(((steps + 1) * m, (steps + 1) * m))
+        basis = np.empty((n * m, steps * m), order="F")
+        alphas, betas = np.empty((steps, m, m)), np.empty((steps, m, m))
         q = np.kron(self.root[:, None] / np.linalg.norm(self.root), np.eye(m))
         for j in range(steps):
             lo, hi = j * m, (j + 1) * m
             basis[:, lo:hi] = q
             w = self.apply(q)
-            t[lo:hi, lo:hi] = q.T @ w
-            w -= basis[:, max(lo - m, 0) : hi] @ t[max(lo - m, 0) : hi, lo:hi]
+            alphas[j] = q.T @ w
+            local = alphas[j] if j == 0 else np.vstack((betas[j - 1].T, alphas[j]))
+            w -= basis[:, max(lo - m, 0) : hi] @ local
             w -= basis[:, :hi] @ (basis[:, :hi].T @ w)
-            q, beta = np.linalg.qr(w)
-            t[hi : hi + m, lo:hi] = beta
-            t[lo:hi, hi : hi + m] = beta.T
+            q, betas[j] = np.linalg.qr(w)
             # T's eigenpairs every eighth step, on the last, and on a breakdown
-            if (j + 1) % 8 and j + 1 < steps and np.abs(np.diagonal(beta)).min() > 1e-8:
+            if (j + 1) % 8 and j + 1 < steps and np.abs(np.diagonal(betas[j])).min() > 1e-8:
                 continue
-            theta, vecs = np.linalg.eigh(t[:hi, :hi])
-            res = float(np.linalg.norm(beta @ vecs[-m:, -1]))
+            theta, vecs = np.linalg.eigh(_block_tridiagonal(alphas[: j + 1], betas[:j]))
+            res = float(np.linalg.norm(betas[j] @ vecs[-m:, -1]))
             gap = theta[-1] - theta[-2 if hi > 1 else -1]
             if (res * min(1.0, res / gap) if gap > 0.0 else res) <= 1e-11 * (1.0 - theta[-1]):
-                if theta[-1] <= -min(s_min, 0.0):
+                # the exact lambda_min(S) only when the bound cannot certify
+                floor = -min(scenario.mixing_bound, 0.0)
+                if theta[-1] <= floor and theta[-1] <= -min(scenario.mixing_min, 0.0):
                     return None
                 self.slow = basis[:, :hi] @ vecs[:, -m:]
                 return float(theta[-1])
@@ -400,6 +428,17 @@ class _SlowModes:
         return y
 
 
+def _block_tridiagonal(diagonal: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The symmetric block tridiagonal matrix with k blocks ``diagonal`` on its
+    diagonal and the k - 1 blocks ``lower`` below it."""
+    k, m, _ = diagonal.shape
+    t = np.zeros((k, m, k, m))
+    t[np.arange(k), :, np.arange(k), :] = diagonal
+    t[np.arange(1, k), :, np.arange(k - 1), :] = lower
+    t[np.arange(k - 1), :, np.arange(1, k), :] = lower.transpose(0, 2, 1)
+    return t.reshape(k * m, k * m)
+
+
 def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[float, Callable[[], np.ndarray]]:
     """Spectral radius of B at ``scenario.at_scale(mu_max)`` and a function
     that solves for the stacked closed-form bias there, (I - B) x = rhs with
@@ -421,7 +460,7 @@ def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[float, Callable[
         except np.linalg.LinAlgError:
             pass
         else:
-            rho = modes.radius(scenario.mixing_min if n * m >= MATRIX_FREE_NM else None)
+            rho = modes.radius(scenario if n * m >= MATRIX_FREE_NM else None)
             return rho, lambda: modes.closed_form(a1, a2, rhs)
     b = lift(config.a1, config.a2, gain)
 

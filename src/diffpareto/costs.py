@@ -130,16 +130,18 @@ def sample_ensemble(n: int, m: int, rows: int, data_seed: int) -> CostEnsemble:
 
     The entries come from one seeded stream consumed node by node (X_k row
     major, then y_k), so the result is a deterministic function of the
-    arguments."""
+    arguments. Each of X_k and y_k starts on a fresh Box-Muller pair: an odd
+    count drops the second draw of its last pair. All of them are drawn in
+    one batch."""
     if n < 1 or m < 1 or rows < 1:
         raise ValueError("n, m, and rows must all be positive")
-    rng = SplitMix64(data_seed)
-    costs = []
-    for _ in range(n):
-        x = np.array(rng.normals(rows * m)).reshape(rows, m)
-        y = np.array(rng.normals(rows))
-        costs.append(QuadraticCost(x_matrix=x, y_vector=y))
-    return CostEnsemble(costs=tuple(costs), dim=m)
+    x_span, y_span = rows * m + rows * m % 2, rows + rows % 2
+    draws = np.array(SplitMix64(data_seed).normals(n * (x_span + y_span))).reshape(n, -1)
+    costs = tuple(
+        QuadraticCost(x_matrix=d[: rows * m].reshape(rows, m), y_vector=d[x_span : x_span + rows])
+        for d in draws
+    )
+    return CostEnsemble(costs=costs, dim=m)
 
 
 def solve_assumption1(matrix: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:

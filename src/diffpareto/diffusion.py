@@ -121,7 +121,7 @@ def validate_step_condition(config: DiffusionConfig, ensemble: CostEnsemble) -> 
 def _mixing_transpose(a: CombinationMatrix) -> np.ndarray | None:
     """a^T, which a combination stage applies to the node-major state, or
     None when a is the identity and the stage is skipped."""
-    if np.array_equal(a.matrix, np.eye(a.n)):
+    if a.is_identity():
         return None
     return a.matrix.T.copy()
 

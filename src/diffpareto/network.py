@@ -132,6 +132,22 @@ class CombinationMatrix:
         """True when columns are the convex combinations (left stochastic)."""
         return self.kind in (LEFT_STOCHASTIC, DOUBLY_STOCHASTIC)
 
+    def is_identity(self) -> bool:
+        """True when the matrix is the identity, tested without an N x N array:
+        N nonzeros, all of them ones on the diagonal."""
+        m = self.matrix
+        return np.count_nonzero(m) == self.n and bool((m.diagonal() == 1.0).all())
+
+
+def mixing_product(first: CombinationMatrix, second: CombinationMatrix) -> np.ndarray:
+    """first @ second as a fresh array; when either factor is the identity, a
+    copy of the other, which is the product bit for bit."""
+    if first.is_identity():
+        return second.matrix.copy()
+    if second.is_identity():
+        return first.matrix.copy()
+    return first.matrix @ second.matrix
+
 
 @dataclass(frozen=True, eq=False)
 class PerronData:
@@ -212,22 +228,22 @@ def _left_stochastic_by_rule(topology: Topology, rule: str) -> np.ndarray:
     adj = topology.adjacency
     deg = topology.degrees.astype(float)
     n = topology.n_nodes
-    a = np.zeros((n, n))
     if rule == "averaging":
         # off-diagonal neighbors get 1/n_k, the diagonal absorbs the rest
+        a = np.zeros((n, n))
         for k in range(n):
             for l in np.nonzero(adj[:, k])[0]:
                 if l != k:
                     a[l, k] = 1.0 / deg[k]
             a[k, k] = 1.0 - a[:, k].sum()
     elif rule == "relative_degree":
-        weighted = deg[:, None] * adj
-        a = weighted / weighted.sum(axis=0)
+        a = deg[:, None] * adj
+        a /= a.sum(axis=0)
     elif rule == "metropolis":
-        off = adj / np.maximum.outer(deg, deg)
-        np.fill_diagonal(off, 0.0)
-        a = off
-        np.fill_diagonal(a, 1.0 - off.sum(axis=0))
+        a = np.maximum.outer(deg, deg)
+        np.divide(adj, a, out=a)
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, 1.0 - a.sum(axis=0))
     else:
         raise ValueError(f"unknown combination rule {rule!r}")
     return a
@@ -293,7 +309,11 @@ def check_primitive(p) -> bool:
         raise ValueError(f"matrix must be square, got {p.shape}")
     if (p < 0).any():
         raise ValueError("primitivity is defined for nonnegative matrices only")
-    pattern = p > 0
+    return _primitive_pattern(p > 0)
+
+
+def _primitive_pattern(pattern: np.ndarray) -> bool:
+    """``check_primitive`` on the boolean pattern of a square nonnegative matrix."""
     level = _bfs_levels(pattern)
     if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
         return False
@@ -310,12 +330,13 @@ def perron_theta(a1: CombinationMatrix, a2: CombinationMatrix) -> PerronData:
     is redundant; replacing that row with ones and solving against e_N
     yields theta normalized so the entries sum to one. Primitivity makes
     that bordered matrix nonsingular, so it is solved by LU alone; a solve
-    that fails anyway raises the same Assumption 2 error."""
-    composite = a1.matrix @ a2.matrix
-    if not check_primitive(composite):
+    that fails anyway raises the same Assumption 2 error. The composite is
+    bordered in its own storage."""
+    bordered = mixing_product(a1, a2)
+    if not _primitive_pattern(bordered > 0):
         raise AssumptionError(NOT_PRIMITIVE)
-    n = composite.shape[0]
-    bordered = composite - np.eye(n)
+    n = bordered.shape[0]
+    bordered.flat[:: n + 1] -= 1.0
     bordered[-1, :] = 1.0
     e_last = np.zeros(n)
     e_last[-1] = 1.0

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -43,19 +45,28 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def normal_pair(self) -> tuple[float, float]:
-        # u1 shifted into (0, 1] so the log is always defined
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
-
     def normals(self, n: int) -> list[float]:
-        """n standard-normal draws; Box-Muller pairs, last one dropped if n is odd."""
+        """n standard-normal draws; Box-Muller pairs, last one dropped if n is odd.
+
+        The pair i takes u1 = (x + 1) 2^-53, shifted into (0, 1] so the log is
+        always defined, and u2 = x' 2^-53 from the stream's next two outputs x
+        and x'. The stream's outputs are computed at once in wrapping uint64
+        arithmetic, and so are u1 and 2 pi u2. The log, square root, cosine and
+        sine stay the scalar ``math`` ones, one pair at a time: numpy's do not
+        always equal them in the last bit."""
+        pairs = (n + 1) // 2
+        steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        self._state = (self._state + 2 * pairs * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        z = (z ^ (z >> 31)) >> 11
+        u1 = (z[0::2] + 1) * 2.0**-53
+        angles = z[1::2] * 2.0**-53 * (2.0 * math.pi)
+        del z
         out: list[float] = []
-        while len(out) < n:
-            z1, z2 = self.normal_pair()
-            out.append(z1)
-            if len(out) < n:
-                out.append(z2)
+        for a, b in zip(u1, angles):
+            r = math.sqrt(-2.0 * math.log(a))
+            out += (r * math.cos(b), r * math.sin(b))
+        del out[n:]
         return out

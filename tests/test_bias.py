@@ -511,10 +511,11 @@ def check_symmetric_route(route, strategy, a_rule, c_rule, counts, eigvals_calls
     """Every built-in rule is reversible under ATC and CTA, so neither route
     runs eigvals or lifts B. rho stays within 1e-9 (1 - rho) of the reference
     even where the spectrum clusters just below one, and the closed form within
-    1e-10 relative. On block Lanczos and deflated CG, no N*M x N*M eigvalsh runs
-    either, and the slow Ritz vectors that deflate CG are orthonormal to working
-    precision, which takes the full reorthogonalisation: without it they drift
-    to 1e-13."""
+    1e-10 relative. On block Lanczos and deflated CG, no two-dimensional eigvalsh
+    runs at all: the Gershgorin bound on lambda_min(S) certifies every radius, so
+    neither C nor S goes to an eigensolver. The slow Ritz vectors that deflate CG
+    are orthonormal to working precision, which takes the full
+    reorthogonalisation: without it they drift to 1e-13."""
     scenario = build_scenario(rule_case(strategy, a_rule, c_rule))
     ens = scenario.ensemble
     for mu_max in RULE_SCALES:
@@ -528,7 +529,7 @@ def check_symmetric_route(route, strategy, a_rule, c_rule, counts, eigvals_calls
     assert eigvals_calls == []
     assert counts["lift"] == []
     if route == "matrix_free":
-        assert max(counts["eigvalsh"]) == ens.n
+        assert counts["eigvalsh"] == []
         assert len(counts["slow"]) == len(RULE_SCALES)
         for slow in counts["slow"]:
             assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
@@ -576,8 +577,9 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     # three nodes mixing on a triangle, so lambda_min(S) = -1/2, each gain
     # nearly the projector on its own direction, the three 120 degrees apart:
     # B's eigenvalue largest in modulus is -0.475, while lambda_max(C) is
-    # about 0.32. Lanczos finds the top end only, which cannot be certified
-    # above 1/2, so rho comes from the dense symmetric route
+    # about 0.32. Lanczos finds the top end only. The Gershgorin bound -1
+    # cannot certify it, so the exact lambda_min(S) of -1/2 is taken, and it
+    # cannot either; rho then comes from the dense symmetric route
     mu, costs = 0.1, []
     for k in range(3):
         d = np.array([np.cos(2 * np.pi * k / 3), np.sin(2 * np.pi * k / 3)])
@@ -650,6 +652,48 @@ def test_node_spread_shrinks_with_step_scale():
         spreads.append(spread)
     assert spreads[1] < spreads[0]
     assert spreads[2] < spreads[1]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_mixing_bound_is_tight_on_an_even_cycle(n):
+    # each node keeps d and sends (1 - d) / 2 to either neighbour: the cycle is
+    # bipartite, so 2 d - 1 is both lambda_min(S) and the Gershgorin bound. On
+    # this grid the bound without its rounding allowance lies up to 3 eps above
+    # the computed lambda_min(S) (at n = 2, d = 0.15, for one); with it, the
+    # bound stays at or below it, and within 1e-14
+    ens = sample_ensemble(n, 2, 4, data_seed=5)
+    for d in np.linspace(0.01, 0.49, 25):
+        a = d * np.eye(n)
+        for k in range(n):
+            a[(k + 1) % n, k] += (1.0 - d) / 2.0
+            a[(k - 1) % n, k] += (1.0 - d) / 2.0
+        mixing = CombinationMatrix(a, "doubly_stochastic")
+        cfg = cta_config(mixing, identity_combination(n), np.ones(n))
+        scenario = analyse_scenario(cfg, ens)
+        exact = np.linalg.eigvalsh(scenario.mixing)[0]
+        assert exact == pytest.approx(2.0 * d - 1.0, abs=1e-14)
+        assert exact - 1e-14 <= scenario.mixing_bound <= exact
+
+
+def mixing_by_expression(config: DiffusionConfig, theta: np.ndarray) -> np.ndarray:
+    """S as plain array expressions, one new array per operation, which the
+    in-place build must reproduce bit for bit."""
+    pi = config.a2.matrix @ theta
+    flow = (config.a2.matrix @ config.a1.matrix) * pi
+    root = np.sqrt(pi)
+    s = flow / np.outer(root, root)
+    return 0.5 * (s + s.T)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("make", [atc_config, cta_config])
+def test_in_place_mixing_equals_the_plain_expression(n, make):
+    topology = generate_topology(n, 4.0, seed=n)
+    for rule in A_RULES:
+        config = make(build_A(topology, rule), identity_combination(n), np.ones(n))
+        theta = perron_theta(config.a1, config.a2).theta
+        mixing = bias_module._reversible_mixing(config, theta)
+        assert np.array_equal(mixing, mixing_by_expression(config, theta))
 
 
 # --- report and serialization ------------------------------------------------------

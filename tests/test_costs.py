@@ -21,6 +21,7 @@ from diffpareto.network import (
     generate_topology,
     identity_combination,
 )
+from diffpareto.rng import SplitMix64
 
 # every data row lies along (1, 2), so its Hessian has rank one
 RANK_ONE = QuadraticCost(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
@@ -73,6 +74,17 @@ def test_sample_ensemble_determinism():
         assert np.array_equal(ca.y_vector, cb.y_vector)
     c = sample_ensemble(5, 3, 4, data_seed=8)
     assert not np.array_equal(a.costs[0].x_matrix, c.costs[0].x_matrix)
+
+
+@pytest.mark.parametrize(("m", "rows"), [(4, 6), (3, 5), (1, 1), (2, 3)])
+def test_sample_ensemble_draws_as_the_per_node_calls_do(m, rows):
+    # X_k, then y_k, each from its own call on one stream, so an odd count
+    # drops the second draw of its last pair
+    rng = SplitMix64(19)
+    ens = sample_ensemble(7, m, rows, data_seed=19)
+    for cost in ens.costs:
+        assert np.array_equal(cost.x_matrix, np.reshape(rng.normals(rows * m), (rows, m)))
+        assert np.array_equal(cost.y_vector, rng.normals(rows))
 
 
 def test_sample_ensemble_mean_near_zero():

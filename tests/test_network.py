@@ -14,6 +14,7 @@ from diffpareto.network import (
     design_step_sizes_for_assumption3,
     generate_topology,
     identity_combination,
+    mixing_product,
     perron_theta,
     topology_to_edge_list,
 )
@@ -367,3 +368,65 @@ def test_edge_list_round_trip():
     assert np.array_equal(parse_edge_list(text), topo.adjacency)
     first = text.splitlines()[0]
     assert first == "N 12"
+
+
+# --- in-place builds, pinned to the plain expressions --------------------------
+
+
+def rule_by_expression(topology: Topology, rule: str) -> np.ndarray:
+    """Each left-stochastic rule as plain array expressions, one new array per
+    operation, which the in-place builds must reproduce bit for bit."""
+    adj, deg, n = topology.adjacency, topology.degrees.astype(float), topology.n_nodes
+    if rule == "averaging":
+        a = np.zeros((n, n))
+        for k in range(n):
+            for l in np.nonzero(adj[:, k])[0]:
+                if l != k:
+                    a[l, k] = 1.0 / deg[k]
+            a[k, k] = 1.0 - a[:, k].sum()
+        return a
+    if rule == "relative_degree":
+        weighted = deg[:, None] * adj
+        return weighted / weighted.sum(axis=0)
+    off = adj / np.maximum.outer(deg, deg)
+    np.fill_diagonal(off, 0.0)
+    np.fill_diagonal(off, 1.0 - off.sum(axis=0))
+    return off
+
+
+def perron_by_expression(a1: CombinationMatrix, a2: CombinationMatrix) -> np.ndarray:
+    composite = a1.matrix @ a2.matrix
+    n = composite.shape[0]
+    bordered = composite - np.eye(n)
+    bordered[-1, :] = 1.0
+    return np.linalg.solve(bordered, np.eye(n)[-1])
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_in_place_builds_equal_the_plain_expressions(n):
+    topology = generate_topology(n, 4.0, seed=n)
+    eye = identity_combination(n)
+    for rule in ("averaging", "relative_degree", "metropolis"):
+        expected = rule_by_expression(topology, rule)
+        a = build_A(topology, rule)
+        assert np.array_equal(a.matrix, expected)
+        if rule != "metropolis":
+            assert np.array_equal(build_C(topology, rule).matrix, expected.T)
+        for a1, a2 in ((eye, a), (a, eye)):
+            assert np.array_equal(perron_theta(a1, a2).theta, perron_by_expression(a1, a2))
+    assert np.array_equal(build_C(topology, "identity").matrix, np.eye(n))
+
+
+def test_identity_test_and_mixing_product():
+    eye = identity_combination(3)
+    assert eye.is_identity()
+    swap = CombinationMatrix(np.eye(3)[[1, 0, 2]], "doubly_stochastic")
+    assert not swap.is_identity()
+    near = np.eye(3)
+    near[:2, :2] = [[1.0, 1e-300], [0.0, 1.0 - 1e-300]]
+    assert not CombinationMatrix(near, "left_stochastic").is_identity()
+    a = build_A(path3(), "metropolis")
+    for first, second in ((eye, a), (a, eye), (a, a)):
+        product = mixing_product(first, second)
+        assert np.array_equal(product, first.matrix @ second.matrix)
+        assert product.flags.writeable

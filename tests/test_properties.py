@@ -13,7 +13,7 @@ from kron_reference import kron_reference, reference_radius
 from plain_loop import assert_bit_identical, plain_fixed_point
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from diffpareto import bias as bias_module  # noqa: E402
@@ -39,6 +39,7 @@ from diffpareto.experiment import _CONFIG_FIELDS  # noqa: E402
 from diffpareto.network import (  # noqa: E402
     A_RULES,
     C_RULES,
+    CombinationMatrix,
     build_A,
     build_C,
     check_assumption3,
@@ -110,6 +111,30 @@ def test_matrix_free_route_matches_kron_reference(case, fraction):
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     floor = 1e-14 * (1.0 + np.linalg.norm(scenario.w_star))
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected) + floor
+
+
+@st.composite
+def reversible_configs(draw):
+    """A CTA config whose a1 holds random symmetric weights on a random graph,
+    normalized by column: P = a1 is reversible with pi the column sums, and
+    its diagonal may be small, so the Gershgorin bound may be near -1."""
+    n = draw(st.integers(2, 8))
+    topology = generate_topology(n, min(2.0, n - 1.0), draw(st.integers(0, 2**16)))
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n * n, max_size=n * n)))
+    weights = (raw.reshape(n, n) + raw.reshape(n, n).T) * topology.adjacency
+    a = CombinationMatrix(weights / weights.sum(axis=0), kind="left_stochastic")
+    return cta_config(a, identity_combination(n), np.ones(n))
+
+
+@given(st.one_of(scenarios().map(lambda case: case[0]), reversible_configs()))
+def test_gershgorin_bound_lies_below_lambda_min_of_the_mixing(config):
+    # the bound the matrix-free radius is certified by is min_k (2 P_kk - 1),
+    # up to its rounding allowance, and never above the exact lambda_min(S)
+    scenario = analyse_scenario(config, sample_ensemble(config.n, 2, 5, data_seed=config.n))
+    assume(scenario.mixing is not None)
+    p_diagonal = np.einsum("kl,lk->k", config.a2.matrix, config.a1.matrix)
+    assert scenario.mixing_bound <= np.linalg.eigvalsh(scenario.mixing)[0]
+    assert scenario.mixing_bound == pytest.approx((2.0 * p_diagonal - 1.0).min(), abs=1e-12)
 
 
 @given(scenarios(), st.floats(0.1, 0.3))

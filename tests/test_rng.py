@@ -47,3 +47,25 @@ def test_normals_moments():
 def test_normals_exact_count_and_determinism():
     assert len(SplitMix64(3).normals(7)) == 7
     assert SplitMix64(3).normals(7) == SplitMix64(3).normals(7)
+
+
+def scalar_normals(rng: SplitMix64, n: int) -> list[float]:
+    """Box-Muller pairs from the stream one output at a time, the last draw
+    dropped when n is odd."""
+    out: list[float] = []
+    while len(out) < n:
+        u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = rng.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return out[:n]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 1001])
+def test_normals_equal_the_scalar_stream_and_leave_its_state(seed, n):
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    draws = fast.normals(n)
+    assert draws == scalar_normals(slow, n)
+    assert all(type(x) is float for x in draws)
+    assert fast.next_u64() == slow.next_u64()
