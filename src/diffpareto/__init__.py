@@ -8,14 +8,11 @@ small-step-size limit.
 """
 
 from .bias import (
-    BiasReport,
     LimitOperators,
-    bias_report,
     closed_form_bias,
     limit_bias,
     limit_operators,
     normalized_step_shape,
-    report_to_json,
     spectral_check,
 )
 from .costs import (

@@ -40,11 +40,14 @@ Otherwise B is lifted once, ``numpy.linalg.eigvals`` gives the radius and
 one dense solve the closed form. The conditions for C hold for the
 built-in rules below half of each step bound.
 
-The functions of a bare config analyse it as a scenario and take that
-path at its largest step size, where ``at_scale`` gives back the config
-itself. The module also exposes the supporting operators (mixing gap,
-scaled curvature, the rank-M resolvent limit) so their defining
-identities can be verified numerically.
+The sweep reports through ``analyse_scale`` and ``diffpareto check``
+through ``scale_analysis``. The functions of a bare config
+(``closed_form_bias``, ``spectral_check``, ``limit_bias``,
+``limit_operators``) analyse it as a scenario and take the same path at
+its largest step size, where ``at_scale`` gives back the config itself.
+``limit_operators`` exposes the supporting operators (mixing gap, scaled
+curvature, the rank-M resolvent limit) so their defining identities can
+be verified numerically.
 """
 
 from __future__ import annotations
@@ -67,8 +70,6 @@ from .costs import (
     stacked_gradient,
 )
 from .diffusion import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     DiffusionConfig,
     FixedPointResult,
     lift,
@@ -208,20 +209,6 @@ class Scenario:
         if self.theta is None:
             raise AssumptionError(NOT_PRIMITIVE)
         return self
-
-
-@dataclass(frozen=True, eq=False)
-class BiasReport:
-    """Empirical, closed-form, and limit bias plus the certifying diagnostics;
-    the empirical bias is checked against the closed form only if converged."""
-
-    empirical_bias: np.ndarray
-    closed_form_bias: np.ndarray
-    limit_bias: np.ndarray
-    spectral_radius: float
-    assumption3: Assumption3Report
-    iterations: int
-    converged: bool
 
 
 def normalized_step_shape(step_sizes) -> np.ndarray:
@@ -559,56 +546,3 @@ def limit_bias(config: DiffusionConfig, ensemble: CostEnsemble) -> np.ndarray:
     only on the shape of the step sizes, so rescaling them all by one
     factor changes nothing."""
     return analyse_scenario(config, ensemble).require_primitive().limit_bias
-
-
-def bias_report(
-    config: DiffusionConfig,
-    ensemble: CostEnsemble,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> BiasReport:
-    """Run the recursion through ``analyse_scale`` at the config's largest
-    step size and assemble every bias quantity and diagnostic."""
-    scenario = analyse_scenario(config, ensemble).require_primitive()
-    result, closed, rho = analyse_scale(scenario, config.step_sizes.max(), tol, max_iter)
-    return BiasReport(
-        empirical_bias=scenario.w_star[None, :] - result.w_infinity,
-        closed_form_bias=closed,
-        limit_bias=scenario.limit_bias,
-        spectral_radius=rho,
-        assumption3=scenario.assumption3,
-        iterations=result.iterations_used,
-        converged=result.converged,
-    )
-
-
-def _fmt(x: float) -> str:
-    """A real at 17 significant digits, as in the JSON report and the sweep CSV."""
-    return format(float(x), ".16e")
-
-
-def report_to_json(report: BiasReport) -> str:
-    """Fixed-schema JSON document with reals at 17 significant digits."""
-
-    def vector(values) -> str:
-        return "[" + ", ".join(_fmt(v) for v in np.asarray(values).ravel()) + "]"
-
-    def matrix(values) -> str:
-        return "[" + ", ".join(vector(row) for row in np.asarray(values)) + "]"
-
-    a3 = report.assumption3
-    return (
-        "{\n"
-        f'  "empirical_bias": {matrix(report.empirical_bias)},\n'
-        f'  "closed_form_bias": {vector(report.closed_form_bias)},\n'
-        f'  "limit_bias": {vector(report.limit_bias)},\n'
-        f'  "spectral_radius": {_fmt(report.spectral_radius)},\n'
-        f'  "iterations": {report.iterations},\n'
-        f'  "converged": {"true" if report.converged else "false"},\n'
-        '  "assumption3": {'
-        f'"satisfied": {"true" if a3.satisfied else "false"}, '
-        f'"c0": {_fmt(a3.c0_estimate)}, '
-        f'"max_deviation": {_fmt(a3.max_deviation)}'
-        "}\n"
-        "}\n"
-    )

@@ -108,6 +108,8 @@ def validate_step_condition(config: DiffusionConfig, ensemble: CostEnsemble) -> 
 
     A violation names the offending node with the largest step-to-bound
     ratio, which for a scaled scenario config is ``Scenario.tightest``."""
+    if config.n != ensemble.n:
+        raise ValueError(f"config is for {config.n} nodes, ensemble has {ensemble.n}")
     bounds = step_size_bounds(config.c, ensemble)  # raises if Assumption 1 fails
     over = config.step_sizes >= bounds
     if over.any():
@@ -142,12 +144,11 @@ class _StepOperator:
     so the whole update per node k is (I - mu_k * R_k) phi_k + mu_k * d_k
     with R_k and d_k the c-combined Hessians and offsets. Identity
     combination factors are skipped entirely. a1, a2 and c are the
-    CombinationMatrix factors; the step sizes are used unchecked."""
+    CombinationMatrix factors; they and the step sizes are used unchecked,
+    as ``validate_step_condition`` has checked them against the ensemble."""
 
     def __init__(self, a1, a2, c, step_sizes, ensemble: CostEnsemble):
         n, m = ensemble.n, ensemble.dim
-        if a1.n != n:
-            raise ValueError(f"config is for {a1.n} nodes, ensemble has {n}")
         mu = np.asarray(step_sizes, dtype=float)
         self.gain = np.eye(m)[None, :, :] - mu[:, None, None] * combine_hessians(c, ensemble)
         self.offset = mu[:, None] * combine_gradient_offsets(c, ensemble)

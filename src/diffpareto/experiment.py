@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import Scenario, _fmt, analyse_scale, analyse_scenario
+from .bias import Scenario, analyse_scale, analyse_scenario
 from .costs import CostEnsemble, sample_ensemble
 from .diffusion import DEFAULT_MAX_ITER, DEFAULT_TOL, atc_config, cta_config
 from .network import A_RULES, C_RULES, build_A, build_C, generate_topology
@@ -251,6 +251,11 @@ def fit_loglog_slope(rows: list[SweepRow]) -> float:
     return float(slope)
 
 
+def _fmt(x: float) -> str:
+    """A real at 17 significant digits, as in the sweep CSV and plot script."""
+    return format(float(x), ".16e")
+
+
 def _bool(x: bool) -> str:
     return "true" if x else "false"
 
@@ -271,12 +276,15 @@ def emit_csv(rows: list[SweepRow], path) -> None:
 
 def emit_plot_script(rows: list[SweepRow], path) -> None:
     """Self-contained gnuplot script: log-log bias curves, one per scenario,
-    plus a dashed horizontal line at the nonzero small-step limits."""
+    plus a dashed horizontal line at the nonzero small-step limits. The image
+    is named after the script, each quote doubled as gnuplot's single-quoted
+    strings require."""
     path = Path(path)
+    image = path.stem.replace("'", "''")
     lines = [
         "# squared bias norm against the largest step size (log-log)",
         "set terminal pngcairo size 960,640",
-        f"set output '{path.stem}.png'",
+        f"set output '{image}.png'",
         "set logscale xy",
         "set xlabel 'largest step size'",
         "set ylabel 'squared bias norm'",

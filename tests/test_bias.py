@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import json
 
 import numpy as np
 import pytest
@@ -9,12 +8,10 @@ from kron_reference import kron_reference, reference_answers, reference_radius
 from diffpareto import bias as bias_module
 from diffpareto.bias import (
     analyse_scenario,
-    bias_report,
     closed_form_bias,
     limit_bias,
     limit_operators,
     normalized_step_shape,
-    report_to_json,
     scale_analysis,
     spectral_check,
 )
@@ -189,6 +186,8 @@ def test_limit_operators_two_node_hand_values():
     ops = limit_operators(cfg, ens)
     assert np.allclose(ops.node_weights, [4 / 7, 3 / 7], atol=1e-12)
     assert np.allclose(ops.agg_hessian_inv, [[0.5]], atol=1e-12)
+    with pytest.raises(ValueError, match="node weights must be nonnegative"):
+        dataclasses.replace(ops, node_weights=np.array([-1 / 7, 8 / 7]))
 
 
 def test_limit_operators_doubly_stochastic_uniform_hessians():
@@ -412,7 +411,7 @@ def test_non_primitive_composite_raises_only_where_theta_is_needed(eigvals_calls
     assert scenario.theta is None and scenario.limit_bias is None and scenario.mixing is None
     with pytest.raises(AssumptionError, match="Assumption 2"):
         scenario.require_primitive()
-    for call in (bias_report, limit_bias, limit_operators):
+    for call in (limit_bias, limit_operators):
         with pytest.raises(AssumptionError, match="Assumption 2"):
             call(cfg, ens)
     assert eigvals_calls == []
@@ -696,43 +695,7 @@ def test_in_place_mixing_equals_the_plain_expression(n, make):
         assert np.array_equal(mixing, mixing_by_expression(config, theta))
 
 
-# --- report and serialization ------------------------------------------------------
-
-
-def test_bias_report_round_trip():
-    cfg, ens = two_node_config(mu=0.01)
-    report = bias_report(cfg, ens, tol=1e-13)
-    assert report.empirical_bias.shape == (2, 1)
-    assert report.closed_form_bias.shape == (2,)
-    assert report.limit_bias.shape == (1,)
-    assert np.abs(report.empirical_bias.ravel() - report.closed_form_bias).max() <= 1e-9
-    assert report.spectral_radius < 1.0
-    assert not report.assumption3.satisfied
-    assert report.converged
-
-    text = report_to_json(report)
-    doc = json.loads(text)
-    assert set(doc) == {
-        "empirical_bias",
-        "closed_form_bias",
-        "limit_bias",
-        "spectral_radius",
-        "iterations",
-        "converged",
-        "assumption3",
-    }
-    assert doc["iterations"] == report.iterations
-    assert doc["converged"] is True
-    assert set(doc["assumption3"]) == {"satisfied", "c0", "max_deviation"}
-    assert doc["assumption3"]["satisfied"] is False
-    assert doc["limit_bias"][0] == pytest.approx(1.0 / 7.0, abs=1e-10)
-    # 17 significant digits: mantissa with 16 decimal places
-    import re
-
-    assert re.search(r"-?\d\.\d{16}e[+-]\d{2}", text)
-
-
-# --- the per-scale check shared by the sweep and the report ------------------------
+# --- the per-scale check of the sweep ------------------------
 
 SMALL_SWEEP = ExperimentConfig(
     strategy="atc",
@@ -744,11 +707,6 @@ SMALL_SWEEP = ExperimentConfig(
     dim=2,
     rows=4,
 )
-
-
-def small_sweep_scale() -> tuple[DiffusionConfig, CostEnsemble]:
-    scenario = build_scenario(SMALL_SWEEP)
-    return scenario.at_scale(1e-2), scenario.ensemble
 
 
 def test_scale_analysis_answers_for_its_own_scenario():
@@ -771,21 +729,24 @@ def test_scale_analysis_answers_for_its_own_scenario():
 
 def test_bare_config_calls_analyse_the_config_they_are_given(monkeypatch):
     # steps for which max * (steps / max) moves 2 of the 12 entries by an ulp:
-    # the bare-config path iterates and solves at the steps themselves
+    # the bare-config path solves at the steps themselves
     scenario = build_scenario(SMALL_SWEEP)
     steps = 3e-3 * (0.4 + 0.6 * np.random.default_rng(1).random(12))
     assert not np.array_equal(steps.max() * (steps / steps.max()), steps)
     cfg, ens = scenario.at_scale(1e-2).with_step_sizes(steps), scenario.ensemble
     assert np.array_equal(analyse_scenario(cfg, ens).at_scale(steps.max()).step_sizes, steps)
-    iterated, run = [], bias_module.run_to_fixed_point
+    solved, at_scale = [], bias_module.Scenario.at_scale
 
-    def recorded(config, *args, **kwargs):
-        iterated.append(config.step_sizes)
-        return run(config, *args, **kwargs)
+    def recorded(self, mu_max):
+        config = at_scale(self, mu_max)
+        solved.append(config.step_sizes)
+        return config
 
-    monkeypatch.setattr(bias_module, "run_to_fixed_point", recorded)
-    bias_report(cfg, ens)
-    assert len(iterated) == 1 and np.array_equal(iterated[0], steps)
+    monkeypatch.setattr(bias_module.Scenario, "at_scale", recorded)
+    closed = closed_form_bias(cfg, ens)
+    assert len(solved) == 1 and np.array_equal(solved[0], steps)
+    b, rhs = kron_reference(cfg, ens)
+    assert np.abs(closed - np.linalg.solve(np.eye(rhs.shape[0]) - b, rhs)).max() <= 1e-10
 
 
 # each caller of analyse_scale, run at a given max_iter; returns the converged flags
@@ -793,7 +754,6 @@ PER_SCALE_CALLERS = {
     "run_sweep": lambda max_iter: [
         row.converged for row in run_sweep(dataclasses.replace(SMALL_SWEEP, max_iter=max_iter))
     ],
-    "bias_report": lambda max_iter: [bias_report(*small_sweep_scale(), max_iter=max_iter).converged],
 }
 
 
@@ -819,18 +779,3 @@ def test_gap_check_raises_for_converged_iterate_off_the_closed_form(monkeypatch,
 def test_gap_check_skips_exhausted_iterate(monkeypatch, caller):
     shift_fixed_points(monkeypatch)
     assert PER_SCALE_CALLERS[caller](5) == [False]
-
-
-@pytest.mark.parametrize("tol", [-1.0, float("nan")])
-def test_bias_report_rejects_tol_not_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        bias_report(*small_sweep_scale(), tol=tol)
-
-
-def test_bias_report_flags_exhausted_recursion():
-    report = bias_report(*small_sweep_scale(), max_iter=5)
-    assert report.converged is False
-    assert report.iterations == 5
-    doc = json.loads(report_to_json(report))
-    assert doc["iterations"] == 5
-    assert doc["converged"] is False

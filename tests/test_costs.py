@@ -49,6 +49,35 @@ def central_difference_gradient(cost: QuadraticCost, w: np.ndarray, h: float) ->
     return out
 
 
+# each input check with an input that only it rejects: without the check the
+# call returns, or fails later with another message
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: QuadraticCost(np.zeros((0, 2)), np.zeros(0)),
+            "at least one data row",
+            id="no-rows",
+        ),
+        pytest.param(
+            lambda: QuadraticCost(np.ones((2, 1)), np.ones(3)),
+            "data matrix has 2 rows but target has 3 entries",
+            id="target-length",
+        ),
+        pytest.param(lambda: CostEnsemble(costs=(), dim=1), "at least one cost", id="no-costs"),
+        pytest.param(
+            lambda: CostEnsemble(costs=(scalar_cost(1.0), RANK_ONE), dim=1),
+            "cost 1 has dim 2, expected 1",
+            id="cost-dim",
+        ),
+        pytest.param(lambda: sample_ensemble(0, 2, 3, 1), "must all be positive", id="sample-n"),
+    ],
+)
+def test_input_checks_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- sampling ---------------------------------------------------------------
 
 

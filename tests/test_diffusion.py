@@ -74,6 +74,8 @@ def test_config_validation():
         DiffusionConfig(a1=A22, a2=eye, c=eye, step_sizes=np.array([0.1, 0.0]))
     with pytest.raises(ValueError, match="step sizes"):
         DiffusionConfig(a1=A22, a2=eye, c=eye, step_sizes=np.array([0.1]))
+    with pytest.raises(ValueError, match="combination matrices must share one size"):
+        DiffusionConfig(a1=A22, a2=identity_combination(3), c=eye, step_sizes=[0.1, 0.1])
 
 
 def test_validate_step_condition():
@@ -238,6 +240,8 @@ def test_run_validates_step_condition():
     cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.array([0.5, 1.2]))
     with pytest.raises(AssumptionError):
         run_to_fixed_point(cfg, two_scalar_ensemble())
+    with pytest.raises(ValueError, match="config is for 2 nodes, ensemble has 3"):
+        run_to_fixed_point(cfg, sample_ensemble(3, 1, 2, data_seed=1))
 
 
 # --- the modal tail against the plain loop ------------------------------------

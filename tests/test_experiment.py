@@ -8,12 +8,14 @@ import pytest
 from test_bias import shift_fixed_points
 
 from diffpareto import bias as bias_module
+from diffpareto import cli as cli_module
 from diffpareto import diffusion as diffusion_module
 from diffpareto import experiment as experiment_module
 from diffpareto.cli import cli_main
 from diffpareto.costs import sample_ensemble
 from diffpareto.experiment import (
     CSV_HEADER,
+    DEFAULT_SCHEDULE,
     ExperimentConfig,
     SweepRow,
     build_scenario,
@@ -99,6 +101,14 @@ def test_config_rejects_unknown_fields():
 def test_config_rejects_missing_and_invalid():
     with pytest.raises(ValueError, match="missing required"):
         config_from_dict({"strategy": "atc"})
+    with pytest.raises(ValueError, match="config document must be a JSON object"):
+        config_from_dict(["strategy"])
+    with pytest.raises(ValueError, match="unknown a_rule 'identity'"):
+        small_config(a_rule="identity")
+    with pytest.raises(ValueError, match="unknown c_rule 'metropolis'"):
+        small_config(c_rule="metropolis")
+    with pytest.raises(ValueError, match="step_mode must be one of"):
+        small_config(step_mode="unequal")
     with pytest.raises(ValueError, match="strategy"):
         small_config(strategy="gossip")
     with pytest.raises(ValueError, match="distinct"):
@@ -498,6 +508,13 @@ def test_plot_script_empty_rows_axes_only(tmp_path):
     assert "\nplot" not in text
 
 
+def test_plot_script_doubles_the_quotes_of_the_image_name(tmp_path):
+    # gnuplot ends a single-quoted string at a lone quote; '' stands for one
+    out = tmp_path / "bob's.gp"
+    emit_plot_script(synthetic_rows([(1e-2, 1e-4), (1e-3, 1e-6)]), out)
+    assert "set output 'bob''s.png'" in out.read_text().splitlines()
+
+
 def test_builtin_figure_configs_cover_four_families():
     figures = builtin_figure_configs()
     assert set(figures) == {"atc_unequal", "cta_unequal", "atc_equal", "cta_equal"}
@@ -804,6 +821,20 @@ def test_cli_figures_smoke(tmp_path):
     first = (outdir / "sweep_atc_equal.csv").read_text().splitlines()
     assert first[0] == CSV_HEADER
     assert len(first) == 1 + 3 * 2  # three scenarios, two schedule points
+
+
+def test_cli_figures_runs_the_default_schedule_without_the_flag(tmp_path, monkeypatch):
+    # the sweeps are stubbed: only the schedule handed to them is checked
+    schedules = []
+
+    def recorded(config):
+        schedules.append(config.mu_max_schedule)
+        return synthetic_rows([(mu, mu) for mu in config.mu_max_schedule])
+
+    monkeypatch.setattr(cli_module, "run_sweep", recorded)
+    assert cli_main(["figures", "--outdir", str(tmp_path)]) == 0
+    assert schedules == [DEFAULT_SCHEDULE] * 12
+    assert len(list(tmp_path.glob("*.csv"))) == 4
 
 
 @pytest.mark.parametrize(

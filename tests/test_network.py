@@ -88,6 +88,50 @@ def test_topology_validation():
         Topology(n_nodes=3, adjacency=disconnected)
 
 
+# each input check with an input that only it rejects: without the check the
+# call returns, or fails later with another message
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: as_matrix([1.0, 2.0]), "expected a 2-D matrix", id="as_matrix-1d"),
+        pytest.param(lambda: as_vector([[1.0]]), "expected a 1-D vector", id="as_vector-2d"),
+        pytest.param(
+            lambda: Topology(n_nodes=3, adjacency=np.eye(2, dtype=bool)),
+            "does not match n_nodes",
+            id="topology-shape",
+        ),
+        pytest.param(
+            lambda: Topology(n_nodes=2, adjacency=np.array([[False, True], [True, True]])),
+            "diagonal must be true",
+            id="topology-open-neighborhood",
+        ),
+        pytest.param(
+            lambda: CombinationMatrix(np.full((2, 3), 0.5), kind="left_stochastic"),
+            "must be square",
+            id="combination-not-square",
+        ),
+        pytest.param(
+            lambda: CombinationMatrix(np.eye(2), kind="column_stochastic"),
+            "unknown stochasticity kind",
+            id="combination-kind",
+        ),
+        pytest.param(lambda: build_A(path3(), "identity"), "must be one of", id="build_A-rule"),
+        pytest.param(lambda: build_C(path3(), "metropolis"), "must be one of", id="build_C-rule"),
+        pytest.param(lambda: check_primitive(np.ones((2, 3))), "must be square", id="primitive"),
+        pytest.param(
+            lambda: design_step_sizes_for_assumption3(
+                CombinationMatrix(A22, kind="left_stochastic"), identity_combination(2), 0.0
+            ),
+            "mu_max must be positive",
+            id="design-mu_max",
+        ),
+    ],
+)
+def test_input_checks_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- combination matrices -------------------------------------------------
 
 

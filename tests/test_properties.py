@@ -20,7 +20,6 @@ from diffpareto import bias as bias_module  # noqa: E402
 from diffpareto.bias import (  # noqa: E402
     GAP_FACTOR,
     analyse_scenario,
-    bias_report,
     closed_form_bias,
     limit_bias,
     normalized_step_shape,
@@ -144,10 +143,10 @@ def test_bare_config_calls_take_the_one_per_scale_path(case, fraction):
     config, ensemble = case
     scenario = analyse_scenario(config, ensemble)
     mu_max = fraction * scenario.margins[scenario.tightest]
-    closed, _ = scale_analysis(scenario, mu_max)
+    closed, rho = scale_analysis(scenario, mu_max)
     scaled = scenario.at_scale(mu_max)
     assert np.array_equal(closed_form_bias(scaled, ensemble), closed)
-    assert np.array_equal(bias_report(scaled, ensemble).closed_form_bias, closed)
+    assert spectral_check(scaled, ensemble) == rho
 
 
 @given(scenarios(), st.floats(0.003, 0.01))
