@@ -194,20 +194,21 @@ def run_to_fixed_point(
     steps computed past the stop are discarded. The iterates, the counts and
     every value in the result are those of that loop, bit for bit.
 
-    A run whose largest update, decaying at its rate over iterations 128 to
-    256, stays above the threshold for more than 512 further iterations
-    skips its tail. From iteration 256 it steps an N*M x M basis from
-    1 kron I_M beside the iterate. Every 64 steps from 192 steps in, once
-    that basis spans an invariant subspace of the error-propagation matrix
-    B and the run's iterates 128 steps apart fit it to within their
-    rounding noise, every later iterate is a sum of M geometric sequences,
-    and the same per-node test finds the same stopping iteration among them
-    without stepping. A model that is refused for good, or not accepted
-    1024 steps in, is dropped and the run goes on plain (see the tail
-    module). ``stepped`` in the result counts the plain steps kept: it
-    equals ``iterations_used`` when the whole run was stepped, and when it
-    is smaller, ``w_infinity`` and ``final_update_norm`` belong to the
-    modelled iterate at ``iterations_used``.
+    At any tol, a run whose largest update, decaying at its rate over
+    iterations 128 to 256, stays above the threshold for more than 512
+    further iterations skips its tail (see the tail module). It steps an
+    N*M x M basis from 1 kron I_M beside the iterate. Every 64 steps from
+    iteration 448, once that basis spans an invariant subspace of the
+    error-propagation matrix B and the run's iterates 128 steps apart fit
+    it to within their rounding noise, every later iterate is a sum of M
+    geometric sequences, and the same per-node test finds the stop among
+    them without stepping. Where the last update sits within the plain
+    loop's rounding noise of the threshold, as it must below about
+    1024 eps, that stop is an extended-precision loop's. A model refused
+    for good, or not accepted 1024 steps in, is dropped and the run goes on
+    plain. ``stepped`` counts the plain steps kept; when it is smaller than
+    ``iterations_used``, ``w_infinity`` and ``final_update_norm`` belong to
+    the modelled iterate at ``iterations_used``.
     """
     if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be finite and positive and max_iter at least one")
@@ -263,7 +264,7 @@ def run_to_fixed_point(
                 probe = worst
             elif iterations == ENGAGE_AT:
                 gate = tol * (1.0 + math.sqrt(float(norms2[i].max())))
-                if runs_long(probe, worst, gate, tol, max_iter):
+                if runs_long(probe, worst, gate):
                     tracker = SlowSubspace(op)
     w = w.copy()
     w.setflags(write=False)

@@ -11,8 +11,8 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -82,18 +82,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown c_rule {self.c_rule!r}")
         if self.step_mode not in STEP_MODES:
             raise ValueError(f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}")
-        schedule = tuple(float(mu) for mu in self.mu_max_schedule)
-        if not schedule:
+        if not self.mu_max_schedule:
             raise ValueError("mu_max_schedule must be nonempty")
-        if any(mu <= 0.0 or not math.isfinite(mu) for mu in schedule):
+        # bounded before float(), which overflows on a JSON integer too large for a float
+        if not all(0.0 < mu <= sys.float_info.max for mu in self.mu_max_schedule):
             raise ValueError("mu_max_schedule entries must be positive and finite")
+        schedule = tuple(map(float, self.mu_max_schedule))
         if len(set(schedule)) != len(schedule):
             raise ValueError("mu_max_schedule entries must be distinct")
         if self.n_nodes < 6:
             raise ValueError("sweeps need at least 6 nodes for the average degree of 4")
         if self.dim < 1 or self.rows < 1:
             raise ValueError("dim and rows must be positive")
-        if not math.isfinite(self.tol) or self.tol <= 0.0 or self.max_iter < 1:
+        if not 0.0 < self.tol <= sys.float_info.max or self.max_iter < 1:
             raise ValueError("tol must be finite and positive and max_iter at least one")
         object.__setattr__(self, "mu_max_schedule", schedule)
 

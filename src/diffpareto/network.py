@@ -388,8 +388,8 @@ def design_step_sizes_for_assumption3(
 
     Scales each node inversely to its entry of a2 @ theta, so the weighted
     vector is constant by construction; the largest step equals mu_max."""
-    if mu_max <= 0:
-        raise ValueError("mu_max must be positive")
+    if not 0.0 < mu_max < math.inf:
+        raise ValueError("mu_max must be positive and finite")
     theta = perron_theta(a1, a2).theta
     u = a2.matrix @ theta
     if (u == 0.0).any():

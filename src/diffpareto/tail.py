@@ -39,22 +39,19 @@ _FIT_SPAN = 128
 # plain steps a model costs
 _LONG_RUN = 4 * _FIT_SPAN
 _RESIDUAL = 1e-13  # |BQ - QS| allowed, relative to |BQ|
-# rounding noise allowed in the fit, relative to |w|; a tol below it puts the
-# stopping test itself in the noise, and such runs stay plain
+# rounding noise allowed in the fit, relative to |w|; a tol below it puts the plain loop's
+# stopping test in its own noise, where the tail's count is an extended-precision loop's
 _NOISE = 1024 * np.finfo(float).eps
 _COND_LIMIT = 1e6  # of the eigenvectors of S
 _SEPARATION = 1e-8  # smallest Ritz value gap, relative to the largest 1 - lambda
 _SCAN_BYTES = 2**18  # the arrays of one scan block
 
 
-def runs_long(probe: float, worst: float, gate: float, tol: float, max_iter: int) -> bool:
-    """Whether a run is worth tracking: its largest squared update,
+def runs_long(probe: float, worst: float, gate: float) -> bool:
+    """Whether a run is worth tracking, at any tol: its largest squared update,
     ``probe`` at PROBE_AT and ``worst`` at ENGAGE_AT, stays above gate**2
     for more than _LONG_RUN further iterations at the rate it decayed
-    between the two, max_iter leaves room for a model, and tol sits above
-    the rounding noise of an update."""
-    if tol < _NOISE or max_iter <= ENGAGE_AT + _FIT_SPAN + _PERIOD:
-        return False
+    between the two."""
     if worst >= probe:
         return True
     rate = math.log(worst / probe) / (ENGAGE_AT - PROBE_AT)

@@ -9,10 +9,18 @@ import numpy as np
 from diffpareto.diffusion import _StepOperator, run_to_fixed_point
 
 
-def plain_fixed_point(config, ensemble, init=None, tol=1e-12, max_iter=1_000_000, trace=None):
-    """(last iterate, iterations, converged) of the plain loop."""
+def plain_fixed_point(
+    config, ensemble, init=None, tol=1e-12, max_iter=1_000_000, trace=None, dtype=float
+):
+    """(last iterate, iterations, converged) of the plain loop, carried in
+    ``dtype``: np.longdouble steps the same double-precision operator in
+    extended precision."""
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
-    w = np.zeros(op.shape) if init is None else np.array(init, dtype=float)
+    for name in ("gain", "offset", "a1t", "a2t"):
+        value = getattr(op, name)
+        if value is not None:
+            setattr(op, name, value.astype(dtype))
+    w = np.zeros(op.shape, dtype) if init is None else np.array(init, dtype=dtype)
     for iterations in range(1, max_iter + 1):
         wn = op.apply(w)
         diff = wn - w

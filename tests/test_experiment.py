@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,35 @@ def test_run_sweep_records_exhausted_rows_unconverged():
     rows = run_sweep(small_config(mu_max_schedule=(1e-2, 1e-3), max_iter=5))
     assert [r.mu_max for r in rows] == [1e-2, 1e-3]
     assert all(not r.converged and r.iterations == 5 for r in rows)
+
+
+# the benchmark's reference counts, kept beside the benchmark harness
+EXPECTED_SEED1 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_seed1.json"
+
+
+def test_sweep_reproduces_the_benchmark_reference_counts_at_fifty_nodes():
+    # every N=50 row (default seeds, tol 1e-12), rebuilt from its scenario id
+    # and step scale; the N=200 rows are left out, as their last digits
+    # follow the BLAS thread count
+    expected = json.loads(EXPECTED_SEED1.read_text(encoding="utf-8"))
+    rows = expected["sweep_small_steps"] + expected["figures_coarse"]
+    schedules: dict[str, dict[float, None]] = {}
+    for scenario_id, mu_max, _, _ in rows:
+        schedules.setdefault(scenario_id, {})[mu_max] = None
+    counts = {}
+    for scenario_id, schedule in schedules.items():
+        strategy, a_rule, c_rule, step_mode = scenario_id.split("-")
+        config = ExperimentConfig(
+            strategy=strategy,
+            a_rule=a_rule,
+            c_rule=c_rule,
+            step_mode=step_mode,
+            mu_max_schedule=tuple(schedule),
+        )
+        for row in run_sweep(config):
+            counts[scenario_id, row.mu_max] = [row.iterations, row.converged]
+    assert len(rows) == 31
+    assert [[s, mu, *counts[s, mu]] for s, mu, _, _ in rows] == rows
 
 
 def test_scenario_inputs_identical_across_scales():
@@ -777,6 +807,7 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("topology_seed", 1.5),
         ("strategy", ["atc"]),
         ("debug_identical_costs", 1),
+        pytest.param("tol", 10**400, id="tol-401-digit-integer"),
     ],
 )
 def test_cli_malformed_config_field_exits_one(tmp_path, capsys, field, value):
@@ -785,6 +816,16 @@ def test_cli_malformed_config_field_exits_one(tmp_path, capsys, field, value):
     assert cli_main(["sweep", "--config", str(config), "--out", out]) == 1
     assert cli_main(["check", "--config", str(config)]) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
+
+
+def test_cli_schedule_integer_too_large_for_a_float_exits_one(tmp_path, capsys):
+    # JSON carries a 401-digit integer as it is and reads it back as an int
+    config = write_config(tmp_path, mu_max_schedule=[1e-2, 10**400])
+    out = str(tmp_path / "x.csv")
+    assert cli_main(["sweep", "--config", str(config), "--out", out]) == 1
+    assert cli_main(["check", "--config", str(config)]) == 1
+    message = "error: mu_max_schedule entries must be positive and finite"
+    assert capsys.readouterr().err.count(message) == 2
 
 
 def test_cli_topo_round_trip(tmp_path):

@@ -118,12 +118,19 @@ def test_topology_validation():
         pytest.param(lambda: build_A(path3(), "identity"), "must be one of", id="build_A-rule"),
         pytest.param(lambda: build_C(path3(), "metropolis"), "must be one of", id="build_C-rule"),
         pytest.param(lambda: check_primitive(np.ones((2, 3))), "must be square", id="primitive"),
-        pytest.param(
-            lambda: design_step_sizes_for_assumption3(
-                CombinationMatrix(A22, kind="left_stochastic"), identity_combination(2), 0.0
-            ),
-            "mu_max must be positive",
-            id="design-mu_max",
+        *(
+            pytest.param(
+                lambda mu_max=mu_max: design_step_sizes_for_assumption3(
+                    CombinationMatrix(A22, kind="left_stochastic"), identity_combination(2), mu_max
+                ),
+                "mu_max must be positive and finite",
+                id=name,
+            )
+            for mu_max, name in [
+                (0.0, "design-mu_max"),
+                (np.nan, "design-mu_max-nan"),
+                (np.inf, "design-mu_max-inf"),
+            ]
         ),
     ],
 )
