@@ -30,8 +30,11 @@ matrix C with the spectrum of B, which the closed form is solved through.
 
 * At N*M of MATRIX_FREE_NM (400) and above, C is applied blockwise and
   never formed: block Lanczos gives the radius and deflated CG the
-  closed form. The radius is certified by a Gershgorin bound on
-  lambda_min(S), and by the exact value only where the bound falls short;
+  closed form. Lanczos checks its Ritz pairs from the eigenvalues of its
+  k x k matrix T and one block inverse iteration on T for the top M
+  vectors, so no k x k eigenvector matrix is formed. The radius is
+  certified by a Gershgorin bound on lambda_min(S), and by the exact
+  value only where the bound falls short;
 * below the crossover, or as the fallback when Lanczos or CG has not
   converged within its cap, C is formed once: one ``eigvalsh`` gives the
   radius and one dense solve the closed form.
@@ -337,8 +340,10 @@ class _SlowModes:
         scenario's Gershgorin ``mixing_bound``, or failing that by its exact
         ``mixing_min``. None when either test fails within LANCZOS_STEPS.
 
-        The basis is column-major and T's blocks are stacked per step, so
-        only the steps taken touch memory."""
+        Each check takes theta from ``eigvalsh`` of the block tridiagonal T
+        and the top M Ritz vectors from ``_top_ritz_block``; one whose shifted
+        solve fails is unconverged. The basis is column-major and T's blocks
+        are stacked per step, so only the steps taken touch memory."""
         n, m, _ = self.chol.shape
         steps = min(LANCZOS_STEPS, n)
         basis = np.empty((n * m, steps * m), order="F")
@@ -353,18 +358,23 @@ class _SlowModes:
             w -= basis[:, max(lo - m, 0) : hi] @ local
             w -= basis[:, :hi] @ (basis[:, :hi].T @ w)
             q, betas[j] = np.linalg.qr(w)
-            # T's eigenpairs every eighth step, on the last, and on a breakdown
+            # a Ritz check every eighth step, on the last, and on a breakdown
             if (j + 1) % 8 and j + 1 < steps and np.abs(np.diagonal(betas[j])).min() > 1e-8:
                 continue
-            theta, vecs = np.linalg.eigh(_block_tridiagonal(alphas[: j + 1], betas[:j]))
-            res = float(np.linalg.norm(betas[j] @ vecs[-m:, -1]))
+            t = _block_tridiagonal(alphas[: j + 1], betas[:j])
+            theta = np.linalg.eigvalsh(t)
+            try:
+                block = _top_ritz_block(t, theta, m)
+            except np.linalg.LinAlgError:
+                continue
+            res = float(np.linalg.norm(betas[j] @ block[-m:, -1]))
             gap = theta[-1] - theta[-2 if hi > 1 else -1]
             if (res * min(1.0, res / gap) if gap > 0.0 else res) <= 1e-11 * (1.0 - theta[-1]):
                 # the exact lambda_min(S) only when the bound cannot certify
                 floor = -min(scenario.mixing_bound, 0.0)
                 if theta[-1] <= floor and theta[-1] <= -min(scenario.mixing_min, 0.0):
                     return None
-                self.slow = basis[:, :hi] @ vecs[:, -m:]
+                self.slow = basis[:, :hi] @ block
                 return float(theta[-1])
         return None
 
@@ -424,6 +434,26 @@ def _block_tridiagonal(diagonal: np.ndarray, lower: np.ndarray) -> np.ndarray:
     t[np.arange(1, k), :, np.arange(k - 1), :] = lower
     t[np.arange(k - 1), :, np.arange(1, k), :] = lower.transpose(0, 2, 1)
     return t.reshape(k * m, k * m)
+
+
+def _top_ritz_block(t: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
+    """m orthonormal Ritz vectors of the symmetric t for its m largest
+    eigenvalues, ascending, given all of them in ``theta`` (ascending): two
+    block inverse-iteration solves from the first m unit vectors, with t
+    shifted 1e-10 |t|_2 above theta[-1] and a QR after each, then an m x m
+    Rayleigh-Ritz ``eigh``. The last vector is t's top eigenvector to working
+    precision; the others gain the ratio of their distance from the shift to
+    theta[-m-1]'s per solve, small for Lanczos's separated slow modes. t is
+    shifted in place and restored; a singular shifted t raises LinAlgError."""
+    diagonal = t.diagonal().copy()
+    t.flat[:: len(t) + 1] -= theta[-1] + 1e-10 * max(theta[-1], -theta[0])
+    try:
+        x = np.eye(len(t), m)
+        for _ in range(2):
+            x = np.linalg.qr(np.linalg.solve(t, x))[0]
+    finally:
+        np.fill_diagonal(t, diagonal)
+    return x @ np.linalg.eigh(x.T @ t @ x)[1]
 
 
 def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[float, Callable[[], np.ndarray]]:

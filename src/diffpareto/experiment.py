@@ -90,6 +90,10 @@ class ExperimentConfig:
         schedule = tuple(map(float, self.mu_max_schedule))
         if len(set(schedule)) != len(schedule):
             raise ValueError("mu_max_schedule entries must be distinct")
+        # JSON integers are unbounded; beyond this, numpy's sizes and float() overflow
+        for name in ("n_nodes", "dim", "rows"):
+            if getattr(self, name) > sys.maxsize:
+                raise ValueError(f"{name} must be at most {sys.maxsize}")
         if self.n_nodes < 6:
             raise ValueError("sweeps need at least 6 nodes for the average degree of 4")
         if self.dim < 1 or self.rows < 1:

@@ -440,24 +440,41 @@ def test_perron_vector_with_a_zero_entry_falls_back_to_eigvals(eigvals_calls):
 # --- the matrix-free route ---------------------------------------------------------
 
 
+def count_dense_operands(monkeypatch) -> dict[str, list[int]]:
+    """From here on, the N*M of each C that ``_SlowModes.form`` builds, under
+    "form", and the N of each S whose exact lambda_min ``Scenario.mixing_min``
+    takes, under "mixing_min": the two ways a step scale of a reversible
+    scenario reaches a dense eigensolver of order N*M or N."""
+    calls = {"form": [], "mixing_min": []}
+    form, mixing_min = bias_module._SlowModes.form, bias_module.Scenario.mixing_min.func
+
+    def counted_form(modes):
+        c = form(modes)
+        calls["form"].append(len(c))
+        return c
+
+    def counted_mixing_min(scenario):
+        calls["mixing_min"].append(len(scenario.mixing))
+        return mixing_min(scenario)
+
+    counted = functools.cached_property(counted_mixing_min)
+    counted.__set_name__(bias_module.Scenario, "mixing_min")
+    monkeypatch.setattr(bias_module._SlowModes, "form", counted_form)
+    monkeypatch.setattr(bias_module.Scenario, "mixing_min", counted)
+    return calls
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    """The N*M of each lift and the size of each two-dimensional eigvalsh the
-    package runs from here on."""
-    calls = {"lift": [], "eigvalsh": []}
-    lift_, eigvalsh = bias_module.lift, np.linalg.eigvalsh
+    """``count_dense_operands``, and under "lift" the N*M of each lift."""
+    calls = {"lift": [], **count_dense_operands(monkeypatch)}
+    lift_ = bias_module.lift
 
     def counted_lift(a1, a2, blocks):
         calls["lift"].append(blocks.shape[0] * blocks.shape[1])
         return lift_(a1, a2, blocks)
 
-    def counted_eigvalsh(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            calls["eigvalsh"].append(len(a))
-        return eigvalsh(a, *args, **kwargs)
-
     monkeypatch.setattr(bias_module, "lift", counted_lift)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return calls
 
 
@@ -510,9 +527,9 @@ def check_symmetric_route(route, strategy, a_rule, c_rule, counts, eigvals_calls
     """Every built-in rule is reversible under ATC and CTA, so neither route
     runs eigvals or lifts B. rho stays within 1e-9 (1 - rho) of the reference
     even where the spectrum clusters just below one, and the closed form within
-    1e-10 relative. On block Lanczos and deflated CG, no two-dimensional eigvalsh
-    runs at all: the Gershgorin bound on lambda_min(S) certifies every radius, so
-    neither C nor S goes to an eigensolver. The slow Ritz vectors that deflate CG
+    1e-10 relative. On block Lanczos and deflated CG, C is never formed and the
+    Gershgorin bound on lambda_min(S) certifies every radius, so neither C nor S
+    goes to an eigensolver. The slow Ritz vectors that deflate CG
     are orthonormal to working precision, which takes the full
     reorthogonalisation: without it they drift to 1e-13."""
     scenario = build_scenario(rule_case(strategy, a_rule, c_rule))
@@ -528,7 +545,7 @@ def check_symmetric_route(route, strategy, a_rule, c_rule, counts, eigvals_calls
     assert eigvals_calls == []
     assert counts["lift"] == []
     if route == "matrix_free":
-        assert counts["eigvalsh"] == []
+        assert counts["form"] == counts["mixing_min"] == []
         assert len(counts["slow"]) == len(RULE_SCALES)
         for slow in counts["slow"]:
             assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
@@ -556,18 +573,11 @@ def test_matrix_free_run_at_its_cap_falls_back_to_the_dense_route(cap, matrix_fr
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
     dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 0)
-    formed, form = [], bias_module._SlowModes.form
-
-    def counted_form(modes):
-        c = form(modes)
-        formed.append(c.shape)
-        return c
-
-    monkeypatch.setattr(bias_module._SlowModes, "form", counted_form)
+    matrix_free["form"].clear()
     monkeypatch.setattr(bias_module, cap, 1)
     closed, rho = scale_analysis(scenario, 1e-3)
     assert matrix_free["lift"] == []
-    assert formed == [(200, 200)]
+    assert matrix_free["form"] == [200]
     assert np.array_equal(closed, dense_closed)
     assert abs(rho - dense_rho) <= 1e-9 * (1.0 - dense_rho)
 
@@ -578,7 +588,8 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     # B's eigenvalue largest in modulus is -0.475, while lambda_max(C) is
     # about 0.32. Lanczos finds the top end only. The Gershgorin bound -1
     # cannot certify it, so the exact lambda_min(S) of -1/2 is taken, and it
-    # cannot either; rho then comes from the dense symmetric route
+    # cannot either; rho then comes from the dense symmetric route, on C formed
+    # once, which the closed form reuses
     mu, costs = 0.1, []
     for k in range(3):
         d = np.array([np.cos(2 * np.pi * k / 3), np.sin(2 * np.pi * k / 3)])
@@ -595,8 +606,101 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     assert eigs.real.max() < 0.33
     expected, reference = reference_answers(cfg, ens)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
-    assert matrix_free["eigvalsh"] == [3, 6]
+    assert matrix_free["mixing_min"] == [3]
+    assert matrix_free["form"] == [6]
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_lanczos_ritz_checks_run_no_eigh_larger_than_m(matrix_free, monkeypatch):
+    # each Ritz check takes T's eigenvalues from eigvalsh and its top M Ritz
+    # vectors from block inverse iteration, so the one eigh left is the M x M
+    # Rayleigh-Ritz of that block, never one of T itself
+    scenario = build_scenario(rule_case("atc", "metropolis", "relative_degree"))
+    shapes, eigh = [], np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for mu_max in RULE_SCALES:
+        scale_analysis(scenario, mu_max)
+    assert matrix_free["form"] == []
+    assert len(matrix_free["slow"]) == len(RULE_SCALES)
+    assert shapes and set(shapes) == {(4, 4)}
+
+
+@pytest.mark.parametrize("k, m", [(3, 1), (4, 2), (20, 4)])
+def test_top_ritz_block_leads_with_the_top_eigenvector_and_restores_t(k, m):
+    # a random symmetric t whose top gap is 1e-6 of its spectrum's width: the
+    # block is orthonormal, t's Rayleigh-Ritz projection on it is diagonal and
+    # ascending, its last column is t's top eigenvector, and t is unchanged
+    rng = np.random.default_rng(k)
+    t = rng.standard_normal((k * m, k * m))
+    theta, vecs = np.linalg.eigh(t + t.T)
+    theta[-1] = theta[-2] + 1e-6 * (theta[-1] - theta[0])
+    t = (vecs * theta) @ vecs.T
+    t = 0.5 * (t + t.T)
+    before = t.copy()
+    block = bias_module._top_ritz_block(t, np.linalg.eigvalsh(t), m)
+    assert np.array_equal(t, before)
+    assert np.abs(block.T @ block - np.eye(m)).max() <= 1e-14
+    ritz = block.T @ t @ block
+    scale = np.abs(theta).max()
+    assert np.abs(ritz - np.diag(ritz.diagonal())).max() <= 1e-14 * scale
+    assert (np.diff(ritz.diagonal()) >= 0.0).all()
+    assert abs(ritz[-1, -1] - theta[-1]) <= 1e-14 * scale
+    assert abs(abs(block[:, -1] @ vecs[:, -1]) - 1.0) <= 1e-12
+
+
+def test_lanczos_whose_shifted_solve_fails_falls_back_to_the_dense_route(
+    matrix_free, monkeypatch
+):
+    # a singular shifted T leaves every Ritz check unconverged, so Lanczos
+    # reaches its cap and C is formed once, as at any other cap
+    scenario = build_scenario(rule_case("atc", "metropolis", "relative_degree"))
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
+    dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 0)
+    matrix_free["form"].clear()
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(bias_module, "_top_ritz_block", singular)
+    closed, rho = scale_analysis(scenario, 1e-3)
+    assert matrix_free["form"] == [200]
+    assert matrix_free["slow"] == []
+    assert np.array_equal(closed, dense_closed) and rho == dense_rho
+
+
+# the benchmark's N = 200 scenario (N*M = 800), above MATRIX_FREE_NM
+BENCHMARK_N200 = ExperimentConfig(
+    strategy="atc",
+    a_rule="metropolis",
+    c_rule="relative_degree",
+    step_mode="unequal_uniform_half",
+    mu_max_schedule=(1e-2, 1e-3),
+    n_nodes=200,
+    topology_seed=1,
+    data_seed=2,
+    step_seed=3,
+)
+
+
+@pytest.mark.parametrize("mu_max", BENCHMARK_N200.mu_max_schedule)
+def test_lanczos_at_two_hundred_nodes_matches_the_formed_c(mu_max, counts, monkeypatch):
+    # at the default crossover the scale runs matrix-free; rho stays within
+    # 1e-9 (1 - rho) of the dense route's, the largest |eigvalsh| of the formed
+    # C, and the closed form within 1e-10 relative of the dense solve through it
+    scenario = build_scenario(BENCHMARK_N200)
+    closed, rho = scale_analysis(scenario, mu_max)
+    assert counts["form"] == counts["mixing_min"] == []
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
+    dense_closed, reference = scale_analysis(scenario, mu_max)
+    assert counts["form"] == [800]
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert np.linalg.norm(closed - dense_closed) <= 1e-10 * np.linalg.norm(dense_closed)
 
 
 def test_dense_symmetric_closed_form_within_2e_12_of_a_refined_reference():

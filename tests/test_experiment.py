@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_bias import shift_fixed_points
+from test_bias import count_dense_operands, shift_fixed_points
 
 from diffpareto import bias as bias_module
 from diffpareto import cli as cli_module
@@ -305,14 +305,15 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
 
 
 def test_sweep_above_the_crossover_forms_no_n_m_square_matrix(monkeypatch):
-    # the counterpart at N*M = MATRIX_FREE_NM: a scale runs no two-dimensional
-    # eigvalsh and lifts nothing, as block Lanczos and deflated CG answer it
-    # matrix-free, and the Gershgorin bound on lambda_min(S) certifies its
-    # radius, so S goes to no eigensolver either
+    # the counterpart at N*M = MATRIX_FREE_NM: a scale neither forms C nor
+    # lifts B, as block Lanczos and deflated CG answer it matrix-free, and the
+    # Gershgorin bound on lambda_min(S) certifies its radius, so S goes to no
+    # eigensolver either
     experiment_module._scenario_inputs.cache_clear()
     config = small_config(n_nodes=100, dim=4, rows=6)
     assert config.n_nodes * config.dim == bias_module.MATRIX_FREE_NM
-    operators, hessian_eigs, radius_eigs, lifts = [], [], [], []
+    operators, hessian_eigs, lifts = [], [], []
+    dense = count_dense_operands(monkeypatch)
     init = diffusion_module._StepOperator.__init__
 
     def counted_init(self, *args, **kwargs):
@@ -323,7 +324,8 @@ def test_sweep_above_the_crossover_forms_no_n_m_square_matrix(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
 
     def counted_eigvalsh(a, *args, **kwargs):
-        (hessian_eigs if np.ndim(a) == 3 else radius_eigs).append(np.shape(a))
+        if np.ndim(a) == 3:
+            hessian_eigs.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
@@ -332,13 +334,13 @@ def test_sweep_above_the_crossover_forms_no_n_m_square_matrix(monkeypatch):
     assert len(rows) == 2 and all(row.converged for row in rows)
     assert len(operators) == 2
     assert hessian_eigs == [(100, 4, 4)]
-    assert radius_eigs == []
+    assert dense == {"form": [], "mixing_min": []}
 
     rows = run_sweep(dataclasses.replace(config, a_rule="averaging"))
     assert len(rows) == 2 and all(row.converged for row in rows)
     assert len(operators) == 4
     assert hessian_eigs == [(100, 4, 4)]
-    assert radius_eigs == []
+    assert dense == {"form": [], "mixing_min": []}
     assert lifts == []
 
 
@@ -808,6 +810,9 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
         ("strategy", ["atc"]),
         ("debug_identical_costs", 1),
         pytest.param("tol", 10**400, id="tol-401-digit-integer"),
+        pytest.param("n_nodes", 10**400, id="n_nodes-401-digit-integer"),
+        pytest.param("dim", 10**400, id="dim-401-digit-integer"),
+        pytest.param("rows", 10**400, id="rows-401-digit-integer"),
     ],
 )
 def test_cli_malformed_config_field_exits_one(tmp_path, capsys, field, value):
