@@ -131,13 +131,14 @@ def _cmd_figures(args) -> int:
             schedule = tuple(float(part) for part in args.schedule.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --schedule value: {exc}") from exc
-    families = builtin_figure_configs(schedule)
+    # every family runs before the first write, so a failure leaves no output
+    families = {
+        name: [row for config in configs for row in run_sweep(config)]
+        for name, configs in builtin_figure_configs(schedule).items()
+    }
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, configs in families.items():
-        rows = []
-        for config in configs:
-            rows.extend(run_sweep(config))
+    for name, rows in families.items():
         emit_csv(rows, outdir / f"sweep_{name}.csv")
         emit_plot_script(rows, outdir / f"sweep_{name}.gp")
         print(f"wrote sweep_{name}.csv and sweep_{name}.gp")

@@ -194,21 +194,24 @@ def run_to_fixed_point(
     steps computed past the stop are discarded. The iterates, the counts and
     every value in the result are those of that loop, bit for bit.
 
-    At any tol, a run whose largest update, decaying at its rate over
-    iterations 128 to 256, stays above the threshold for more than 512
-    further iterations skips its tail (see the tail module). It steps an
+    At any tol, a run is judged at iteration 128 from the decay of its
+    largest update since iteration 64 and, if not then judged long, at 256
+    from the decay since 128. A long run, whose largest update at that rate
+    stays above the threshold for more than 512 further iterations, skips
+    its tail (see the tail module). From the judgement on, it steps an
     N*M x M basis from 1 kron I_M beside the iterate. Every 64 steps from
-    iteration 448, once that basis spans an invariant subspace of the
-    error-propagation matrix B and the run's iterates 128 steps apart fit
-    it to within their rounding noise, every later iterate is a sum of M
-    geometric sequences, and the same per-node test finds the stop among
-    them without stepping. Where the last update sits within the plain
-    loop's rounding noise of the threshold, as it must below about
+    128 steps after the judgement, once that basis spans an invariant
+    subspace of the error-propagation matrix B and the run's iterates 128
+    steps apart fit it to within their rounding noise, every later iterate
+    is a sum of M geometric sequences, and the same per-node test finds the
+    stop among them without stepping. Where the last update sits within the
+    plain loop's rounding noise of the threshold, as it must below about
     1024 eps, that stop is an extended-precision loop's. A model refused
     for good, or not accepted 1024 steps in, is dropped and the run goes on
-    plain. ``stepped`` counts the plain steps kept; when it is smaller than
-    ``iterations_used``, ``w_infinity`` and ``final_update_norm`` belong to
-    the modelled iterate at ``iterations_used``.
+    plain; it is not judged again. ``stepped`` counts the plain steps kept;
+    when it is smaller than ``iterations_used``, ``w_infinity`` and
+    ``final_update_norm`` belong to the modelled iterate at
+    ``iterations_used``.
     """
     if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be finite and positive and max_iter at least one")
@@ -221,6 +224,7 @@ def run_to_fixed_point(
     iterations = 0
     converged = False
     probe = 0.0
+    probe_at = PROBE_AT  # where the largest update is read next; 0 once the run is judged
     tracker = None
     while not converged and iterations < max_iter:
         size = min(_BLOCK, max_iter - iterations)
@@ -260,12 +264,13 @@ def run_to_fixed_point(
                     return FixedPointResult(w, used, converged, final, stepped=iterations)
                 if not tracker.open:
                     tracker = None
-            elif iterations == PROBE_AT:
+            elif iterations == probe_at:
+                if iterations > PROBE_AT:
+                    gate = tol * (1.0 + math.sqrt(float(norms2[i].max())))
+                    if runs_long(probe, worst, gate, iterations // 2):
+                        tracker = SlowSubspace(op, w)
                 probe = worst
-            elif iterations == ENGAGE_AT:
-                gate = tol * (1.0 + math.sqrt(float(norms2[i].max())))
-                if runs_long(probe, worst, gate):
-                    tracker = SlowSubspace(op)
+                probe_at = 2 * iterations if tracker is None and iterations < ENGAGE_AT else 0
     w = w.copy()
     w.setflags(write=False)
     return FixedPointResult(

@@ -23,17 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A run is judged long at ENGAGE_AT from the decay of its largest update
-# since PROBE_AT; it then tracks the slow subspace and offers it as a model
-# every _PERIOD tracked steps, from the first that keeps an iterate _FIT_SPAN
-# back, until _TRACK_LIMIT.
-PROBE_AT = 128
+# A run's largest update is read at PROBE_AT and at each doubling up to
+# ENGAGE_AT; from the second read on, the run is judged long from its decay
+# since the read before, at most once. A long run then tracks the slow
+# subspace from its iterate at that judgement and offers it as a model every
+# _PERIOD tracked steps, from the first that keeps an iterate _FIT_SPAN back,
+# until _TRACK_LIMIT.
+PROBE_AT = 64
 ENGAGE_AT = 256
 _TRACK_LIMIT = 1024
 _PERIOD = 64  # also the re-orthonormalisation period of the tracked basis
-# iterations between the two iterates the model is fitted to; on the
-# built-in networks the fast modes fall below 1e-14 of their start within
-# 150-300 iterations, before the older iterate is kept
+# iterations between the two iterates the model is fitted to; the older is
+# at first the iterate at the judgement, so a model is first offered
+# _FIT_SPAN tracked steps in. The fast modes, which on the built-in networks
+# fall below 1e-14 of their start within 150-300 iterations, are waited for
+# by the invariance and fit tests, which refuse a model until they are gone
+# from the basis and from the older iterate
 _FIT_SPAN = 128
 # predicted remaining iterations that make a run long: several times the
 # plain steps a model costs
@@ -47,14 +52,14 @@ _SEPARATION = 1e-8  # smallest Ritz value gap, relative to the largest 1 - lambd
 _SCAN_BYTES = 2**18  # the arrays of one scan block
 
 
-def runs_long(probe: float, worst: float, gate: float) -> bool:
+def runs_long(probe: float, worst: float, gate: float, span: int) -> bool:
     """Whether a run is worth tracking, at any tol: its largest squared update,
-    ``probe`` at PROBE_AT and ``worst`` at ENGAGE_AT, stays above gate**2
+    ``probe`` and ``span`` iterations later ``worst``, stays above gate**2
     for more than _LONG_RUN further iterations at the rate it decayed
     between the two."""
     if worst >= probe:
         return True
-    rate = math.log(worst / probe) / (ENGAGE_AT - PROBE_AT)
+    rate = math.log(worst / probe) / span
     return math.log(gate * gate / worst) / rate > _LONG_RUN
 
 
@@ -63,19 +68,20 @@ class SlowSubspace:
 
     The span of Q converges to the invariant subspace of B's M slow modes
     at the rate the fast modes die. Q is re-orthonormalised every _PERIOD
-    steps and, once it keeps an iterate _FIT_SPAN back, offered as a model
-    of the run's tail when it is invariant: ||BQ - QS|| small for
-    S = Q^T B Q. Its Ritz pairs, the eigenpairs of S, must be real, slow,
-    distinct and well conditioned.
+    steps and, once it keeps an iterate _FIT_SPAN back (the first it keeps
+    is the plain iterate w it starts from), offered as a model of the run's
+    tail when it is invariant: ||BQ - QS|| small for S = Q^T B Q. Its Ritz
+    pairs, the eigenpairs of S, must be real, slow, distinct and well
+    conditioned.
     ``op`` is the run's step operator: its shape (N, M) and apply_linear."""
 
-    def __init__(self, op):
+    def __init__(self, op, w: np.ndarray):
         n, m = op.shape
         self.op = op
         self.q = np.broadcast_to(np.eye(m) / math.sqrt(n), (n, m, m)).copy()
         self.steps = 0
         # plain iterates _PERIOD apart, the oldest _FIT_SPAN before the newest
-        self.iterates = deque(maxlen=_FIT_SPAN // _PERIOD + 1)
+        self.iterates = deque([w.copy()], maxlen=_FIT_SPAN // _PERIOD + 1)
         self.open = True  # False once no model will be accepted
 
     def advance(self, w: np.ndarray) -> ModalTail | None:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from plain_loop import assert_bit_identical, plain_fixed_point
 
+from diffpareto import diffusion as diffusion_module
+from diffpareto import tail as tail_module
 from diffpareto.costs import CostEnsemble, QuadraticCost, sample_ensemble, step_size_bounds
 from diffpareto.diffusion import (
     _BLOCK,
@@ -25,7 +27,15 @@ from diffpareto.network import (
     generate_topology,
     identity_combination,
 )
-from diffpareto.tail import _FIT_SPAN, _PERIOD, ENGAGE_AT, ModalTail, SlowSubspace, runs_long
+from diffpareto.tail import (
+    _FIT_SPAN,
+    _PERIOD,
+    ENGAGE_AT,
+    PROBE_AT,
+    ModalTail,
+    SlowSubspace,
+    runs_long,
+)
 
 A22 = CombinationMatrix(np.array([[0.7, 0.4], [0.3, 0.6]]), kind="left_stochastic")
 
@@ -379,7 +389,7 @@ def test_tail_count_below_the_rounding_noise_is_the_extended_precision_count(fie
 
 
 def test_a_run_whose_largest_update_grows_is_long():
-    assert runs_long(1.0, 2.0, 1e-12)
+    assert runs_long(1.0, 2.0, 1e-12, PROBE_AT)
 
 
 class Rotation:
@@ -395,9 +405,11 @@ class Rotation:
 
 
 def test_complex_ritz_values_end_the_tracking():
-    tracker = SlowSubspace(Rotation())
+    # the iterate the tracker starts from is the older of the first fit, so
+    # the first model is offered, and refused, _FIT_SPAN steps in
     w = np.zeros((3, 2))
-    assert all(tracker.advance(w) is None for _ in range(_FIT_SPAN + _PERIOD))
+    tracker = SlowSubspace(Rotation(), w)
+    assert all(tracker.advance(w) is None for _ in range(_FIT_SPAN))
     assert not tracker.open
 
 
@@ -419,12 +431,77 @@ def test_tail_reproduces_plain_loop_with_identical_costs():
 
 
 def test_short_run_steps_every_iteration():
-    # at 10^-2.5 the run is predicted to end too soon to pay for a model
-    for mu_max, iterations in [(1e-2, 220), (10**-2.5, 664)]:
-        config, ens, init = sweep_row(mu_max)
-        res = run_to_fixed_point(config, ens, init=init)
+    # at 1e-2 the run is predicted at iteration 128 to end too soon to pay for a model
+    config, ens, init = sweep_row(1e-2)
+    res = run_to_fixed_point(config, ens, init=init)
+    assert_same_run(res, plain_fixed_point(config, ens, init=init))
+    assert res.stepped == res.iterations_used == 220
+
+
+# the seven rows of the small-step benchmark sweep at seed 1: mu_max, the
+# plain loop's iterations and the plain steps kept before the tail takes over
+SWEEP_ROWS = [
+    (1e-2, 220, 220),
+    (10**-2.5, 664, 320),
+    (1e-3, 1980, 256),
+    (10**-3.5, 5875, 256),
+    (1e-4, 17350, 256),
+    (10**-4.5, 50973, 256),
+    (1e-5, 148883, 256),
+]
+
+
+@pytest.mark.parametrize(
+    "mu_max, iterations, stepped", SWEEP_ROWS, ids=[f"{mu:.3g}" for mu, _, _ in SWEEP_ROWS]
+)
+def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, stepped):
+    # a long row is judged at 128 and its first model offered 128 tracked
+    # steps later. The stepped prefix is the plain loop's bit for bit. The
+    # plain loop's full run is compared here on the two rows below 1,000
+    # iterations and by test_tail_reproduces_plain_loop_on_sweep_rows from
+    # 1e-3 to 1e-4; the two longest rows would take it about 200,000 steps
+    # (some 6 s), and their counts are the benchmark's reference counts of it
+    config, ens, init = sweep_row(mu_max)
+    res = assert_bit_identical(config, ens, init)
+    assert (res.iterations_used, res.stepped, res.converged) == (iterations, stepped, True)
+    if iterations < 1_000:
         assert_same_run(res, plain_fixed_point(config, ens, init=init))
-        assert res.stepped == res.iterations_used == iterations
+
+
+def test_a_run_judged_short_at_128_is_judged_again_at_256(monkeypatch):
+    # the acceptance-3 row at 1e-5 and tol 1e-14: its largest update falls
+    # fast from iteration 64 to 128 and slowly after, so the first judgement
+    # calls it short. Judged only then, it would step all of its iterations
+    verdicts = []
+
+    def judged(probe, worst, gate, span):
+        verdicts.append((span, runs_long(probe, worst, gate, span)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(diffusion_module, "runs_long", judged)
+    config, ens, init = sweep_row(1e-5, a_rule="metropolis", step_mode="equal")
+    res = run_to_fixed_point(config, ens, init=init, tol=1e-14)
+    assert verdicts == [(PROBE_AT, False), (2 * PROBE_AT, True)]
+    assert (res.iterations_used, res.converged) == (110_303, True)
+    assert res.stepped <= ENGAGE_AT + _FIT_SPAN + _PERIOD
+
+
+def test_a_tracker_refused_for_good_is_not_started_again(monkeypatch):
+    # every tracker follows the Rotation operator, whose complex Ritz values
+    # refuse it for good at its first offer, brought forward to _PERIOD steps
+    # in: at iteration 192, before the judgement at 256 could start another
+    trackers = []
+
+    def rotating(op, w):
+        trackers.append(SlowSubspace(Rotation(), w))
+        return trackers[-1]
+
+    monkeypatch.setattr(tail_module, "_FIT_SPAN", _PERIOD)
+    monkeypatch.setattr(diffusion_module, "SlowSubspace", rotating)
+    config, ens, init = sweep_row(10**-3.5)
+    res = run_to_fixed_point(config, ens, init=init)
+    assert [(t.steps, t.open) for t in trackers] == [(_PERIOD, False)]
+    assert res.stepped == res.iterations_used == 5875
 
 
 def test_repeated_slow_modes_finish_plain():
@@ -546,6 +623,6 @@ def test_tail_spends_no_basis_products_on_the_overshoot(monkeypatch):
     products = count_calls(monkeypatch, "apply_linear")
     config, ens, init = sweep_row(1e-4)
     res = run_to_fixed_point(config, ens, init=init)
-    # one product per plain step after ENGAGE_AT and one for the model,
-    # accepted at its first offer
-    assert len(products) == res.stepped - ENGAGE_AT + 1 == 193
+    # one product per plain step after the first judgement and one for the
+    # model, accepted at its first offer
+    assert len(products) == res.stepped - 2 * PROBE_AT + 1 == 129

@@ -206,29 +206,55 @@ def test_run_sweep_records_exhausted_rows_unconverged():
 EXPECTED_SEED1 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_seed1.json"
 
 
-def test_sweep_reproduces_the_benchmark_reference_counts_at_fifty_nodes():
-    # every N=50 row (default seeds, tol 1e-12), rebuilt from its scenario id
-    # and step scale; the N=200 rows are left out, as their last digits
-    # follow the BLAS thread count
+@pytest.fixture(scope="module")
+def seed1_rows():
+    """The benchmark's reference rows at N=50 (default seeds, tol 1e-12) by
+    workload, and each row's (iterations, converged, plain steps kept),
+    rebuilt from its scenario id and step scale. The N=200 rows are left
+    out, as their last digits follow the BLAS thread count."""
     expected = json.loads(EXPECTED_SEED1.read_text(encoding="utf-8"))
-    rows = expected["sweep_small_steps"] + expected["figures_coarse"]
+    del expected["analysis_n200"]
     schedules: dict[str, dict[float, None]] = {}
-    for scenario_id, mu_max, _, _ in rows:
+    for scenario_id, mu_max, _, _ in expected["sweep_small_steps"] + expected["figures_coarse"]:
         schedules.setdefault(scenario_id, {})[mu_max] = None
+    stepped = {}
+    analyse_scale = experiment_module.analyse_scale
+
+    def recorded(scenario, mu_max, tol, max_iter):
+        result = analyse_scale(scenario, mu_max, tol, max_iter)
+        stepped[mu_max] = result[0].stepped
+        return result
+
     counts = {}
-    for scenario_id, schedule in schedules.items():
-        strategy, a_rule, c_rule, step_mode = scenario_id.split("-")
-        config = ExperimentConfig(
-            strategy=strategy,
-            a_rule=a_rule,
-            c_rule=c_rule,
-            step_mode=step_mode,
-            mu_max_schedule=tuple(schedule),
-        )
-        for row in run_sweep(config):
-            counts[scenario_id, row.mu_max] = [row.iterations, row.converged]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment_module, "analyse_scale", recorded)
+        for scenario_id, schedule in schedules.items():
+            strategy, a_rule, c_rule, step_mode = scenario_id.split("-")
+            config = ExperimentConfig(
+                strategy=strategy,
+                a_rule=a_rule,
+                c_rule=c_rule,
+                step_mode=step_mode,
+                mu_max_schedule=tuple(schedule),
+            )
+            for row in run_sweep(config):
+                counts[scenario_id, row.mu_max] = row.iterations, row.converged, stepped[row.mu_max]
+    return expected, counts
+
+
+def test_sweep_reproduces_the_benchmark_reference_counts_at_fifty_nodes(seed1_rows):
+    expected, counts = seed1_rows
+    rows = expected["sweep_small_steps"] + expected["figures_coarse"]
     assert len(rows) == 31
-    assert [[s, mu, *counts[s, mu]] for s, mu, _, _ in rows] == rows
+    assert [[s, mu, *counts[s, mu][:2]] for s, mu, _, _ in rows] == rows
+
+
+@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1820), ("figures_coarse", 6092)])
+def test_benchmark_rows_keep_few_plain_steps(seed1_rows, workload, bound):
+    # a guard on the tail's engagement that needs no timing: a long row keeps
+    # 256 plain steps when its first model is accepted
+    expected, counts = seed1_rows
+    assert sum(counts[s, mu][2] for s, mu, _, _ in expected[workload]) <= bound
 
 
 def test_scenario_inputs_identical_across_scales():
@@ -902,6 +928,34 @@ def test_cli_figures_rejects_a_bad_schedule_before_creating_outdir(
     outdir = tmp_path / "figs"
     assert cli_main(["figures", "--outdir", str(outdir), "--schedule", schedule]) == 1
     assert capsys.readouterr().err == message + "\n"
+    assert not outdir.exists()
+
+
+def test_cli_figures_that_fails_in_a_sweep_leaves_no_output(tmp_path, capsys):
+    # mu_max 0.5 is above the first scenario's stability bound
+    outdir = tmp_path / "figs"
+    assert cli_main(["figures", "--outdir", str(outdir), "--schedule", "0.5"]) == 1
+    assert "is not below its stability bound" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_figures_that_fails_in_a_later_family_writes_no_earlier_family(
+    tmp_path, capsys, monkeypatch
+):
+    # the sweeps are stubbed: the first family's three run, the fourth sweep fails
+    calls = []
+
+    def failing(config):
+        calls.append(config.scenario_id)
+        if len(calls) == 4:
+            raise ValueError("stubbed failure")
+        return synthetic_rows([(1e-2, 1e-2)])
+
+    monkeypatch.setattr(cli_module, "run_sweep", failing)
+    outdir = tmp_path / "figs"
+    assert cli_main(["figures", "--outdir", str(outdir), "--schedule", "1e-2"]) == 1
+    assert capsys.readouterr() == ("", "error: stubbed failure\n")
+    assert len(calls) == 4
     assert not outdir.exists()
 
 
