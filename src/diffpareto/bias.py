@@ -197,13 +197,13 @@ class Scenario:
 
     def limit_floor(self) -> float:
         """Rounding floor of ``|limit_bias|``: N eps |Hbar^-1|_2 sum_l |weights_l| s_l,
-        weights = c z and s_l = |g_l(w*)| + |H_l|_2 |w*|, g_l node l's gradient at
-        w_star; the second term is the rounding of w* that every g_l inherits. It is
-        the sum's error carried through the solve."""
+        weights = c z, s_l = |g_l(w*)| + lambda_max(H_l) |w*| (|H_l|_2, H_l being PSD),
+        g_l node l's gradient at w_star; the second term is the rounding of w* that every
+        g_l inherits. It is the sum's error carried through the solve."""
         weights = self.config.c.matrix @ self.node_weights
         ens = self.ensemble
         grads = np.linalg.norm(ens.hessians @ self.w_star - ens.offsets, axis=1)
-        sizes = grads + np.linalg.norm(ens.hessians, 2, axis=(1, 2)) * np.linalg.norm(self.w_star)
+        sizes = grads + ens.lambda_max * np.linalg.norm(self.w_star)
         total = np.abs(weights) @ sizes
         return ens.n * np.finfo(float).eps * total / np.linalg.norm(self.agg_hessian, -2)
 

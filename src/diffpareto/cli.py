@@ -71,6 +71,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    for path in filter(None, (args.out, args.plot)):
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"no directory to write {path} into")
     rows = run_sweep(config)
     emit_csv(rows, args.out)
     if args.plot is not None:

@@ -197,9 +197,3 @@ def check_assumption1(c: CombinationMatrix, ensemble: CostEnsemble) -> Assumptio
 def combine_hessians(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
     """Per-node combined Hessians: stack of sum_l c[l, k] * hessian_l, shape (N, M, M)."""
     return np.einsum("lk,lij->kij", c.matrix, ensemble.hessians)
-
-
-def combine_gradient_offsets(c: CombinationMatrix, ensemble: CostEnsemble) -> np.ndarray:
-    """Per-node combined gradient offsets, shape (N, M)."""
-    return np.einsum("lk,li->ki", c.matrix, ensemble.offsets)
-

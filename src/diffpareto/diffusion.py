@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostEnsemble, combine_gradient_offsets, combine_hessians, step_size_bounds
+from .costs import CostEnsemble, combine_hessians, step_size_bounds
 from .network import AssumptionError, CombinationMatrix, as_matrix, identity_combination
 from .tail import ENGAGE_AT, PROBE_AT, SlowSubspace, runs_long
 
@@ -151,7 +151,7 @@ class _StepOperator:
         n, m = ensemble.n, ensemble.dim
         mu = np.asarray(step_sizes, dtype=float)
         self.gain = np.eye(m)[None, :, :] - mu[:, None, None] * combine_hessians(c, ensemble)
-        self.offset = mu[:, None] * combine_gradient_offsets(c, ensemble)
+        self.offset = mu[:, None] * np.einsum("lk,li->ki", c.matrix, ensemble.offsets)
         self.a1t = _mixing_transpose(a1)
         self.a2t = _mixing_transpose(a2)
         self.shape = (n, m)

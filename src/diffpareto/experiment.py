@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +118,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config fields: {', '.join(unknown)}")
     missing = sorted(
-        name
-        for name in ("strategy", "a_rule", "c_rule", "step_mode", "mu_max_schedule")
-        if name not in data
+        f.name for f in fields(ExperimentConfig) if f.default is MISSING and f.name not in data
     )
     if missing:
         raise ValueError(f"missing required config fields: {', '.join(missing)}")

@@ -218,34 +218,28 @@ def generate_topology(n: int, target_avg_degree: float, seed: int) -> Topology:
             continue
         edges.add((min(u, v), max(u, v)))
     adjacency = np.eye(n, dtype=bool)
-    for u, v in edges:
-        adjacency[u, v] = True
-        adjacency[v, u] = True
+    rows, cols = np.array(list(edges)).T
+    adjacency[rows, cols] = adjacency[cols, rows] = True
     return Topology(n_nodes=n, adjacency=adjacency)
 
 
 def _left_stochastic_by_rule(topology: Topology, rule: str) -> np.ndarray:
     adj = topology.adjacency
     deg = topology.degrees.astype(float)
-    n = topology.n_nodes
     if rule == "averaging":
-        # off-diagonal neighbors get 1/n_k, the diagonal absorbs the rest
-        a = np.zeros((n, n))
-        for k in range(n):
-            for l in np.nonzero(adj[:, k])[0]:
-                if l != k:
-                    a[l, k] = 1.0 / deg[k]
-            a[k, k] = 1.0 - a[:, k].sum()
+        # off-diagonal neighbors get 1/n_k, the diagonal absorbs the rest; the
+        # contiguous rows of a.T sum in the order a[:, k].sum() does, bit for bit
+        a = adj / deg
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(a, 1.0 - np.ascontiguousarray(a.T).sum(axis=1))
     elif rule == "relative_degree":
         a = deg[:, None] * adj
         a /= a.sum(axis=0)
-    elif rule == "metropolis":
+    else:  # metropolis; build_A and build_C have checked the name
         a = np.maximum.outer(deg, deg)
         np.divide(adj, a, out=a)
         np.fill_diagonal(a, 0.0)
         np.fill_diagonal(a, 1.0 - a.sum(axis=0))
-    else:
-        raise ValueError(f"unknown combination rule {rule!r}")
     return a
 
 

@@ -32,7 +32,12 @@ from diffpareto.diffusion import (
     lift,
     run_to_fixed_point,
 )
-from diffpareto.experiment import ExperimentConfig, build_scenario, run_sweep
+from diffpareto.experiment import (
+    ExperimentConfig,
+    build_scenario,
+    builtin_figure_configs,
+    run_sweep,
+)
 from diffpareto.network import (
     A_RULES,
     C_RULES,
@@ -883,3 +888,38 @@ def test_gap_check_raises_for_converged_iterate_off_the_closed_form(monkeypatch,
 def test_gap_check_skips_exhausted_iterate(monkeypatch, caller):
     shift_fixed_points(monkeypatch)
     assert PER_SCALE_CALLERS[caller](5) == [False]
+
+
+def floor_by_svd(scenario) -> float:
+    """``limit_floor``'s formula with each |H_l|_2 taken from an SVD."""
+    ens = scenario.ensemble
+    weights = scenario.config.c.matrix @ scenario.node_weights
+    grads = np.linalg.norm(ens.hessians @ scenario.w_star - ens.offsets, axis=1)
+    norms = np.linalg.norm(ens.hessians, 2, axis=(1, 2))
+    total = np.abs(weights) @ (grads + norms * np.linalg.norm(scenario.w_star))
+    return ens.n * np.finfo(float).eps * total / np.linalg.norm(scenario.agg_hessian, -2)
+
+
+IDENTICAL_COSTS = ExperimentConfig(
+    strategy="atc",
+    a_rule="metropolis",
+    c_rule="relative_degree",
+    step_mode="equal",
+    mu_max_schedule=(1e-3,),
+    n_nodes=20,
+    debug_identical_costs=True,
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [*(cfg for family in builtin_figure_configs().values() for cfg in family), IDENTICAL_COSTS],
+    ids=lambda cfg: f"{cfg.scenario_id}-n{cfg.n_nodes}",
+)
+def test_limit_floor_matches_its_formula_with_svd_norms(config):
+    # each Hessian is PSD, so its top eigenvalue is its 2-norm; the identical-
+    # costs scenario is the one whose check output reads the floor
+    scenario = build_scenario(config)
+    expected = floor_by_svd(scenario)
+    assert expected > 0.0
+    assert abs(scenario.limit_floor() - expected) <= 1e-14 * expected

@@ -642,6 +642,19 @@ def test_cli_sweep_writes_csv_and_plot(tmp_path, capsys):
     assert "set logscale xy" in plot.read_text()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--plot"])
+def test_cli_sweep_checks_output_directories_before_running(tmp_path, monkeypatch, capsys, flag):
+    paths = {"--out": tmp_path / "rows.csv", "--plot": tmp_path / "rows.gp"}
+    paths[flag] = tmp_path / "missing" / "x"
+    swept = []
+    monkeypatch.setattr(cli_module, "run_sweep", lambda config: swept.append(config) or [])
+    argv = ["sweep", "--config", str(write_config(tmp_path))]
+    assert cli_main(argv + [arg for item in paths.items() for arg in map(str, item)]) == 1
+    assert swept == []
+    assert not any(path.exists() for path in paths.values())
+    assert str(paths[flag]) in capsys.readouterr().err
+
+
 def test_cli_sweep_deterministic(tmp_path):
     config = write_config(tmp_path)
     a = tmp_path / "a.csv"

@@ -468,6 +468,17 @@ def test_in_place_builds_equal_the_plain_expressions(n):
     assert np.array_equal(build_C(topology, "identity").matrix, np.eye(n))
 
 
+@pytest.mark.parametrize(
+    "n, degree",
+    [(6, 3.0), (6, 5.0), (50, 4.0), (50, 20.0), (200, 9.0), (200, 20.0), (1000, 12.0), (1000, 20.0)],
+)
+def test_averaging_rule_equals_the_per_column_loop(n, degree):
+    # columns of more than 8 neighbors reach the blocks of numpy's pairwise sum
+    topology = generate_topology(n, degree, seed=n + int(degree))
+    expected = rule_by_expression(topology, "averaging")
+    assert np.array_equal(build_A(topology, "averaging").matrix, expected)
+
+
 def test_identity_test_and_mixing_product():
     eye = identity_combination(3)
     assert eye.is_identity()
