@@ -35,9 +35,16 @@ matrix C with the spectrum of B, which the closed form is solved through.
   vectors, so no k x k eigenvector matrix is formed. The radius is
   certified by a Gershgorin bound on lambda_min(S), and by the exact
   value only where the bound falls short;
-* below the crossover, or as the fallback when Lanczos or CG has not
-  converged within its cap, C is formed once: one ``eigvalsh`` gives the
-  radius and one dense solve the closed form.
+* below the crossover, on a row whose run handed over to the modal tail,
+  the radius is the top Rayleigh-Ritz value of C on the tail's basis of
+  B's slow subspace (``FixedPointResult.slow_basis``) taken into C's
+  coordinates. Ostrowski's theorem with lambda_2(S), Kahan's bound and the
+  quadratic residual bound certify it (``_SlowModes._tail_ritz``); C is
+  formed once, for one dense solve of the closed form;
+* below the crossover on any other row, or as the fallback when Lanczos or
+  CG has not converged within its cap or the tail basis is not certified,
+  C is formed once: one ``eigvalsh`` gives the radius and one dense solve
+  the closed form.
 
 Otherwise B is lifted once, ``numpy.linalg.eigvals`` gives the radius and
 one dense solve the closed form. The conditions for C hold for the
@@ -190,10 +197,16 @@ class Scenario:
         return float((2.0 * self.mixing.diagonal() - column_sums).min() - slack)
 
     @functools.cached_property
+    def mixing_spectrum(self) -> np.ndarray:
+        """The eigenvalues of S, ascending, from one ``eigvalsh``, taken when a
+        radius from the tail's slow basis is first checked or when
+        ``mixing_bound`` first fails to certify a matrix-free one."""
+        return np.linalg.eigvalsh(self.mixing)
+
+    @functools.cached_property
     def mixing_min(self) -> float:
-        """lambda_min(S) from one ``eigvalsh``, taken when ``mixing_bound``
-        first fails to certify a matrix-free radius."""
-        return float(np.linalg.eigvalsh(self.mixing)[0])
+        """lambda_min(S), from ``mixing_spectrum``."""
+        return float(self.mixing_spectrum[0])
 
     def limit_floor(self) -> float:
         """Rounding floor of ``|limit_bias|``: N eps |Hbar^-1|_2 sum_l |weights_l| s_l,
@@ -298,9 +311,9 @@ class _SlowModes:
     blockwise, that is similar to C, whose block (k, l) is S[k, l] L_k^T L_l.
     ``apply`` takes C blockwise (L, then S on the node axis, then L^T:
     O(N^2 M + N M^2) a product) and ``form`` builds it as one N*M x N*M array.
-    ``radius`` leaves either the M slow Ritz vectors in ``slow`` or the
-    formed C in ``c`` for ``closed_form``. ``root`` is sqrt(pi), the Perron
-    vector of S."""
+    ``radius`` leaves the M slow Ritz vectors in ``slow`` (Lanczos), the
+    formed C in ``c`` (``eigvalsh``) or neither (the tail's basis) for
+    ``closed_form``. ``root`` is sqrt(pi), the Perron vector of S."""
 
     def __init__(self, gain: np.ndarray, s: np.ndarray, root: np.ndarray):
         # raises LinAlgError when a gain block is not positive definite
@@ -321,11 +334,17 @@ class _SlowModes:
         c *= self.s[:, None, :, None]
         return c.reshape(n * m, n * m)
 
-    def radius(self, scenario: Scenario | None) -> float:
-        """rho, from ``_lanczos`` when the scenario of S is given for its
-        bounds on lambda_min(S); without it, or when Lanczos fails, as the
+    def radius(self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray | None) -> float:
+        """rho: at N*M of MATRIX_FREE_NM and above from ``_lanczos``; below
+        it, given the orthonormal basis of B's slow subspace that the tail ran
+        on, from ``_tail_ritz``. Otherwise, or when that route fails, it is the
         largest |lambda| of one ``eigvalsh`` of C, formed once and kept."""
-        if scenario is not None and (rho := self._lanczos(scenario)) is not None:
+        n, m, _ = self.chol.shape
+        if n * m >= MATRIX_FREE_NM:
+            rho = self._lanczos(scenario)
+        else:
+            rho = None if basis is None else self._tail_ritz(scenario, a1, basis)
+        if rho is not None:
             return rho
         self.c = self.form()
         eigs = np.linalg.eigvalsh(self.c)
@@ -377,6 +396,35 @@ class _SlowModes:
                 self.slow = basis[:, :hi] @ block
                 return float(theta[-1])
         return None
+
+    def _tail_ritz(self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray) -> float | None:
+        """lambda_max(C) as the top Rayleigh-Ritz value of C on Y, the tail's
+        basis Q of B's slow subspace taken into C's coordinates and
+        orthonormalised: Y = L^T (D^1/2 a1^T kron I) Q, as that map T gives
+        T B = C T when P is reversible (``closed_form`` inverts it).
+
+        The value is certified. Every gain is at most I, so by Ostrowski's
+        theorem at most M eigenvalues of C lie above beta = max(lambda_2(S), 0).
+        With H = Y^T C Y and r = |CY - YH|_F, every Ritz value must clear beta
+        by more than r; by Kahan's bound, M eigenvalues of C then lie within r
+        of them, so they are the top M. The quadratic residual bound
+        r^2 / (theta_min - beta) must then be at most 1e-11 (1 - theta_max),
+        as in ``_lanczos``, and theta_max must exceed -min(lambda_min(S), 0),
+        so that it is rho. Both eigenvalues of S come from the scenario's
+        ``mixing_spectrum``. None when a test fails."""
+        n, m, _ = self.chol.shape
+        x = (self.root[:, None] * (a1.T @ basis.reshape(n, -1))).reshape(n, m, m)
+        y = np.linalg.qr((self.chol.transpose(0, 2, 1) @ x).reshape(n * m, m))[0]
+        cy = self.apply(y)
+        h = y.T @ cy
+        h = 0.5 * (h + h.T)
+        theta = np.linalg.eigvalsh(h)
+        res = float(np.linalg.norm(cy - y @ h))
+        spectrum = scenario.mixing_spectrum
+        gap = theta[0] - spectrum[:-1].max(initial=0.0)
+        if not gap > res or res * res / gap > 1e-11 * (1.0 - theta[-1]):
+            return None
+        return float(theta[-1]) if theta[-1] > -min(spectrum[0], 0.0) else None
 
     def closed_form(self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Stacked x of (I - B) x = rhs, rhs of shape (N, M). Writing
@@ -456,14 +504,18 @@ def _top_ritz_block(t: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
     return x @ np.linalg.eigh(x.T @ t @ x)[1]
 
 
-def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[float, Callable[[], np.ndarray]]:
+def _scale_operator(
+    scenario: Scenario, mu_max: float, slow_basis: np.ndarray | None = None
+) -> tuple[float, Callable[[], np.ndarray]]:
     """Spectral radius of B at ``scenario.at_scale(mu_max)`` and a function
     that solves for the stacked closed-form bias there, (I - B) x = rhs with
     rhs the step sizes and a2 applied to the combined gradients.
 
     When the scenario has S and every gain block is positive definite, both
     come from the ``_SlowModes`` of C, matrix-free at N*M of MATRIX_FREE_NM
-    and above. Otherwise B is lifted, ``eigvals`` gives rho and the solve
+    and above; below it, rho comes from ``slow_basis``, an orthonormal basis
+    of B's slow subspace such as ``FixedPointResult.slow_basis``, when given
+    and certified. Otherwise B is lifted, ``eigvals`` gives rho and the solve
     runs in B's storage (no S, or a step above half of its bound)."""
     config = scenario.at_scale(mu_max)
     a1, a2 = config.a1.matrix, config.a2.matrix
@@ -477,7 +529,7 @@ def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[float, Callable[
         except np.linalg.LinAlgError:
             pass
         else:
-            rho = modes.radius(scenario if n * m >= MATRIX_FREE_NM else None)
+            rho = modes.radius(scenario, a1, slow_basis)
             return rho, lambda: modes.closed_form(a1, a2, rhs)
     b = lift(config.a1, config.a2, gain)
 
@@ -489,12 +541,14 @@ def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[float, Callable[
     return float(np.abs(np.linalg.eigvals(b)).max()), solve
 
 
-def scale_analysis(scenario: Scenario, mu_max: float) -> tuple[np.ndarray, float]:
+def scale_analysis(
+    scenario: Scenario, mu_max: float, slow_basis: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Closed-form stacked bias (length N*M) and spectral radius of a
-    scenario at ``scenario.at_scale(mu_max)``, from ``_scale_operator``.
-    Reads only the scenario's operands; a radius at or above one raises
-    AssumptionError."""
-    rho, closed_form = _scale_operator(scenario, mu_max)
+    scenario at ``scenario.at_scale(mu_max)``, from ``_scale_operator``,
+    given B's slow basis there if one is known. Reads only the scenario's
+    operands; a radius at or above one raises AssumptionError."""
+    rho, closed_form = _scale_operator(scenario, mu_max, slow_basis)
     if rho >= 1.0:
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
@@ -507,7 +561,8 @@ def analyse_scale(
     scenario: Scenario, mu_max: float, tol: float, max_iter: int
 ) -> tuple[FixedPointResult, np.ndarray, float]:
     """Iterated fixed point, closed-form stacked bias and spectral radius of
-    a scenario at ``scenario.at_scale(mu_max)``. The recursion starts at the
+    a scenario at ``scenario.at_scale(mu_max)``, the radius from the run's
+    slow basis where the tail ran on one. The recursion starts at the
     optimum, which only trims iterations. A converged iterate farther from the closed form than
     GAP_FACTOR times the error its stopping rule allows, about
     tol * (1 + |w*|) * sqrt(N) / (1 - rho), raises RuntimeError; one that
@@ -515,7 +570,7 @@ def analyse_scale(
     config, w_star = scenario.at_scale(mu_max), scenario.w_star
     init = np.tile(w_star, (config.n, 1))
     result = run_to_fixed_point(config, scenario.ensemble, init=init, tol=tol, max_iter=max_iter)
-    closed, rho = scale_analysis(scenario, mu_max)
+    closed, rho = scale_analysis(scenario, mu_max, result.slow_basis)
     gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
     if result.converged and gap > bound:

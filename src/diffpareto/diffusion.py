@@ -84,13 +84,19 @@ class DiffusionConfig:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointResult:
-    """Outcome of iterating to a fixed point."""
+    """Outcome of iterating to a fixed point.
+
+    ``slow_basis`` is the orthonormal N*M x M basis of B's slow invariant
+    subspace on which the tail modelled the run (see the tail module), node
+    major, or None when no tail ran. ``bias.analyse_scale`` takes the
+    spectral radius from it below the matrix-free crossover."""
 
     w_infinity: np.ndarray
     iterations_used: int
     converged: bool
     final_update_norm: float
     stepped: int
+    slow_basis: np.ndarray | None = None
 
 
 def atc_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> DiffusionConfig:
@@ -202,16 +208,16 @@ def run_to_fixed_point(
     N*M x M basis from 1 kron I_M beside the iterate. Every 64 steps from
     128 steps after the judgement, once that basis spans an invariant
     subspace of the error-propagation matrix B and the run's iterates 128
-    steps apart fit it to within their rounding noise, every later iterate
-    is a sum of M geometric sequences, and the same per-node test finds the
-    stop among them without stepping. Where the last update sits within the
+    steps apart, or failing that 64, fit it to within their rounding noise,
+    every later iterate is a sum of M geometric sequences, and the same
+    per-node test finds the stop among them without stepping. Where the last update sits within the
     plain loop's rounding noise of the threshold, as it must below about
     1024 eps, that stop is an extended-precision loop's. A model refused
     for good, or not accepted 1024 steps in, is dropped and the run goes on
     plain; it is not judged again. ``stepped`` counts the plain steps kept;
     when it is smaller than ``iterations_used``, ``w_infinity`` and
     ``final_update_norm`` belong to the modelled iterate at
-    ``iterations_used``.
+    ``iterations_used``, and ``slow_basis`` holds the basis.
     """
     if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be finite and positive and max_iter at least one")
@@ -260,8 +266,10 @@ def run_to_fixed_point(
                 tail = tracker.advance(w)
                 if tail is not None:
                     w, used, converged, final = tail.run(iterations, max_iter, tol)
+                    basis = tracker.q.reshape(n * m, m)
                     w.setflags(write=False)
-                    return FixedPointResult(w, used, converged, final, stepped=iterations)
+                    basis.setflags(write=False)
+                    return FixedPointResult(w, used, converged, final, iterations, basis)
                 if not tracker.open:
                     tracker = None
             elif iterations == probe_at:

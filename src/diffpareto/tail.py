@@ -33,12 +33,12 @@ PROBE_AT = 64
 ENGAGE_AT = 256
 _TRACK_LIMIT = 1024
 _PERIOD = 64  # also the re-orthonormalisation period of the tracked basis
-# iterations between the two iterates the model is fitted to; the older is
-# at first the iterate at the judgement, so a model is first offered
-# _FIT_SPAN tracked steps in. The fast modes, which on the built-in networks
-# fall below 1e-14 of their start within 150-300 iterations, are waited for
-# by the invariance and fit tests, which refuse a model until they are gone
-# from the basis and from the older iterate
+# iterations between the two iterates the model is fitted to first (then
+# _PERIOD); the older is at first the iterate at the judgement, so a model is
+# first offered _FIT_SPAN tracked steps in. The fast modes, which on the
+# built-in networks fall below 1e-14 of their start within 150-300
+# iterations, are waited for by the invariance and fit tests, which refuse a
+# model until they are gone from the basis and from the older iterate
 _FIT_SPAN = 128
 # predicted remaining iterations that make a run long: several times the
 # plain steps a model costs
@@ -72,7 +72,8 @@ class SlowSubspace:
     is the plain iterate w it starts from), offered as a model of the run's
     tail when it is invariant: ||BQ - QS|| small for S = Q^T B Q. Its Ritz
     pairs, the eigenpairs of S, must be real, slow, distinct and well
-    conditioned.
+    conditioned. The model is fitted to the run from that iterate or, when
+    that fit is refused, from the one _PERIOD back.
     ``op`` is the run's step operator: its shape (N, M) and apply_linear."""
 
     def __init__(self, op, w: np.ndarray):
@@ -113,8 +114,12 @@ class SlowSubspace:
         if sv[-1] * _COND_LIMIT < sv[0] or gaps.min() <= _SEPARATION * (1.0 - lam).max():
             self.open = False
             return None
-        span = _PERIOD * (len(self.iterates) - 1)
-        return ModalTail.fit(q, lam, v, float(sv[-1]), w, self.iterates[0], span)
+        # against the oldest kept iterate, then, if fast modes left in that one
+        # refuse the fit, against the newer one _PERIOD back
+        for w_old, span in ((self.iterates[0], _FIT_SPAN), (self.iterates[-2], _PERIOD)):
+            if (tail := ModalTail.fit(q, lam, v, float(sv[-1]), w, w_old, span)) is not None:
+                return tail
+        return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ from kron_reference import kron_reference, reference_answers, reference_radius
 
 from diffpareto import bias as bias_module
 from diffpareto.bias import (
+    analyse_scale,
     analyse_scenario,
     closed_form_bias,
     limit_bias,
@@ -587,14 +588,11 @@ def test_matrix_free_run_at_its_cap_falls_back_to_the_dense_route(cap, matrix_fr
     assert abs(rho - dense_rho) <= 1e-9 * (1.0 - dense_rho)
 
 
-def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matrix_free):
-    # three nodes mixing on a triangle, so lambda_min(S) = -1/2, each gain
-    # nearly the projector on its own direction, the three 120 degrees apart:
-    # B's eigenvalue largest in modulus is -0.475, while lambda_max(C) is
-    # about 0.32. Lanczos finds the top end only. The Gershgorin bound -1
-    # cannot certify it, so the exact lambda_min(S) of -1/2 is taken, and it
-    # cannot either; rho then comes from the dense symmetric route, on C formed
-    # once, which the closed form reuses
+def negative_end_case() -> tuple[DiffusionConfig, CostEnsemble]:
+    """Three nodes mixing on a triangle, so lambda_min(S) = -1/2, each gain
+    nearly the projector on its own direction, the three 120 degrees apart:
+    B's eigenvalue largest in modulus is -0.475, while lambda_max(C) is about
+    0.32. Every step is 0.1."""
     mu, costs = 0.1, []
     for k in range(3):
         d = np.array([np.cos(2 * np.pi * k / 3), np.sin(2 * np.pi * k / 3)])
@@ -604,8 +602,16 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     ens = CostEnsemble(costs=tuple(costs), dim=2)
     triangle = CombinationMatrix((np.ones((3, 3)) - np.eye(3)) / 2, kind="doubly_stochastic")
     eye = identity_combination(3)
-    cfg = DiffusionConfig(a1=triangle, a2=eye, c=eye, step_sizes=np.full(3, mu))
-    closed, rho = scale_analysis(analyse_scenario(cfg, ens), mu)
+    return DiffusionConfig(a1=triangle, a2=eye, c=eye, step_sizes=np.full(3, mu)), ens
+
+
+def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matrix_free):
+    # ``negative_end_case``: Lanczos finds the top end only. The Gershgorin
+    # bound -1 cannot certify it, so the exact lambda_min(S) of -1/2 is taken,
+    # and it cannot either; rho then comes from the dense symmetric route, on C
+    # formed once, which the closed form reuses
+    cfg, ens = negative_end_case()
+    closed, rho = scale_analysis(analyse_scenario(cfg, ens), 0.1)
     eigs = np.linalg.eigvals(kron_reference(cfg, ens)[0])
     assert eigs[np.argmax(np.abs(eigs))].real == pytest.approx(-0.475, abs=1e-9)
     assert eigs.real.max() < 0.33
@@ -802,6 +808,80 @@ def test_in_place_mixing_equals_the_plain_expression(n, make):
         theta = perron_theta(config.a1, config.a2).theta
         mixing = bias_module._reversible_mixing(config, theta)
         assert np.array_equal(mixing, mixing_by_expression(config, theta))
+
+
+# --- the radius from the tail's basis ------------------------------------------
+
+
+@pytest.fixture
+def radius_calls(monkeypatch) -> dict[str, list]:
+    """From here on, the order of each single matrix ``eigvalsh`` takes, under
+    "eigvalsh", and each value ``_SlowModes._tail_ritz`` returns, under
+    "tail_ritz"."""
+    calls = {"eigvalsh": [], "tail_ritz": []}
+    eigvalsh, tail_ritz = np.linalg.eigvalsh, bias_module._SlowModes._tail_ritz
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls["eigvalsh"].append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def recorded(modes, *args):
+        calls["tail_ritz"].append(tail_ritz(modes, *args))
+        return calls["tail_ritz"][-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(bias_module._SlowModes, "_tail_ritz", recorded)
+    return calls
+
+
+def test_tail_basis_gives_the_radius_with_no_eigvalsh_of_c(radius_calls):
+    # a row of the small-step sweep at 1e-3 hands over to the tail, and the
+    # top Ritz value of C on the tail's basis is certified: no N*M x N*M
+    # eigvalsh runs, only the 4 x 4 Rayleigh-Ritz one and one of S (50 x 50)
+    # for the scenario. The closed form keeps its dense solve, bit for bit
+    scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
+    result, closed, rho = analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
+    assert result.slow_basis is not None
+    assert radius_calls["eigvalsh"] == [4, 50]
+    assert radius_calls["tail_ritz"] == [rho]
+    dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
+    assert radius_calls["eigvalsh"] == [4, 50, 200]
+    assert np.array_equal(closed, dense_closed)
+    reference = reference_radius(scenario.at_scale(1e-3), scenario.ensemble)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert abs(dense_rho - reference) <= 1e-9 * (1.0 - reference)
+
+
+def test_basis_not_yet_invariant_is_refused_and_eigvalsh_answers(radius_calls):
+    # the basis the tail starts from, 1 kron I_M: on C it leaves a residual of
+    # order mu, far above what the quadratic bound allows, so the radius is
+    # eigvalsh's, to the last bit
+    scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
+    n, m = scenario.ensemble.n, scenario.ensemble.dim
+    start = np.kron(np.ones((n, 1)) / np.sqrt(n), np.eye(m))
+    closed, rho = scale_analysis(scenario, 1e-3, start)
+    assert radius_calls["tail_ritz"] == [None]
+    assert radius_calls["eigvalsh"][-1] == 200
+    dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
+    assert rho == dense_rho and np.array_equal(closed, dense_closed)
+
+
+def test_tail_basis_radius_refused_when_the_negative_end_may_lead(radius_calls):
+    # ``negative_end_case`` with the exact invariant subspace of B's two
+    # largest eigenvalues, 0.32 twice: the Ritz values clear beta = 0 and their
+    # residual is rounding, but they do not exceed -lambda_min(S) = 1/2, so
+    # they need not be rho, and here they are not: eigvalsh gives 0.475
+    cfg, ens = negative_end_case()
+    eigs, vectors = np.linalg.eig(kron_reference(cfg, ens)[0])
+    assert np.isrealobj(eigs)
+    basis = np.linalg.qr(vectors[:, np.argsort(eigs)[-2:]])[0]
+    closed, rho = scale_analysis(analyse_scenario(cfg, ens), 0.1, basis)
+    assert radius_calls["tail_ritz"] == [None]
+    expected, reference = reference_answers(cfg, ens)
+    assert reference == pytest.approx(0.475, abs=1e-9)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 # --- the per-scale check of the sweep ------------------------

@@ -468,6 +468,31 @@ def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, ste
         assert_same_run(res, plain_fixed_point(config, ens, init=init))
 
 
+def test_a_fit_refused_against_the_oldest_iterate_is_tried_against_the_newer():
+    # judged long at 128, this row's basis is invariant at 320, but fast
+    # modes left in the iterate at 192 refuse the fit against it; the fit
+    # against the iterate at 256 is accepted, 64 plain steps before the next
+    # offer would be
+    config, ens, init = sweep_row(1e-4, a_rule="metropolis", step_mode="equal")
+    res = assert_bit_identical(config, ens, init)
+    assert (res.iterations_used, res.stepped, res.converged) == (11_038, 320, True)
+
+
+def test_result_carries_the_basis_the_tail_ran_on():
+    # orthonormal, node-major N*M x M, read-only and invariant under B to the
+    # tail's own residual test; None on a row that never hands over
+    config, ens, init = sweep_row(1e-3)
+    basis = run_to_fixed_point(config, ens, init=init).slow_basis
+    n, m = ens.n, ens.dim
+    assert basis.shape == (n * m, m) and not basis.flags.writeable
+    assert np.abs(basis.T @ basis - np.eye(m)).max() <= 1e-14
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens)
+    bq = op.apply_linear(basis.reshape(n, m, m)).reshape(n * m, m)
+    assert np.linalg.norm(bq - basis @ (basis.T @ bq)) <= 1e-13 * np.linalg.norm(bq)
+    config, ens, init = sweep_row(1e-2)
+    assert run_to_fixed_point(config, ens, init=init).slow_basis is None
+
+
 def test_a_run_judged_short_at_128_is_judged_again_at_256(monkeypatch):
     # the acceptance-3 row at 1e-5 and tol 1e-14: its largest update falls
     # fast from iteration 64 to 128 and slowly after, so the first judgement

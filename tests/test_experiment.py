@@ -209,25 +209,33 @@ EXPECTED_SEED1 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_s
 @pytest.fixture(scope="module")
 def seed1_rows():
     """The benchmark's reference rows at N=50 (default seeds, tol 1e-12) by
-    workload, and each row's (iterations, converged, plain steps kept),
-    rebuilt from its scenario id and step scale. The N=200 rows are left
-    out, as their last digits follow the BLAS thread count."""
+    workload, and each row's (iterations, converged, plain steps kept,
+    eigvalsh calls on an N*M x N*M matrix), rebuilt from its scenario id and
+    step scale. The N=200 rows are left out, as their last digits follow the
+    BLAS thread count."""
     expected = json.loads(EXPECTED_SEED1.read_text(encoding="utf-8"))
     del expected["analysis_n200"]
     schedules: dict[str, dict[float, None]] = {}
     for scenario_id, mu_max, _, _ in expected["sweep_small_steps"] + expected["figures_coarse"]:
         schedules.setdefault(scenario_id, {})[mu_max] = None
-    stepped = {}
-    analyse_scale = experiment_module.analyse_scale
+    work, square_eigs = {}, []
+    analyse_scale, eigvalsh = experiment_module.analyse_scale, np.linalg.eigvalsh
 
     def recorded(scenario, mu_max, tol, max_iter):
+        square_eigs.clear()
         result = analyse_scale(scenario, mu_max, tol, max_iter)
-        stepped[mu_max] = result[0].stepped
+        work[mu_max] = result[0].stepped, len(square_eigs)
         return result
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        if np.shape(a) == (50 * 4, 50 * 4):
+            square_eigs.append(1)
+        return eigvalsh(a, *args, **kwargs)
 
     counts = {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment_module, "analyse_scale", recorded)
+        patch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         for scenario_id, schedule in schedules.items():
             strategy, a_rule, c_rule, step_mode = scenario_id.split("-")
             config = ExperimentConfig(
@@ -238,7 +246,7 @@ def seed1_rows():
                 mu_max_schedule=tuple(schedule),
             )
             for row in run_sweep(config):
-                counts[scenario_id, row.mu_max] = row.iterations, row.converged, stepped[row.mu_max]
+                counts[scenario_id, row.mu_max] = row.iterations, row.converged, *work[row.mu_max]
     return expected, counts
 
 
@@ -255,6 +263,15 @@ def test_benchmark_rows_keep_few_plain_steps(seed1_rows, workload, bound):
     # 256 plain steps when its first model is accepted
     expected, counts = seed1_rows
     assert sum(counts[s, mu][2] for s, mu, _, _ in expected[workload]) <= bound
+
+
+@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1), ("figures_coarse", 12)])
+def test_benchmark_rows_take_few_eigvalsh_of_c(seed1_rows, workload, bound):
+    # a guard on the radius from the tail's basis that needs no timing: a row
+    # that hands over to the tail takes no eigvalsh of the N*M x N*M matrix C,
+    # so a certificate that silently falls back to it fails here
+    expected, counts = seed1_rows
+    assert sum(counts[s, mu][3] for s, mu, _, _ in expected[workload]) <= bound
 
 
 def test_scenario_inputs_identical_across_scales():
@@ -288,10 +305,13 @@ def count_calls(monkeypatch, name: str, calls: list) -> None:
 
 def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     # a scale adds one step operator (the fixed-point loop's) and one
-    # symmetric eigvalsh for rho; the Hessian eigenvalues, the Perron vector
-    # and the gradients at the optimum are taken once for the scenario; the
-    # network and data are built once for both sweeps, which differ only in
-    # a_rule
+    # symmetric eigvalsh for rho: of C (24 x 24), or on a row that hands over
+    # to the tail, of the 2 x 2 Rayleigh-Ritz matrix on its basis. The
+    # spectrum of S (12 x 12) that certifies it, the Hessian eigenvalues, the
+    # Perron vector and the gradients at the optimum are taken once for the
+    # scenario; the network and data are built once for both sweeps, which
+    # differ only in a_rule. The metropolis sweep hands over at 1e-3 only, the
+    # averaging one at 3e-3 and 1e-3
     experiment_module._scenario_inputs.cache_clear()
     operators, hessian_eigs, radius_eigs, scenario_calls = [], [], [], []
     input_calls = []
@@ -313,19 +333,20 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     count_calls(monkeypatch, "stacked_gradient", scenario_calls)
     count_calls(monkeypatch, "sample_ensemble", input_calls)
     count_calls(monkeypatch, "generate_topology", input_calls)
-    rows = run_sweep(small_config(mu_max_schedule=(1e-2, 3e-3)))
-    assert len(rows) == 2 and all(row.converged for row in rows)
-    assert len(operators) == 2
+    schedule = (1e-2, 3e-3, 1e-3)
+    rows = run_sweep(small_config(mu_max_schedule=schedule))
+    assert len(rows) == 3 and all(row.converged for row in rows)
+    assert len(operators) == 3
     assert hessian_eigs == [(12, 2, 2)]
-    assert radius_eigs == [(24, 24), (24, 24)]
+    assert radius_eigs == [(24, 24), (24, 24), (2, 2), (12, 12)]
     assert sorted(scenario_calls) == ["perron_theta", "stacked_gradient"]
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
 
-    rows = run_sweep(small_config(a_rule="averaging", mu_max_schedule=(1e-2, 3e-3)))
-    assert len(rows) == 2 and all(row.converged for row in rows)
-    assert len(operators) == 4
+    rows = run_sweep(small_config(a_rule="averaging", mu_max_schedule=schedule))
+    assert len(rows) == 3 and all(row.converged for row in rows)
+    assert len(operators) == 6
     assert hessian_eigs == [(12, 2, 2)]
-    assert radius_eigs == [(24, 24)] * 4
+    assert radius_eigs[4:] == [(24, 24), (2, 2), (12, 12), (2, 2)]
     assert sorted(scenario_calls) == ["perron_theta"] * 2 + ["stacked_gradient"] * 2
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
 

@@ -1,8 +1,9 @@
 """Property tests over small random networks, ensembles and configs.
 
-Every network has at most 8 nodes and 3 dimensions, and every config
-document is either malformed or tiny, so no example allocates a large
-matrix or runs a long sweep."""
+Every network has at most 8 nodes and 3 dimensions, except the sweep
+scenarios of the tail-basis radius, which have at most 30 nodes (N*M at
+most 90). Every config document is either malformed or tiny, so no
+example allocates a large matrix or runs a long sweep."""
 
 import json
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 from diffpareto import bias as bias_module  # noqa: E402
 from diffpareto.bias import (  # noqa: E402
     GAP_FACTOR,
+    analyse_scale,
     analyse_scenario,
     closed_form_bias,
     limit_bias,
@@ -34,7 +36,13 @@ from diffpareto.diffusion import (  # noqa: E402
     cta_config,
     run_to_fixed_point,
 )
-from diffpareto.experiment import _CONFIG_FIELDS  # noqa: E402
+from diffpareto.experiment import (  # noqa: E402
+    _CONFIG_FIELDS,
+    STEP_MODES,
+    STRATEGIES,
+    ExperimentConfig,
+    build_scenario,
+)
 from diffpareto.network import (  # noqa: E402
     A_RULES,
     C_RULES,
@@ -169,6 +177,49 @@ def test_blocked_loop_reproduces_plain_loop_bit_for_bit(case, fraction, max_iter
     scaled = scenario.at_scale(fraction * scenario.margins[scenario.tightest])
     init = np.tile(scenario.w_star, (ensemble.n, 1))
     assert_bit_identical(scaled, ensemble, init, max_iter=max_iter)
+
+
+@st.composite
+def sweep_scenarios(draw):
+    """A sweep scenario of 6-30 nodes in 1-3 dimensions, either strategy,
+    any rules and either step mode."""
+    config = ExperimentConfig(
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        a_rule=draw(st.sampled_from(A_RULES)),
+        c_rule=draw(st.sampled_from(C_RULES)),
+        step_mode=draw(st.sampled_from(STEP_MODES)),
+        mu_max_schedule=(1.0,),
+        n_nodes=draw(st.integers(6, 30)),
+        dim=draw(st.integers(1, 3)),
+        topology_seed=draw(st.integers(0, 2**16)),
+        data_seed=draw(st.integers(0, 2**16)),
+        step_seed=draw(st.integers(0, 2**16)),
+    )
+    return build_scenario(config)
+
+
+@given(sweep_scenarios(), st.floats(0.003, 0.01))
+def test_radius_from_the_tail_basis_matches_kron_reference(scenario, fraction):
+    # at these scales a row hands over to the tail, and below the crossover
+    # its radius is the top Ritz value of C on the tail's basis wherever the
+    # certificate accepts it; every answer, that one or eigvalsh's after a
+    # refusal, must match the reference
+    certified = []
+    tail_ritz = bias_module._SlowModes._tail_ritz
+
+    def recorded(modes, *args):
+        certified.append(tail_ritz(modes, *args))
+        return certified[-1]
+
+    mu_max = fraction * scenario.margins[scenario.tightest]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bias_module._SlowModes, "_tail_ritz", recorded)
+        result, _, rho = analyse_scale(scenario, mu_max, 1e-12, 10**6)
+    reference = reference_radius(scenario.at_scale(mu_max), scenario.ensemble)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert len(certified) == (result.slow_basis is not None)
+    if certified and certified[0] is not None:
+        assert rho == certified[0]
 
 
 @given(scenarios(), st.floats(1e-3, 1e3))
