@@ -199,9 +199,16 @@ class Scenario:
     @functools.cached_property
     def mixing_spectrum(self) -> np.ndarray:
         """The eigenvalues of S, ascending, from one ``eigvalsh``, taken when a
-        radius from the tail's slow basis is first checked or when
-        ``mixing_bound`` first fails to certify a matrix-free one."""
+        run on C's route is first judged long (``slow_interval``) or when
+        ``mixing_bound`` first fails to certify a Lanczos radius."""
         return np.linalg.eigvalsh(self.mixing)
+
+    def slow_interval(self) -> tuple[float, float]:
+        """[a, b] = [min(lambda_min(S), 0), max(lambda_2(S), 0)]. Where every
+        gain block is positive definite, it holds every eigenvalue of C, and so
+        of B, but the M slow ones (see ``_SlowModes._tail_ritz``)."""
+        spectrum = self.mixing_spectrum
+        return min(float(spectrum[0]), 0.0), float(spectrum[:-1].max(initial=0.0))
 
     @functools.cached_property
     def mixing_min(self) -> float:
@@ -311,8 +318,9 @@ class _SlowModes:
     blockwise, that is similar to C, whose block (k, l) is S[k, l] L_k^T L_l.
     ``apply`` takes C blockwise (L, then S on the node axis, then L^T:
     O(N^2 M + N M^2) a product) and ``form`` builds it as one N*M x N*M array.
-    ``radius`` leaves the M slow Ritz vectors in ``slow`` (Lanczos), the
-    formed C in ``c`` (``eigvalsh``) or neither (the tail's basis) for
+    ``radius`` leaves the M slow Ritz vectors in ``slow`` (Lanczos, or the
+    tail's basis at N*M of MATRIX_FREE_NM and above), the formed C in ``c``
+    (``eigvalsh``) or neither (the tail's basis below the crossover) for
     ``closed_form``. ``root`` is sqrt(pi), the Perron vector of S."""
 
     def __init__(self, gain: np.ndarray, s: np.ndarray, root: np.ndarray):
@@ -335,15 +343,14 @@ class _SlowModes:
         return c.reshape(n * m, n * m)
 
     def radius(self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray | None) -> float:
-        """rho: at N*M of MATRIX_FREE_NM and above from ``_lanczos``; below
-        it, given the orthonormal basis of B's slow subspace that the tail ran
-        on, from ``_tail_ritz``. Otherwise, or when that route fails, it is the
-        largest |lambda| of one ``eigvalsh`` of C, formed once and kept."""
+        """rho: given the orthonormal basis of B's slow subspace that the tail
+        ran on, from ``_tail_ritz``; without one, or when it is refused, from
+        ``_lanczos`` at N*M of MATRIX_FREE_NM and above. Failing both, it is
+        the largest |lambda| of one ``eigvalsh`` of C, formed once and kept."""
         n, m, _ = self.chol.shape
-        if n * m >= MATRIX_FREE_NM:
+        rho = None if basis is None else self._tail_ritz(scenario, a1, basis)
+        if rho is None and n * m >= MATRIX_FREE_NM:
             rho = self._lanczos(scenario)
-        else:
-            rho = None if basis is None else self._tail_ritz(scenario, a1, basis)
         if rho is not None:
             return rho
         self.c = self.form()
@@ -411,20 +418,24 @@ class _SlowModes:
         r^2 / (theta_min - beta) must then be at most 1e-11 (1 - theta_max),
         as in ``_lanczos``, and theta_max must exceed -min(lambda_min(S), 0),
         so that it is rho. Both eigenvalues of S come from the scenario's
-        ``mixing_spectrum``. None when a test fails."""
+        ``slow_interval``. None when a test fails. At N*M of MATRIX_FREE_NM
+        and above, a certified value leaves the Ritz vectors Y V, V the
+        eigenvectors of H, in ``slow`` for ``_deflated_cg``."""
         n, m, _ = self.chol.shape
         x = (self.root[:, None] * (a1.T @ basis.reshape(n, -1))).reshape(n, m, m)
         y = np.linalg.qr((self.chol.transpose(0, 2, 1) @ x).reshape(n * m, m))[0]
         cy = self.apply(y)
         h = y.T @ cy
         h = 0.5 * (h + h.T)
-        theta = np.linalg.eigvalsh(h)
+        theta, v = np.linalg.eigh(h)
         res = float(np.linalg.norm(cy - y @ h))
-        spectrum = scenario.mixing_spectrum
-        gap = theta[0] - spectrum[:-1].max(initial=0.0)
-        if not gap > res or res * res / gap > 1e-11 * (1.0 - theta[-1]):
+        low, beta = scenario.slow_interval()
+        gap = theta[0] - beta
+        if not gap > res or res * res / gap > 1e-11 * (1.0 - theta[-1]) or theta[-1] <= -low:
             return None
-        return float(theta[-1]) if theta[-1] > -min(spectrum[0], 0.0) else None
+        if n * m >= MATRIX_FREE_NM:
+            self.slow = y @ v
+        return float(theta[-1])
 
     def closed_form(self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Stacked x of (I - B) x = rhs, rhs of shape (N, M). Writing
@@ -505,18 +516,25 @@ def _top_ritz_block(t: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
 
 
 def _scale_operator(
-    scenario: Scenario, mu_max: float, slow_basis: np.ndarray | None = None
-) -> tuple[float, Callable[[], np.ndarray]]:
-    """Spectral radius of B at ``scenario.at_scale(mu_max)`` and a function
-    that solves for the stacked closed-form bias there, (I - B) x = rhs with
-    rhs the step sizes and a2 applied to the combined gradients.
+    scenario: Scenario, mu_max: float
+) -> tuple[
+    Callable[[], tuple[float, float]] | None,
+    Callable[[np.ndarray | None], tuple[float, Callable[[], np.ndarray]]],
+]:
+    """The operator of B at ``scenario.at_scale(mu_max)``, built before the
+    run: ``interval`` and ``finish``. ``finish(slow_basis)`` gives the
+    spectral radius of B and a function that solves for the stacked
+    closed-form bias there, (I - B) x = rhs with rhs the step sizes and a2
+    applied to the combined gradients; ``slow_basis`` is an orthonormal basis
+    of B's slow subspace, such as ``FixedPointResult.slow_basis``, or None.
 
     When the scenario has S and every gain block is positive definite, both
-    come from the ``_SlowModes`` of C, matrix-free at N*M of MATRIX_FREE_NM
-    and above; below it, rho comes from ``slow_basis``, an orthonormal basis
-    of B's slow subspace such as ``FixedPointResult.slow_basis``, when given
-    and certified. Otherwise B is lifted, ``eigvals`` gives rho and the solve
-    runs in B's storage (no S, or a step above half of its bound)."""
+    come from the ``_SlowModes`` of C: rho from ``slow_basis`` when given and
+    certified, and otherwise by Lanczos at N*M of MATRIX_FREE_NM and above.
+    ``interval`` is then the scenario's ``slow_interval``, which holds every
+    eigenvalue of B but the M slow ones, for ``run_to_fixed_point``.
+    Otherwise it is None, and ``finish`` lifts B: ``eigvals`` gives rho and
+    the solve runs in B's storage (no S, or a step above half of its bound)."""
     config = scenario.at_scale(mu_max)
     a1, a2 = config.a1.matrix, config.a2.matrix
     r = scenario.combined_hessians
@@ -529,16 +547,34 @@ def _scale_operator(
         except np.linalg.LinAlgError:
             pass
         else:
-            rho = modes.radius(scenario, a1, slow_basis)
-            return rho, lambda: modes.closed_form(a1, a2, rhs)
-    b = lift(config.a1, config.a2, gain)
 
-    def solve() -> np.ndarray:
-        np.negative(b, out=b)
-        b.flat[:: n * m + 1] += 1.0
-        return np.linalg.solve(b, rhs.ravel())
+            def finish_modes(slow_basis):
+                rho = modes.radius(scenario, a1, slow_basis)
+                return rho, lambda: modes.closed_form(a1, a2, rhs)
 
-    return float(np.abs(np.linalg.eigvals(b)).max()), solve
+            return scenario.slow_interval, finish_modes
+
+    def finish(slow_basis):
+        b = lift(config.a1, config.a2, gain)
+
+        def solve() -> np.ndarray:
+            np.negative(b, out=b)
+            b.flat[:: n * m + 1] += 1.0
+            return np.linalg.solve(b, rhs.ravel())
+
+        return float(np.abs(np.linalg.eigvals(b)).max()), solve
+
+    return None, finish
+
+
+def _solved(rho: float, closed_form: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
+    """The closed form and rho, once rho is below one; AssumptionError otherwise."""
+    if rho >= 1.0:
+        raise AssumptionError(
+            f"error-propagation spectral radius {rho:.6g} is not below one;"
+            " the recursion has no stable fixed point for the closed form to describe"
+        )
+    return closed_form(), rho
 
 
 def scale_analysis(
@@ -548,13 +584,7 @@ def scale_analysis(
     scenario at ``scenario.at_scale(mu_max)``, from ``_scale_operator``,
     given B's slow basis there if one is known. Reads only the scenario's
     operands; a radius at or above one raises AssumptionError."""
-    rho, closed_form = _scale_operator(scenario, mu_max, slow_basis)
-    if rho >= 1.0:
-        raise AssumptionError(
-            f"error-propagation spectral radius {rho:.6g} is not below one;"
-            " the recursion has no stable fixed point for the closed form to describe"
-        )
-    return closed_form(), rho
+    return _solved(*_scale_operator(scenario, mu_max)[1](slow_basis))
 
 
 def analyse_scale(
@@ -569,8 +599,11 @@ def analyse_scale(
     exhausted max_iter is returned unchecked."""
     config, w_star = scenario.at_scale(mu_max), scenario.w_star
     init = np.tile(w_star, (config.n, 1))
-    result = run_to_fixed_point(config, scenario.ensemble, init=init, tol=tol, max_iter=max_iter)
-    closed, rho = scale_analysis(scenario, mu_max, result.slow_basis)
+    interval, finish = _scale_operator(scenario, mu_max)
+    result = run_to_fixed_point(
+        config, scenario.ensemble, init=init, tol=tol, max_iter=max_iter, interval=interval
+    )
+    closed, rho = _solved(*finish(result.slow_basis))
     gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
     if result.converged and gap > bound:
@@ -588,7 +621,7 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
     value at or above one flags an unstable configuration with a
     RuntimeWarning. The route taken is as in ``scale_analysis``, at the
     config's largest step size; where C exists B is never lifted."""
-    rho = _scale_operator(analyse_scenario(config, ensemble), config.step_sizes.max())[0]
+    rho = _scale_operator(analyse_scenario(config, ensemble), config.step_sizes.max())[1](None)[0]
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"

@@ -134,12 +134,15 @@ def _cmd_figures(args) -> int:
             schedule = tuple(float(part) for part in args.schedule.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --schedule value: {exc}") from exc
+    outdir = Path(args.outdir)
+    existing = next(path for path in (outdir, *outdir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot write into {outdir}: {existing} is not a directory")
     # every family runs before the first write, so a failure leaves no output
     families = {
         name: [row for config in configs for row in run_sweep(config)]
         for name, configs in builtin_figure_configs(schedule).items()
     }
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, rows in families.items():
         emit_csv(rows, outdir / f"sweep_{name}.csv")

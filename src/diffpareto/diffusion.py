@@ -21,6 +21,7 @@ module).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ class FixedPointResult:
     ``slow_basis`` is the orthonormal N*M x M basis of B's slow invariant
     subspace on which the tail modelled the run (see the tail module), node
     major, or None when no tail ran. ``bias.analyse_scale`` takes the
-    spectral radius from it below the matrix-free crossover."""
+    spectral radius from it."""
 
     w_infinity: np.ndarray
     iterations_used: int
@@ -181,6 +182,8 @@ def run_to_fixed_point(
     init=None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    interval: Callable[[], tuple[float, float]] | None = None,
 ) -> FixedPointResult:
     """Iterate until every node's update is below tol * (1 + |w_k|).
 
@@ -204,11 +207,16 @@ def run_to_fixed_point(
     largest update since iteration 64 and, if not then judged long, at 256
     from the decay since 128. A long run, whose largest update at that rate
     stays above the threshold for more than 512 further iterations, skips
-    its tail (see the tail module). From the judgement on, it steps an
-    N*M x M basis from 1 kron I_M beside the iterate. Every 64 steps from
-    128 steps after the judgement, once that basis spans an invariant
-    subspace of the error-propagation matrix B and the run's iterates 128
-    steps apart, or failing that 64, fit it to within their rounding noise,
+    its tail (see the tail module). From the judgement on, it filters an
+    N*M x M basis from 1 kron I_M beside the iterate: by Chebyshev
+    polynomials on the interval [a, b] that ``interval()`` returns, called
+    then and only then, and by powers of the error-propagation matrix B when
+    ``interval`` is None. The caller passes it only when [a, b] is known to
+    hold every eigenvalue of B but the M slow ones. Every 64 steps the basis
+    is tested for invariance under B; from the first pass on it is kept and
+    no longer stepped. Every 64 steps from 128 steps after the judgement,
+    once that basis is invariant and the run's iterates 128 steps apart, or
+    failing that 64, fit it to within their rounding noise,
     every later iterate is a sum of M geometric sequences, and the same
     per-node test finds the stop among them without stepping. Where the last update sits within the
     plain loop's rounding noise of the threshold, as it must below about
@@ -276,7 +284,8 @@ def run_to_fixed_point(
                 if iterations > PROBE_AT:
                     gate = tol * (1.0 + math.sqrt(float(norms2[i].max())))
                     if runs_long(probe, worst, gate, iterations // 2):
-                        tracker = SlowSubspace(op, w)
+                        bounds = None if interval is None else interval()
+                        tracker = SlowSubspace(op, w, bounds)
                 probe = worst
                 probe_at = 2 * iterations if tracker is None and iterations < ENGAGE_AT else 0
     w = w.copy()

@@ -9,16 +9,21 @@ matrix. Once those have died, every later iterate is
 w_inf + Y diag(lam**p) g for the M slow eigenpairs (lam, Y) of B, and the
 stopping test of the plain loop can be evaluated on thousands of such
 iterates at once, starting where a closed-form bound on its update stops
-excluding a pass. The pairs come from an N*M x M basis stepped from
+excluding a pass. The pairs come from an N*M x M basis filtered from
 1 kron I_M beside the plain loop, reduced to the M x M Rayleigh-Ritz
-matrix S = Q^T B Q; B itself is never formed. This module is the engine
-of ``diffusion.run_to_fixed_point``, which decides when to call it.
+matrix S = Q^T B Q; B itself is never formed. Where an interval [a, b]
+known to hold every eigenvalue of B but the M slow ones is given, the
+filter is a scaled Chebyshev polynomial on it (Rutishauser 1970; Zhou and
+Saad 2007), which damps those modes far faster than powers of B; without
+one it is B^j. This module is the engine of
+``diffusion.run_to_fixed_point``, which decides when to call it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,9 @@ import numpy as np
 PROBE_AT = 64
 ENGAGE_AT = 256
 _TRACK_LIMIT = 1024
-_PERIOD = 64  # also the re-orthonormalisation period of the tracked basis
+# also the period at which the tracked basis is orthonormalised, its filter
+# restarted and its invariance tested, until it passes
+_PERIOD = 64
 # iterations between the two iterates the model is fitted to first (then
 # _PERIOD); the older is at first the iterate at the judgement, so a model is
 # first offered _FIT_SPAN tracked steps in. The fast modes, which on the
@@ -63,63 +70,111 @@ def runs_long(probe: float, worst: float, gate: float, span: int) -> bool:
     return math.log(gate * gate / worst) / rate > _LONG_RUN
 
 
+def _filter_steps(interval: tuple[float, float] | None) -> Iterator[tuple[float, float, float]]:
+    """The coefficients (alpha, beta, gamma) of successive steps
+    Q_{j+1} = alpha B Q_j + beta Q_j + gamma Q_{j-1} from Q_0 (gamma = 0 on
+    the first), which make Q_j = p_j(B) Q_0 for p_j the Chebyshev polynomial
+    of degree j on ``interval`` [a, b], scaled to p_j(1) = 1: the three-term
+    recurrence of Zhou and Saad (2007) with its scaling point at 1. A mode in
+    [a, b] shrinks against one at 1 by at least T_j((1 - c) / e), with c and
+    e the centre and half-width of [a, b], where B^j shrinks one at b by
+    b**j. Without an interval, or with one that is not a < b < 1, they are
+    the power coefficients (1, 0, 0), and Q_j = B^j Q_0 bit for bit."""
+    a, b = (0.0, 0.0) if interval is None else interval
+    if not a < b < 1.0:
+        while True:
+            yield 1.0, 0.0, 0.0
+    half, centre = (b - a) / 2.0, (b + a) / 2.0
+    first = half / (1.0 - centre)
+    yield first / half, -centre * first / half, 0.0
+    sigma = first
+    while True:
+        nxt = 1.0 / (2.0 / first - sigma)
+        yield 2.0 * nxt / half, -2.0 * centre * nxt / half, -sigma * nxt
+        sigma = nxt
+
+
 class SlowSubspace:
-    """A basis Q = B^j (1 kron I_M) of N*M x M, stepped beside the plain loop.
+    """A basis Q = p_j(B) (1 kron I_M) of N*M x M, stepped beside the plain loop.
 
-    The span of Q converges to the invariant subspace of B's M slow modes
-    at the rate the fast modes die. Q is re-orthonormalised every _PERIOD
-    steps and, once it keeps an iterate _FIT_SPAN back (the first it keeps
-    is the plain iterate w it starts from), offered as a model of the run's
-    tail when it is invariant: ||BQ - QS|| small for S = Q^T B Q. Its Ritz
-    pairs, the eigenpairs of S, must be real, slow, distinct and well
-    conditioned. The model is fitted to the run from that iterate or, when
-    that fit is refused, from the one _PERIOD back.
-    ``op`` is the run's step operator: its shape (N, M) and apply_linear."""
+    The span of Q converges to the invariant subspace of B's M slow modes at
+    the rate the filter p_j (``_filter_steps``) damps the others. Every
+    _PERIOD steps Q is orthonormalised, the filter restarts from it and Q is
+    tested for invariance: ||BQ - QS|| small for S = Q^T B Q. From the first
+    pass on Q and S are kept and Q is no longer stepped; their Ritz pairs, the
+    eigenpairs of S, must be real, slow, distinct and well conditioned. Once
+    the tracker keeps an iterate _FIT_SPAN back (the first it keeps is the
+    plain iterate w it starts from), Q is offered as a model of the run's tail
+    every _PERIOD steps, fitted to the run from that iterate or, when that fit
+    is refused, from the one _PERIOD back. ``op`` is the run's step operator:
+    its shape (N, M) and apply_linear. ``interval`` is the [a, b] of the
+    filter, or None for powers of B."""
 
-    def __init__(self, op, w: np.ndarray):
+    def __init__(self, op, w: np.ndarray, interval: tuple[float, float] | None = None):
         n, m = op.shape
         self.op = op
+        self.interval = interval
         self.q = np.broadcast_to(np.eye(m) / math.sqrt(n), (n, m, m)).copy()
+        self.prev = self.q
+        self.filter = _filter_steps(interval)
+        self.ritz = None  # (lam, v, sigma) of S once Q is invariant
         self.steps = 0
         # plain iterates _PERIOD apart, the oldest _FIT_SPAN before the newest
         self.iterates = deque([w.copy()], maxlen=_FIT_SPAN // _PERIOD + 1)
         self.open = True  # False once no model will be accepted
 
     def advance(self, w: np.ndarray) -> ModalTail | None:
-        """Step Q along with the plain iterate w; the model of the tail from
-        w on, once Q spans an invariant subspace that fits the run."""
-        self.q = self.op.apply_linear(self.q)
+        """Step Q, until it is invariant, along with the plain iterate w; the
+        model of the tail from w on, once Q spans an invariant subspace that
+        fits the run."""
         self.steps += 1
+        if self.ritz is None:
+            alpha, beta, gamma = next(self.filter)
+            bq = self.op.apply_linear(self.q)
+            self.q, self.prev = alpha * bq + beta * self.q + gamma * self.prev, self.q
         if self.steps % _PERIOD:
             return None
-        n, m = self.op.shape
-        q = np.linalg.qr(self.q.reshape(n * m, m))[0]
-        self.q = q.reshape(n, m, m)
         self.iterates.append(w.copy())  # a view of w could keep a larger array alive
         self.open = self.steps < _TRACK_LIMIT
+        if self.ritz is None and not self._invariant():
+            return None
         if len(self.iterates) < self.iterates.maxlen:
             return None
+        n, m = self.op.shape
+        q = self.q.reshape(n * m, m)
+        lam, v, sigma = self.ritz
+        # against the oldest kept iterate, then, if fast modes left in that one
+        # refuse the fit, against the newer one _PERIOD back
+        for w_old, span in ((self.iterates[0], _FIT_SPAN), (self.iterates[-2], _PERIOD)):
+            if (tail := ModalTail.fit(q, lam, v, sigma, w, w_old, span)) is not None:
+                return tail
+        return None
+
+    def _invariant(self) -> bool:
+        """Orthonormalise Q and restart the filter from it; whether Q is now
+        invariant with Ritz pairs a model can carry, which are then kept in
+        ``ritz`` and end the stepping."""
+        n, m = self.op.shape
+        q = np.linalg.qr(self.q.reshape(n * m, m))[0]
+        self.q = self.prev = q.reshape(n, m, m)
+        self.filter = _filter_steps(self.interval)
         bq = self.op.apply_linear(self.q).reshape(n * m, m)
         s = q.T @ bq
         if np.linalg.norm(bq - q @ s) > _RESIDUAL * np.linalg.norm(bq):
-            return None
+            return False
         # the Ritz pairs of an invariant subspace are final: a model they
         # cannot carry is refused for the rest of the run
         lam, v = np.linalg.eig(s)
         if np.iscomplexobj(lam) or not ((lam > 0.0) & (lam < 1.0)).all():
             self.open = False
-            return None
+            return False
         sv = np.linalg.svd(v, compute_uv=False)
         gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(m)
         if sv[-1] * _COND_LIMIT < sv[0] or gaps.min() <= _SEPARATION * (1.0 - lam).max():
             self.open = False
-            return None
-        # against the oldest kept iterate, then, if fast modes left in that one
-        # refuse the fit, against the newer one _PERIOD back
-        for w_old, span in ((self.iterates[0], _FIT_SPAN), (self.iterates[-2], _PERIOD)):
-            if (tail := ModalTail.fit(q, lam, v, float(sv[-1]), w, w_old, span)) is not None:
-                return tail
-        return None
+            return False
+        self.ritz = lam, v, float(sv[-1])
+        return True
 
 
 @dataclass(frozen=True, eq=False)

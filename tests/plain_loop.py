@@ -34,16 +34,17 @@ def plain_fixed_point(
     return w, max_iter, False
 
 
-def assert_bit_identical(config, ensemble, init=None, **kwargs):
+def assert_bit_identical(config, ensemble, init=None, interval=None, **kwargs):
     """The loop's iterate, counts and final update norm are the plain loop's
     to the last bit. A run the tail took over is compared through a second
     run to ``max_iter=stepped``, which ends plain there, because the tail is
-    offered only while iterations remain. Returns the first run."""
-    result = run_to_fixed_point(config, ensemble, init=init, **kwargs)
+    offered only while iterations remain. ``interval`` is handed to the
+    loop's tail. Returns the first run."""
+    result = run_to_fixed_point(config, ensemble, init=init, interval=interval, **kwargs)
     run = result
     if result.stepped < result.iterations_used:
         kwargs["max_iter"] = result.stepped
-        run = run_to_fixed_point(config, ensemble, init=init, **kwargs)
+        run = run_to_fixed_point(config, ensemble, init=init, interval=interval, **kwargs)
     updates = []
     w, iterations, converged = plain_fixed_point(
         config, ensemble, init=init, trace=lambda _, u: updates.append(u), **kwargs

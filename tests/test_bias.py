@@ -6,6 +6,7 @@ import pytest
 from kron_reference import kron_reference, reference_answers, reference_radius
 
 from diffpareto import bias as bias_module
+from diffpareto import diffusion as diffusion_module
 from diffpareto.bias import (
     analyse_scale,
     analyse_scenario,
@@ -838,15 +839,17 @@ def radius_calls(monkeypatch) -> dict[str, list]:
 def test_tail_basis_gives_the_radius_with_no_eigvalsh_of_c(radius_calls):
     # a row of the small-step sweep at 1e-3 hands over to the tail, and the
     # top Ritz value of C on the tail's basis is certified: no N*M x N*M
-    # eigvalsh runs, only the 4 x 4 Rayleigh-Ritz one and one of S (50 x 50)
-    # for the scenario. The closed form keeps its dense solve, bit for bit
+    # eigvalsh runs, only the one of S (50 x 50) for the scenario, taken when
+    # the run is judged long for the tail's Chebyshev interval (the 4 x 4
+    # Rayleigh-Ritz matrix goes to eigh). The closed form keeps its dense
+    # solve, bit for bit
     scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
     result, closed, rho = analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
     assert result.slow_basis is not None
-    assert radius_calls["eigvalsh"] == [4, 50]
+    assert radius_calls["eigvalsh"] == [50]
     assert radius_calls["tail_ritz"] == [rho]
     dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
-    assert radius_calls["eigvalsh"] == [4, 50, 200]
+    assert radius_calls["eigvalsh"] == [50, 200]
     assert np.array_equal(closed, dense_closed)
     reference = reference_radius(scenario.at_scale(1e-3), scenario.ensemble)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
@@ -882,6 +885,63 @@ def test_tail_basis_radius_refused_when_the_negative_end_may_lead(radius_calls):
     assert reference == pytest.approx(0.475, abs=1e-9)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(radius_calls, monkeypatch):
+    # the tail's start basis, refused as above, with the crossover moved
+    # below this N*M = 200: rho comes from Lanczos, the closed form from CG
+    # deflated by its Ritz vectors, both as with no basis at all
+    monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 200)
+    lanczos_runs = []
+    lanczos = bias_module._SlowModes._lanczos
+
+    def counted(modes, scenario):
+        lanczos_runs.append(lanczos(modes, scenario))
+        return lanczos_runs[-1]
+
+    monkeypatch.setattr(bias_module._SlowModes, "_lanczos", counted)
+    scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
+    n, m = scenario.ensemble.n, scenario.ensemble.dim
+    start = np.kron(np.ones((n, 1)) / np.sqrt(n), np.eye(m))
+    closed, rho = scale_analysis(scenario, 1e-3, start)
+    assert radius_calls["tail_ritz"] == [None]
+    assert lanczos_runs == [rho]
+    lanczos_closed, lanczos_rho = scale_analysis(scenario, 1e-3)
+    assert lanczos_runs == [rho, rho] and lanczos_rho == rho
+    assert np.array_equal(closed, lanczos_closed)
+    assert 200 not in radius_calls["eigvalsh"]
+    expected, reference = reference_answers(scenario.at_scale(1e-3), scenario.ensemble)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_non_reversible_composite_tracks_by_powers_of_b(monkeypatch):
+    # ``test_non_reversible_mixing_falls_back_to_eigvals``'s composite at a
+    # step small enough for the tail: with no S the run gets no interval, and
+    # so is the bare run, bit for bit
+    topo = generate_topology(8, 3.0, seed=3)
+    ens = sample_ensemble(8, 2, 4, data_seed=3)
+    c = build_C(topo, "averaging")
+    a1, a2 = build_A(topo, "metropolis"), build_A(topo, "averaging")
+    mu = 0.003 * float(step_size_bounds(c, ens).min())
+    cfg = DiffusionConfig(a1=a1, a2=a2, c=c, step_sizes=np.full(8, mu))
+    scenario = analyse_scenario(cfg, ens)
+    assert scenario.mixing is None
+    intervals, tracker = [], diffusion_module.SlowSubspace
+
+    def recorded(op, w, interval):
+        intervals.append(interval)
+        return tracker(op, w, interval)
+
+    monkeypatch.setattr(diffusion_module, "SlowSubspace", recorded)
+    result, _, rho = analyse_scale(scenario, mu, 1e-12, DEFAULT_MAX_ITER)
+    assert intervals == [None] and result.slow_basis is not None
+    bare = run_to_fixed_point(cfg, ens, init=np.tile(scenario.w_star, (8, 1)))
+    assert (result.iterations_used, result.stepped) == (bare.iterations_used, bare.stepped)
+    assert np.array_equal(result.w_infinity, bare.w_infinity)
+    assert np.array_equal(result.slow_basis, bare.slow_basis)
+    reference = reference_radius(cfg, ens)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
 
 
 # --- the per-scale check of the sweep ------------------------

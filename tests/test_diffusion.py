@@ -6,7 +6,7 @@ import pytest
 from plain_loop import assert_bit_identical, plain_fixed_point
 
 from diffpareto import diffusion as diffusion_module
-from diffpareto import tail as tail_module
+from diffpareto.bias import analyse_scenario
 from diffpareto.costs import CostEnsemble, QuadraticCost, sample_ensemble, step_size_bounds
 from diffpareto.diffusion import (
     _BLOCK,
@@ -34,6 +34,7 @@ from diffpareto.tail import (
     PROBE_AT,
     ModalTail,
     SlowSubspace,
+    _filter_steps,
     runs_long,
 )
 
@@ -405,12 +406,99 @@ class Rotation:
 
 
 def test_complex_ritz_values_end_the_tracking():
-    # the iterate the tracker starts from is the older of the first fit, so
-    # the first model is offered, and refused, _FIT_SPAN steps in
+    # the basis is invariant at its first test, _PERIOD steps in, and its
+    # Ritz pairs are refused there, before any model is offered
     w = np.zeros((3, 2))
     tracker = SlowSubspace(Rotation(), w)
-    assert all(tracker.advance(w) is None for _ in range(_FIT_SPAN))
+    assert all(tracker.advance(w) is None for _ in range(_PERIOD - 1))
+    assert tracker.open
+    assert tracker.advance(w) is None
     assert not tracker.open
+
+
+def powers_of_b(op, steps):
+    """The tracked basis as stepped by powers of B before the Chebyshev
+    filter: B^j (1 kron I_M) / sqrt(N), orthonormalised every _PERIOD steps."""
+    n, m = op.shape
+    q = np.broadcast_to(np.eye(m) / math.sqrt(n), (n, m, m)).copy()
+    for j in range(1, steps + 1):
+        q = op.apply_linear(q)
+        if j % _PERIOD == 0:
+            q = np.linalg.qr(q.reshape(n * m, m))[0].reshape(n, m, m)
+    return q
+
+
+# no interval, the degenerate one of lambda_2(S) = lambda_min(S) = 0, a point
+# and one that reaches 1: each steps the basis by the power coefficients
+POWER_INTERVALS = [None, (0.0, 0.0), (0.5, 0.5), (-0.5, 1.0)]
+
+
+@pytest.mark.parametrize("interval", POWER_INTERVALS)
+def test_basis_without_a_usable_interval_steps_by_powers_of_b_bit_for_bit(interval):
+    # this row's basis is not invariant at its first test under powers of B,
+    # so it is stepped on past it
+    config, ens, init = sweep_row(1e-4)
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens)
+    assert next(_filter_steps(interval)) == (1.0, 0.0, 0.0)
+    tracker = SlowSubspace(op, init, interval)
+    for _ in range(_PERIOD + 36):
+        assert tracker.advance(init) is None
+    assert tracker.ritz is None
+    assert np.array_equal(tracker.q, powers_of_b(op, _PERIOD + 36))
+
+
+@pytest.mark.parametrize("interval", POWER_INTERVALS[1:])
+def test_tail_with_an_unusable_interval_hands_over_as_with_none(interval):
+    # no division by zero (warnings are errors here) and the same run bit for bit
+    config, ens, init = sweep_row(1e-4)
+    res = run_to_fixed_point(config, ens, init=init, interval=lambda: interval)
+    bare = run_to_fixed_point(config, ens, init=init)
+    assert res.stepped < res.iterations_used
+    assert (res.iterations_used, res.stepped, res.converged) == (
+        bare.iterations_used,
+        bare.stepped,
+        bare.converged,
+    )
+    assert np.array_equal(res.w_infinity, bare.w_infinity)
+    assert np.array_equal(res.slow_basis, bare.slow_basis)
+
+
+def test_filter_restarts_from_the_orthonormalised_basis():
+    # an interval that misses most of B's fast spectrum leaves the basis short
+    # of invariant at its first test; the filter then starts again from the
+    # orthonormalised basis, with gamma = 0, as a new filter would
+    config, ens, init = sweep_row(1e-4)
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens)
+    interval = (0.0, 0.5)
+    tracker = SlowSubspace(op, init, interval)
+    for _ in range(_PERIOD):
+        assert tracker.advance(init) is None
+    assert tracker.ritz is None
+    q = prev = tracker.q
+    steps = _filter_steps(interval)
+    for _ in range(10):
+        assert tracker.advance(init) is None
+        alpha, beta, gamma = next(steps)
+        q, prev = alpha * op.apply_linear(q) + beta * q + gamma * prev, q
+    assert np.array_equal(tracker.q, q)
+
+
+def test_chebyshev_filter_is_its_polynomial_scaled_to_one_at_one():
+    # the recurrence's coefficients build p_j(x) = T_j((x - c) / e) / T_j((1 - c) / e),
+    # c and e the centre and half-width of [a, b]
+    a, b = -0.4, 0.9
+    centre, half = (a + b) / 2.0, (b - a) / 2.0
+    x = np.array([a, 0.1, b, 0.95, 1.0])
+    steps = _filter_steps((a, b))
+    prev, p = np.ones_like(x), np.ones_like(x)
+    for j in range(1, 40):
+        alpha, beta, gamma = next(steps)
+        p, prev = alpha * x * p + beta * p + gamma * prev, p
+        chebyshev = np.polynomial.chebyshev.Chebyshev.basis(j)
+        expected = chebyshev((x - centre) / half) / chebyshev((1.0 - centre) / half)
+        assert np.allclose(p, expected, rtol=1e-10, atol=1e-14)
+    # a mode in [a, b] falls a million times further than under powers of B
+    assert abs(p[:3]).max() < 1e-6 * b**39 and p[-1] == pytest.approx(1.0)
 
 
 def test_tail_reproduces_plain_loop_on_zero_limit_row():
@@ -513,15 +601,14 @@ def test_a_run_judged_short_at_128_is_judged_again_at_256(monkeypatch):
 
 def test_a_tracker_refused_for_good_is_not_started_again(monkeypatch):
     # every tracker follows the Rotation operator, whose complex Ritz values
-    # refuse it for good at its first offer, brought forward to _PERIOD steps
-    # in: at iteration 192, before the judgement at 256 could start another
+    # refuse it for good at its first invariance test, _PERIOD steps in: at
+    # iteration 192, before the judgement at 256 could start another
     trackers = []
 
-    def rotating(op, w):
-        trackers.append(SlowSubspace(Rotation(), w))
+    def rotating(op, w, interval):
+        trackers.append(SlowSubspace(Rotation(), w, interval))
         return trackers[-1]
 
-    monkeypatch.setattr(tail_module, "_FIT_SPAN", _PERIOD)
     monkeypatch.setattr(diffusion_module, "SlowSubspace", rotating)
     config, ens, init = sweep_row(10**-3.5)
     res = run_to_fixed_point(config, ens, init=init)
@@ -645,9 +732,24 @@ def test_blocked_loop_steps_at_most_one_block_past_the_stop(monkeypatch):
 
 
 def test_tail_spends_no_basis_products_on_the_overshoot(monkeypatch):
+    # judged long at 128, the run offers its first model 128 tracked steps
+    # later, at 256, where it is accepted. Stepped by powers of B, the basis
+    # takes one product per tracked step until it passes its second
+    # invariance test, 128 steps in, and one per test
     products = count_calls(monkeypatch, "apply_linear")
     config, ens, init = sweep_row(1e-4)
     res = run_to_fixed_point(config, ens, init=init)
-    # one product per plain step after the first judgement and one for the
-    # model, accepted at its first offer
-    assert len(products) == res.stepped - 2 * PROBE_AT + 1 == 129
+    assert res.stepped == 2 * PROBE_AT + _FIT_SPAN
+    assert len(products) == _FIT_SPAN + 2 == 130
+
+
+def test_filtered_basis_takes_no_products_once_invariant(monkeypatch):
+    # the same run with the tail's basis filtered on the scenario's interval:
+    # invariant at its first test, 64 steps in, it takes 65 products in all,
+    # none in the 64 tracked steps before the model is accepted
+    products = count_calls(monkeypatch, "apply_linear")
+    config, ens, init = sweep_row(1e-4)
+    interval = analyse_scenario(config, ens).slow_interval
+    res = run_to_fixed_point(config, ens, init=init, interval=interval)
+    assert res.stepped == 2 * PROBE_AT + _FIT_SPAN
+    assert len(products) == _PERIOD + 1 == 65

@@ -206,25 +206,38 @@ def test_run_sweep_records_exhausted_rows_unconverged():
 EXPECTED_SEED1 = Path(__file__).resolve().parents[1] / "perfbench" / "expected_seed1.json"
 
 
+def count_basis_products(patch, calls: list) -> None:
+    """Append to ``calls`` on every product of the step operator's linear part
+    with a basis, which only the modal tail takes."""
+    apply_linear = diffusion_module._StepOperator.apply_linear
+
+    def counted(op, q):
+        calls.append(None)
+        return apply_linear(op, q)
+
+    patch.setattr(diffusion_module._StepOperator, "apply_linear", counted)
+
+
 @pytest.fixture(scope="module")
 def seed1_rows():
     """The benchmark's reference rows at N=50 (default seeds, tol 1e-12) by
     workload, and each row's (iterations, converged, plain steps kept,
-    eigvalsh calls on an N*M x N*M matrix), rebuilt from its scenario id and
-    step scale. The N=200 rows are left out, as their last digits follow the
-    BLAS thread count."""
+    eigvalsh calls on an N*M x N*M matrix, basis products of the modal tail),
+    rebuilt from its scenario id and step scale. The N=200 rows are left out,
+    as their last digits follow the BLAS thread count."""
     expected = json.loads(EXPECTED_SEED1.read_text(encoding="utf-8"))
     del expected["analysis_n200"]
     schedules: dict[str, dict[float, None]] = {}
     for scenario_id, mu_max, _, _ in expected["sweep_small_steps"] + expected["figures_coarse"]:
         schedules.setdefault(scenario_id, {})[mu_max] = None
-    work, square_eigs = {}, []
+    work, square_eigs, products = {}, [], []
     analyse_scale, eigvalsh = experiment_module.analyse_scale, np.linalg.eigvalsh
 
     def recorded(scenario, mu_max, tol, max_iter):
         square_eigs.clear()
+        products.clear()
         result = analyse_scale(scenario, mu_max, tol, max_iter)
-        work[mu_max] = result[0].stepped, len(square_eigs)
+        work[mu_max] = result[0].stepped, len(square_eigs), len(products)
         return result
 
     def counted_eigvalsh(a, *args, **kwargs):
@@ -236,6 +249,7 @@ def seed1_rows():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment_module, "analyse_scale", recorded)
         patch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        count_basis_products(patch, products)
         for scenario_id, schedule in schedules.items():
             strategy, a_rule, c_rule, step_mode = scenario_id.split("-")
             config = ExperimentConfig(
@@ -257,12 +271,54 @@ def test_sweep_reproduces_the_benchmark_reference_counts_at_fifty_nodes(seed1_ro
     assert [[s, mu, *counts[s, mu][:2]] for s, mu, _, _ in rows] == rows
 
 
-@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1820), ("figures_coarse", 6092)])
+@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1756), ("figures_coarse", 5836)])
 def test_benchmark_rows_keep_few_plain_steps(seed1_rows, workload, bound):
     # a guard on the tail's engagement that needs no timing: a long row keeps
     # 256 plain steps when its first model is accepted
     expected, counts = seed1_rows
     assert sum(counts[s, mu][2] for s, mu, _, _ in expected[workload]) <= bound
+
+
+@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 390), ("figures_coarse", 780)])
+def test_benchmark_rows_take_few_basis_products(seed1_rows, workload, bound):
+    # a guard on the tail's Chebyshev filter that needs no timing: a tail row's
+    # basis, filtered on the scenario's interval, is invariant at its first
+    # test, 64 steps in, and takes 65 products in all; stepped by powers of B
+    # the two workloads take 839 and 2068
+    expected, counts = seed1_rows
+    assert sum(counts[s, mu][4] for s, mu, _, _ in expected[workload]) <= bound
+
+
+def test_analysis_at_two_hundred_nodes_runs_lanczos_only_without_a_tail(monkeypatch):
+    # the analysis_n200 benchmark scenario: its 1e-3 row hands over to the
+    # tail, whose filtered basis takes at most 65 products and gives rho and
+    # the deflation vectors of CG, so Lanczos runs only on the 1e-2 row and
+    # neither row forms C. With powers of B and Lanczos on every row it took
+    # 389 products and 2 runs
+    experiment_module._scenario_inputs.cache_clear()
+    dense = count_dense_operands(monkeypatch)
+    products, lanczos_rows = [], []
+    count_basis_products(monkeypatch, products)
+    lanczos = bias_module._SlowModes._lanczos
+
+    def counted_lanczos(modes, scenario):
+        lanczos_rows.append(scenario.config.n)
+        return lanczos(modes, scenario)
+
+    monkeypatch.setattr(bias_module._SlowModes, "_lanczos", counted_lanczos)
+    config = small_config(
+        a_rule="metropolis",
+        step_mode="unequal_uniform_half",
+        mu_max_schedule=(1e-2, 1e-3),
+        n_nodes=200,
+        dim=4,
+        rows=6,
+    )
+    rows = run_sweep(config)
+    assert [row.converged for row in rows] == [True, True]
+    assert lanczos_rows == [200]
+    assert len(products) <= 65
+    assert dense["form"] == []
 
 
 @pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1), ("figures_coarse", 12)])
@@ -305,13 +361,14 @@ def count_calls(monkeypatch, name: str, calls: list) -> None:
 
 def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     # a scale adds one step operator (the fixed-point loop's) and one
-    # symmetric eigvalsh for rho: of C (24 x 24), or on a row that hands over
-    # to the tail, of the 2 x 2 Rayleigh-Ritz matrix on its basis. The
-    # spectrum of S (12 x 12) that certifies it, the Hessian eigenvalues, the
-    # Perron vector and the gradients at the optimum are taken once for the
-    # scenario; the network and data are built once for both sweeps, which
-    # differ only in a_rule. The metropolis sweep hands over at 1e-3 only, the
-    # averaging one at 3e-3 and 1e-3
+    # symmetric eigensolve for rho: eigvalsh of C (24 x 24), or on a row that
+    # hands over to the tail, eigh of the 2 x 2 Rayleigh-Ritz matrix on its
+    # basis. The spectrum of S (12 x 12), taken when the scenario's first run
+    # is judged long, gives the tail's Chebyshev interval and certifies that
+    # radius; it, the Hessian eigenvalues, the Perron vector and the gradients
+    # at the optimum are taken once for the scenario; the network and data are
+    # built once for both sweeps, which differ only in a_rule. The metropolis
+    # sweep hands over at 1e-3 only, the averaging one at 3e-3 and 1e-3
     experiment_module._scenario_inputs.cache_clear()
     operators, hessian_eigs, radius_eigs, scenario_calls = [], [], [], []
     input_calls = []
@@ -322,13 +379,14 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(diffusion_module._StepOperator, "__init__", counted_init)
-    eigvalsh = np.linalg.eigvalsh
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
 
-    def counted_eigvalsh(a, *args, **kwargs):
-        (hessian_eigs if np.ndim(a) == 3 else radius_eigs).append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        def counted(a, *args, solver=solver, **kwargs):
+            (hessian_eigs if np.ndim(a) == 3 else radius_eigs).append(np.shape(a))
+            return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(np.linalg, name, counted)
     count_calls(monkeypatch, "perron_theta", scenario_calls)
     count_calls(monkeypatch, "stacked_gradient", scenario_calls)
     count_calls(monkeypatch, "sample_ensemble", input_calls)
@@ -338,7 +396,7 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     assert len(rows) == 3 and all(row.converged for row in rows)
     assert len(operators) == 3
     assert hessian_eigs == [(12, 2, 2)]
-    assert radius_eigs == [(24, 24), (24, 24), (2, 2), (12, 12)]
+    assert radius_eigs == [(24, 24), (24, 24), (12, 12), (2, 2)]
     assert sorted(scenario_calls) == ["perron_theta", "stacked_gradient"]
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
 
@@ -346,7 +404,7 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     assert len(rows) == 3 and all(row.converged for row in rows)
     assert len(operators) == 6
     assert hessian_eigs == [(12, 2, 2)]
-    assert radius_eigs[4:] == [(24, 24), (2, 2), (12, 12), (2, 2)]
+    assert radius_eigs[4:] == [(24, 24), (12, 12), (2, 2), (2, 2)]
     assert sorted(scenario_calls) == ["perron_theta"] * 2 + ["stacked_gradient"] * 2
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
 
@@ -991,6 +1049,27 @@ def test_cli_figures_that_fails_in_a_later_family_writes_no_earlier_family(
     assert capsys.readouterr() == ("", "error: stubbed failure\n")
     assert len(calls) == 4
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("below", [None, "sub"], ids=["outdir-is-a-file", "outdir-under-a-file"])
+def test_cli_figures_checks_the_output_directory_before_running(
+    tmp_path, capsys, monkeypatch, below
+):
+    # an --outdir that is a file, or lies under one, fails before any family
+    # runs, with the path named, and creates nothing
+    swept = []
+    monkeypatch.setattr(cli_module, "run_sweep", lambda config: swept.append(config) or [])
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n", encoding="utf-8")
+    outdir = blocker if below is None else blocker / below
+    assert cli_main(["figures", "--outdir", str(outdir), "--schedule", "1e-2"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot write into {outdir}: {blocker} is not a directory\n",
+    )
+    assert swept == []
+    assert sorted(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_cli_sweep_runtime_failure_exits_two_and_writes_no_csv(tmp_path, capsys, monkeypatch):

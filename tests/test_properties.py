@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from kron_reference import kron_reference, reference_radius
+from kron_reference import kron_reference, reference_answers, reference_radius
 from plain_loop import assert_bit_identical, plain_fixed_point
 
 pytest.importorskip("hypothesis")
@@ -220,6 +220,36 @@ def test_radius_from_the_tail_basis_matches_kron_reference(scenario, fraction):
     assert len(certified) == (result.slow_basis is not None)
     if certified and certified[0] is not None:
         assert rho == certified[0]
+
+
+@given(sweep_scenarios(), st.floats(0.003, 0.01))
+def test_filtered_tail_keeps_the_plain_loop_and_the_references(scenario, fraction):
+    # the sweep's run, whose tail filters its basis on the scenario's
+    # interval: its counts are the plain loop's and its stepped prefix is
+    # that loop's bit for bit. With the crossover moved below every N*M,
+    # rho comes from the tail's basis and the closed form from CG deflated
+    # by its Ritz vectors (or from Lanczos where there is no tail), and both
+    # must match the references
+    intervals = []
+    run = bias_module.run_to_fixed_point
+
+    def recorded(*args, interval, **kwargs):
+        intervals.append(interval)
+        return run(*args, interval=interval, **kwargs)
+
+    mu_max = fraction * scenario.margins[scenario.tightest]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bias_module, "run_to_fixed_point", recorded)
+        patch.setattr(bias_module, "MATRIX_FREE_NM", 1)
+        result, closed, rho = analyse_scale(scenario, mu_max, 1e-12, 10**6)
+    config, ensemble = scenario.at_scale(mu_max), scenario.ensemble
+    init = np.tile(scenario.w_star, (ensemble.n, 1))
+    _, iterations, converged = plain_fixed_point(config, ensemble, init=init)
+    assert (result.iterations_used, result.converged) == (iterations, converged)
+    assert_bit_identical(config, ensemble, init, interval=intervals[0])
+    expected, reference = reference_answers(config, ensemble)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert np.abs(closed - expected).max() <= 1e-10
 
 
 @given(scenarios(), st.floats(1e-3, 1e3))
