@@ -210,11 +210,6 @@ class Scenario:
         spectrum = self.mixing_spectrum
         return min(float(spectrum[0]), 0.0), float(spectrum[:-1].max(initial=0.0))
 
-    @functools.cached_property
-    def mixing_min(self) -> float:
-        """lambda_min(S), from ``mixing_spectrum``."""
-        return float(self.mixing_spectrum[0])
-
     def limit_floor(self) -> float:
         """Rounding floor of ``|limit_bias|``: N eps |Hbar^-1|_2 sum_l |weights_l| s_l,
         weights = c z, s_l = |g_l(w*)| + lambda_max(H_l) |w*| (|H_l|_2, H_l being PSD),
@@ -363,8 +358,9 @@ class _SlowModes:
         min(res, res^2 / gap) is 1e-11 (1 - theta). It is rho because every R_k
         is positive semidefinite, so the gains have eigenvalues in (0, 1] and
         lambda_min(C) >= min(lambda_min(S), 0) lies above -theta: by the
-        scenario's Gershgorin ``mixing_bound``, or failing that by its exact
-        ``mixing_min``. None when either test fails within LANCZOS_STEPS.
+        scenario's Gershgorin ``mixing_bound``, or failing that by the exact
+        lambda_min(S) of its ``slow_interval``. None when either test fails
+        within LANCZOS_STEPS.
 
         Each check takes theta from ``eigvalsh`` of the block tridiagonal T
         and the top M Ritz vectors from ``_top_ritz_block``; one whose shifted
@@ -398,7 +394,7 @@ class _SlowModes:
             if (res * min(1.0, res / gap) if gap > 0.0 else res) <= 1e-11 * (1.0 - theta[-1]):
                 # the exact lambda_min(S) only when the bound cannot certify
                 floor = -min(scenario.mixing_bound, 0.0)
-                if theta[-1] <= floor and theta[-1] <= -min(scenario.mixing_min, 0.0):
+                if theta[-1] <= floor and theta[-1] <= -scenario.slow_interval()[0]:
                     return None
                 self.slow = basis[:, :hi] @ block
                 return float(theta[-1])

@@ -71,7 +71,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    # every output path is checked before the sweep, so a bad one writes nothing
+    if args.plot is not None and Path(args.plot).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--plot {args.plot} is the CSV path; the script would replace it")
     for path in filter(None, (args.out, args.plot)):
+        if Path(path).is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"no directory to write {path} into")
     rows = run_sweep(config)

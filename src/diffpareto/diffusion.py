@@ -214,15 +214,14 @@ def run_to_fixed_point(
     ``interval`` is None. The caller passes it only when [a, b] is known to
     hold every eigenvalue of B but the M slow ones. Every 64 steps the basis
     is tested for invariance under B; from the first pass on it is kept and
-    no longer stepped. Every 64 steps from 128 steps after the judgement,
-    once that basis is invariant and the run's iterates 128 steps apart, or
-    failing that 64, fit it to within their rounding noise,
-    every later iterate is a sum of M geometric sequences, and the same
-    per-node test finds the stop among them without stepping. Where the last update sits within the
-    plain loop's rounding noise of the threshold, as it must below about
-    1024 eps, that stop is an extended-precision loop's. A model refused
-    for good, or not accepted 1024 steps in, is dropped and the run goes on
-    plain; it is not judged again. ``stepped`` counts the plain steps kept;
+    no longer stepped, and every 64 steps, once the run's iterates 64 steps
+    apart fit it to within their rounding noise, every later iterate is a
+    sum of M geometric sequences, and the same per-node test finds the stop
+    among them without stepping. Where the last update sits within the plain
+    loop's rounding noise of the threshold, as it must below about 1024 eps,
+    that stop is an extended-precision loop's. A model refused for good, or
+    not accepted 1024 steps in, is dropped and the run goes on plain; it is
+    not judged again. ``stepped`` counts the plain steps kept;
     when it is smaller than ``iterations_used``, ``w_infinity`` and
     ``final_update_norm`` belong to the modelled iterate at
     ``iterations_used``, and ``slow_basis`` holds the basis.

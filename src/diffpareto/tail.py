@@ -22,7 +22,6 @@ one it is B^j. This module is the engine of
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -31,25 +30,22 @@ import numpy as np
 # A run's largest update is read at PROBE_AT and at each doubling up to
 # ENGAGE_AT; from the second read on, the run is judged long from its decay
 # since the read before, at most once. A long run then tracks the slow
-# subspace from its iterate at that judgement and offers it as a model every
-# _PERIOD tracked steps, from the first that keeps an iterate _FIT_SPAN back,
-# until _TRACK_LIMIT.
+# subspace from its iterate at that judgement and, once its basis is
+# invariant, offers it as a model every _PERIOD tracked steps until
+# _TRACK_LIMIT.
 PROBE_AT = 64
 ENGAGE_AT = 256
 _TRACK_LIMIT = 1024
 # also the period at which the tracked basis is orthonormalised, its filter
-# restarted and its invariance tested, until it passes
+# restarted and its invariance tested, until it passes, and the span of the
+# two iterates a model is fitted to. The fast modes, which on the built-in
+# networks fall below 1e-14 of their start within 150-300 iterations, are
+# waited for by the invariance and fit tests, which refuse a model until they
+# are gone from the basis and from the older iterate
 _PERIOD = 64
-# iterations between the two iterates the model is fitted to first (then
-# _PERIOD); the older is at first the iterate at the judgement, so a model is
-# first offered _FIT_SPAN tracked steps in. The fast modes, which on the
-# built-in networks fall below 1e-14 of their start within 150-300
-# iterations, are waited for by the invariance and fit tests, which refuse a
-# model until they are gone from the basis and from the older iterate
-_FIT_SPAN = 128
 # predicted remaining iterations that make a run long: several times the
-# plain steps a model costs
-_LONG_RUN = 4 * _FIT_SPAN
+# tracked steps a model costs, which are at least _PERIOD
+_LONG_RUN = 512
 _RESIDUAL = 1e-13  # |BQ - QS| allowed, relative to |BQ|
 # rounding noise allowed in the fit, relative to |w|; a tol below it puts the plain loop's
 # stopping test in its own noise, where the tail's count is an extended-precision loop's
@@ -102,11 +98,10 @@ class SlowSubspace:
     _PERIOD steps Q is orthonormalised, the filter restarts from it and Q is
     tested for invariance: ||BQ - QS|| small for S = Q^T B Q. From the first
     pass on Q and S are kept and Q is no longer stepped; their Ritz pairs, the
-    eigenpairs of S, must be real, slow, distinct and well conditioned. Once
-    the tracker keeps an iterate _FIT_SPAN back (the first it keeps is the
-    plain iterate w it starts from), Q is offered as a model of the run's tail
-    every _PERIOD steps, fitted to the run from that iterate or, when that fit
-    is refused, from the one _PERIOD back. ``op`` is the run's step operator:
+    eigenpairs of S, must be real, slow, distinct and well conditioned. From
+    that pass on Q is offered as a model of the run's tail every _PERIOD
+    steps, fitted to the run from the plain iterate _PERIOD back (at first the
+    iterate w it starts from). ``op`` is the run's step operator:
     its shape (N, M) and apply_linear. ``interval`` is the [a, b] of the
     filter, or None for powers of B."""
 
@@ -119,8 +114,7 @@ class SlowSubspace:
         self.filter = _filter_steps(interval)
         self.ritz = None  # (lam, v, sigma) of S once Q is invariant
         self.steps = 0
-        # plain iterates _PERIOD apart, the oldest _FIT_SPAN before the newest
-        self.iterates = deque([w.copy()], maxlen=_FIT_SPAN // _PERIOD + 1)
+        self.w_old = w.copy()  # the plain iterate _PERIOD steps back
         self.open = True  # False once no model will be accepted
 
     def advance(self, w: np.ndarray) -> ModalTail | None:
@@ -134,21 +128,14 @@ class SlowSubspace:
             self.q, self.prev = alpha * bq + beta * self.q + gamma * self.prev, self.q
         if self.steps % _PERIOD:
             return None
-        self.iterates.append(w.copy())  # a view of w could keep a larger array alive
+        # a view of w could keep a larger array alive
+        w_old, self.w_old = self.w_old, w.copy()
         self.open = self.steps < _TRACK_LIMIT
         if self.ritz is None and not self._invariant():
             return None
-        if len(self.iterates) < self.iterates.maxlen:
-            return None
         n, m = self.op.shape
-        q = self.q.reshape(n * m, m)
         lam, v, sigma = self.ritz
-        # against the oldest kept iterate, then, if fast modes left in that one
-        # refuse the fit, against the newer one _PERIOD back
-        for w_old, span in ((self.iterates[0], _FIT_SPAN), (self.iterates[-2], _PERIOD)):
-            if (tail := ModalTail.fit(q, lam, v, sigma, w, w_old, span)) is not None:
-                return tail
-        return None
+        return ModalTail.fit(self.q.reshape(n * m, m), lam, v, sigma, w, w_old)
 
     def _invariant(self) -> bool:
         """Orthonormalise Q and restart the filter from it; whether Q is now
@@ -190,11 +177,9 @@ class ModalTail:
     sigma: float  # smallest singular value of Y
 
     @classmethod
-    def fit(
-        cls, q, lam, v, sigma, w: np.ndarray, w_old: np.ndarray, span: int
-    ) -> ModalTail | None:
+    def fit(cls, q, lam, v, sigma, w: np.ndarray, w_old: np.ndarray) -> ModalTail | None:
         """The model with Ritz pairs (lam, q @ v) through w and w_old,
-        ``span`` iterations earlier, or None when the run leaves the span
+        _PERIOD iterations earlier, or None when the run leaves the span
         of q by more than the rounding noise of its iterates."""
         # the difference of two iterates far apart fits the modes far above
         # the rounding noise that a single update carries
@@ -202,7 +187,7 @@ class ModalTail:
         a = q.T @ d
         if np.linalg.norm(d - q @ a) > _NOISE * np.linalg.norm(w):
             return None
-        decay = lam**span
+        decay = lam**_PERIOD
         coef = np.linalg.solve(v, a) * decay / (decay - 1.0)
         ritz = q @ v
         return cls(lam, ritz, coef, w.ravel() - ritz @ coef, sigma)

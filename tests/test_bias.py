@@ -449,25 +449,25 @@ def test_perron_vector_with_a_zero_entry_falls_back_to_eigvals(eigvals_calls):
 
 def count_dense_operands(monkeypatch) -> dict[str, list[int]]:
     """From here on, the N*M of each C that ``_SlowModes.form`` builds, under
-    "form", and the N of each S whose exact lambda_min ``Scenario.mixing_min``
-    takes, under "mixing_min": the two ways a step scale of a reversible
+    "form", and the N of each S whose eigenvalues ``Scenario.mixing_spectrum``
+    takes, under "mixing_spectrum": the two ways a step scale of a reversible
     scenario reaches a dense eigensolver of order N*M or N."""
-    calls = {"form": [], "mixing_min": []}
-    form, mixing_min = bias_module._SlowModes.form, bias_module.Scenario.mixing_min.func
+    calls = {"form": [], "mixing_spectrum": []}
+    form, spectrum = bias_module._SlowModes.form, bias_module.Scenario.mixing_spectrum.func
 
     def counted_form(modes):
         c = form(modes)
         calls["form"].append(len(c))
         return c
 
-    def counted_mixing_min(scenario):
-        calls["mixing_min"].append(len(scenario.mixing))
-        return mixing_min(scenario)
+    def counted_spectrum(scenario):
+        calls["mixing_spectrum"].append(len(scenario.mixing))
+        return spectrum(scenario)
 
-    counted = functools.cached_property(counted_mixing_min)
-    counted.__set_name__(bias_module.Scenario, "mixing_min")
+    counted = functools.cached_property(counted_spectrum)
+    counted.__set_name__(bias_module.Scenario, "mixing_spectrum")
     monkeypatch.setattr(bias_module._SlowModes, "form", counted_form)
-    monkeypatch.setattr(bias_module.Scenario, "mixing_min", counted)
+    monkeypatch.setattr(bias_module.Scenario, "mixing_spectrum", counted)
     return calls
 
 
@@ -552,7 +552,7 @@ def check_symmetric_route(route, strategy, a_rule, c_rule, counts, eigvals_calls
     assert eigvals_calls == []
     assert counts["lift"] == []
     if route == "matrix_free":
-        assert counts["form"] == counts["mixing_min"] == []
+        assert counts["form"] == counts["mixing_spectrum"] == []
         assert len(counts["slow"]) == len(RULE_SCALES)
         for slow in counts["slow"]:
             assert np.abs(slow.T @ slow - np.eye(ens.dim)).max() <= 1e-14
@@ -618,7 +618,7 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     assert eigs.real.max() < 0.33
     expected, reference = reference_answers(cfg, ens)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
-    assert matrix_free["mixing_min"] == [3]
+    assert matrix_free["mixing_spectrum"] == [3]
     assert matrix_free["form"] == [6]
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -707,7 +707,7 @@ def test_lanczos_at_two_hundred_nodes_matches_the_formed_c(mu_max, counts, monke
     # C, and the closed form within 1e-10 relative of the dense solve through it
     scenario = build_scenario(BENCHMARK_N200)
     closed, rho = scale_analysis(scenario, mu_max)
-    assert counts["form"] == counts["mixing_min"] == []
+    assert counts["form"] == counts["mixing_spectrum"] == []
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
     dense_closed, reference = scale_analysis(scenario, mu_max)
     assert counts["form"] == [800]

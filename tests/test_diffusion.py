@@ -28,7 +28,6 @@ from diffpareto.network import (
     identity_combination,
 )
 from diffpareto.tail import (
-    _FIT_SPAN,
     _PERIOD,
     ENGAGE_AT,
     PROBE_AT,
@@ -303,10 +302,9 @@ def test_tail_reproduces_plain_loop_on_sweep_rows(mu_max, fields, iterations):
     assert res.stepped < res.iterations_used
 
 
-@pytest.mark.parametrize("span", [_PERIOD, _FIT_SPAN, 2 * _FIT_SPAN])
-def test_tail_model_fits_iterates_the_given_span_apart(span):
+def test_tail_model_fits_iterates_a_period_apart():
     # an exact two-mode run w_p = w_inf + Y diag(lam**p) g of three nodes in
-    # two dimensions, fitted through w_span and w_0
+    # two dimensions, fitted through w_PERIOD and w_0
     rng = np.random.default_rng(5)
     q = np.linalg.qr(rng.standard_normal((6, 2)))[0]
     v = np.array([[1.0, 0.3], [-0.2, 1.0]])
@@ -317,9 +315,9 @@ def test_tail_model_fits_iterates_the_given_span_apart(span):
     def iterate(p):
         return (w_inf + q @ v @ (lam**p * g)).reshape(3, 2)
 
-    tail = ModalTail.fit(q, lam, v, 1.0, iterate(span), iterate(0), span)
+    tail = ModalTail.fit(q, lam, v, 1.0, iterate(_PERIOD), iterate(0))
     assert np.abs(tail.w_inf - w_inf).max() <= 1e-12
-    assert np.abs(tail.coef - lam**span * g).max() <= 1e-12
+    assert np.abs(tail.coef - lam**_PERIOD * g).max() <= 1e-12
 
 
 # an orthonormal basis of 1 kron I_2 over three nodes, and two slow modes
@@ -330,7 +328,7 @@ SLOW = np.array([0.5, 0.6])
 def test_tail_model_refuses_a_run_that_leaves_the_basis():
     w = np.zeros((3, 2))
     w[0, 0] = 1.0  # only node 0 moves, which no consensus mode can carry
-    assert ModalTail.fit(CONSENSUS, SLOW, np.eye(2), 1.0, w, np.zeros((3, 2)), _FIT_SPAN) is None
+    assert ModalTail.fit(CONSENSUS, SLOW, np.eye(2), 1.0, w, np.zeros((3, 2))) is None
 
 
 def test_tail_scan_can_stop_at_the_first_modelled_iterate():
@@ -543,12 +541,14 @@ SWEEP_ROWS = [
     "mu_max, iterations, stepped", SWEEP_ROWS, ids=[f"{mu:.3g}" for mu, _, _ in SWEEP_ROWS]
 )
 def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, stepped):
-    # a long row is judged at 128 and its first model offered 128 tracked
-    # steps later. The stepped prefix is the plain loop's bit for bit. The
-    # plain loop's full run is compared here on the two rows below 1,000
-    # iterations and by test_tail_reproduces_plain_loop_on_sweep_rows from
-    # 1e-3 to 1e-4; the two longest rows would take it about 200,000 steps
-    # (some 6 s), and their counts are the benchmark's reference counts of it
+    # a long row is judged at 128, and its basis, stepped by powers of B, is
+    # first invariant 128 tracked steps later (192 at 10^-2.5), where the
+    # first model is offered and accepted. The stepped prefix is the plain
+    # loop's bit for bit. The plain loop's full run is compared here on the
+    # two rows below 1,000 iterations and by
+    # test_tail_reproduces_plain_loop_on_sweep_rows from 1e-3 to 1e-4; the two
+    # longest rows would take it about 200,000 steps (some 6 s), and their
+    # counts are the benchmark's reference counts of it
     config, ens, init = sweep_row(mu_max)
     res = assert_bit_identical(config, ens, init)
     assert (res.iterations_used, res.stepped, res.converged) == (iterations, stepped, True)
@@ -556,11 +556,9 @@ def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, ste
         assert_same_run(res, plain_fixed_point(config, ens, init=init))
 
 
-def test_a_fit_refused_against_the_oldest_iterate_is_tried_against_the_newer():
-    # judged long at 128, this row's basis is invariant at 320, but fast
-    # modes left in the iterate at 192 refuse the fit against it; the fit
-    # against the iterate at 256 is accepted, 64 plain steps before the next
-    # offer would be
+def test_a_late_invariant_basis_is_fitted_against_the_iterate_a_period_back():
+    # judged long at 128, this row's basis is first invariant at 320, 192
+    # tracked steps in, where the fit against the iterate at 256 is accepted
     config, ens, init = sweep_row(1e-4, a_rule="metropolis", step_mode="equal")
     res = assert_bit_identical(config, ens, init)
     assert (res.iterations_used, res.stepped, res.converged) == (11_038, 320, True)
@@ -595,8 +593,9 @@ def test_a_run_judged_short_at_128_is_judged_again_at_256(monkeypatch):
     config, ens, init = sweep_row(1e-5, a_rule="metropolis", step_mode="equal")
     res = run_to_fixed_point(config, ens, init=init, tol=1e-14)
     assert verdicts == [(PROBE_AT, False), (2 * PROBE_AT, True)]
+    # judged long at 256, its basis is invariant and fits 192 tracked steps in
+    assert res.stepped == ENGAGE_AT + 3 * _PERIOD == 448
     assert (res.iterations_used, res.converged) == (110_303, True)
-    assert res.stepped <= ENGAGE_AT + _FIT_SPAN + _PERIOD
 
 
 def test_a_tracker_refused_for_good_is_not_started_again(monkeypatch):
@@ -732,24 +731,24 @@ def test_blocked_loop_steps_at_most_one_block_past_the_stop(monkeypatch):
 
 
 def test_tail_spends_no_basis_products_on_the_overshoot(monkeypatch):
-    # judged long at 128, the run offers its first model 128 tracked steps
-    # later, at 256, where it is accepted. Stepped by powers of B, the basis
-    # takes one product per tracked step until it passes its second
-    # invariance test, 128 steps in, and one per test
+    # judged long at 128, the run's basis, stepped by powers of B, passes its
+    # second invariance test 128 tracked steps later, at 256, where the first
+    # model is offered and accepted. The basis takes one product per tracked
+    # step until then, and one per test
     products = count_calls(monkeypatch, "apply_linear")
     config, ens, init = sweep_row(1e-4)
     res = run_to_fixed_point(config, ens, init=init)
-    assert res.stepped == 2 * PROBE_AT + _FIT_SPAN
-    assert len(products) == _FIT_SPAN + 2 == 130
+    assert res.stepped == 2 * PROBE_AT + 2 * _PERIOD
+    assert len(products) == 2 * _PERIOD + 2 == 130
 
 
 def test_filtered_basis_takes_no_products_once_invariant(monkeypatch):
     # the same run with the tail's basis filtered on the scenario's interval:
-    # invariant at its first test, 64 steps in, it takes 65 products in all,
-    # none in the 64 tracked steps before the model is accepted
+    # invariant at its first test, 64 steps in, where the model is offered
+    # and accepted, it takes 65 products in all
     products = count_calls(monkeypatch, "apply_linear")
     config, ens, init = sweep_row(1e-4)
     interval = analyse_scenario(config, ens).slow_interval
     res = run_to_fixed_point(config, ens, init=init, interval=interval)
-    assert res.stepped == 2 * PROBE_AT + _FIT_SPAN
+    assert res.stepped == 2 * PROBE_AT + _PERIOD == 192
     assert len(products) == _PERIOD + 1 == 65

@@ -271,12 +271,37 @@ def test_sweep_reproduces_the_benchmark_reference_counts_at_fifty_nodes(seed1_ro
     assert [[s, mu, *counts[s, mu][:2]] for s, mu, _, _ in rows] == rows
 
 
-@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1756), ("figures_coarse", 5836)])
+@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1372), ("figures_coarse", 5324)])
 def test_benchmark_rows_keep_few_plain_steps(seed1_rows, workload, bound):
     # a guard on the tail's engagement that needs no timing: a long row keeps
-    # 256 plain steps when its first model is accepted
+    # 192 plain steps when its first model is accepted at its first invariance
+    # test
     expected, counts = seed1_rows
     assert sum(counts[s, mu][2] for s, mu, _, _ in expected[workload]) <= bound
+
+
+@pytest.mark.parametrize(
+    "a_rule, step_mode, mu_max, iterations",
+    [
+        ("metropolis", "equal", 10**-4.5, 42_010),  # acceptance 3 at 10^-4.5
+        ("averaging", "unequal_uniform_half", 1e-5, 198_163),  # acceptance 4
+    ],
+)
+def test_acceptance_rows_at_tol_1e_14_keep_their_counts(a_rule, step_mode, mu_max, iterations):
+    # the counts of an np.longdouble plain loop (tests/plain_loop.py), reached
+    # through the modal tail as the acceptance sweeps run them
+    config = ExperimentConfig(
+        strategy="atc",
+        a_rule=a_rule,
+        c_rule="relative_degree",
+        step_mode=step_mode,
+        mu_max_schedule=(mu_max,),
+        tol=1e-14,
+    )
+    scenario = build_scenario(config)
+    result = bias_module.analyse_scale(scenario, mu_max, config.tol, config.max_iter)[0]
+    assert (result.iterations_used, result.converged) == (iterations, True)
+    assert result.stepped < result.iterations_used
 
 
 @pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 390), ("figures_coarse", 780)])
@@ -318,7 +343,8 @@ def test_analysis_at_two_hundred_nodes_runs_lanczos_only_without_a_tail(monkeypa
     assert [row.converged for row in rows] == [True, True]
     assert lanczos_rows == [200]
     assert len(products) <= 65
-    assert dense["form"] == []
+    # S's spectrum is taken once, for the interval of the 1e-3 row's tail
+    assert dense == {"form": [], "mixing_spectrum": [200]}
 
 
 @pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1), ("figures_coarse", 12)])
@@ -439,13 +465,13 @@ def test_sweep_above_the_crossover_forms_no_n_m_square_matrix(monkeypatch):
     assert len(rows) == 2 and all(row.converged for row in rows)
     assert len(operators) == 2
     assert hessian_eigs == [(100, 4, 4)]
-    assert dense == {"form": [], "mixing_min": []}
+    assert dense == {"form": [], "mixing_spectrum": []}
 
     rows = run_sweep(dataclasses.replace(config, a_rule="averaging"))
     assert len(rows) == 2 and all(row.converged for row in rows)
     assert len(operators) == 4
     assert hessian_eigs == [(100, 4, 4)]
-    assert dense == {"form": [], "mixing_min": []}
+    assert dense == {"form": [], "mixing_spectrum": []}
     assert lifts == []
 
 
@@ -721,16 +747,30 @@ def test_cli_sweep_writes_csv_and_plot(tmp_path, capsys):
     assert "set logscale xy" in plot.read_text()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--plot"])
-def test_cli_sweep_checks_output_directories_before_running(tmp_path, monkeypatch, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, bad",
+    [
+        pytest.param("--out", "missing/x", id="--out"),
+        pytest.param("--plot", "missing/x", id="--plot"),
+        # an existing directory, which could not be opened after the sweep
+        pytest.param("--out", "outdir", id="out-is-a-directory"),
+        pytest.param("--plot", "outdir", id="plot-is-a-directory"),
+        # the CSV's own path, which the script would replace
+        pytest.param("--plot", "rows.csv", id="plot-is-out"),
+    ],
+)
+def test_cli_sweep_checks_output_directories_before_running(
+    tmp_path, monkeypatch, capsys, flag, bad
+):
+    (tmp_path / "outdir").mkdir()
     paths = {"--out": tmp_path / "rows.csv", "--plot": tmp_path / "rows.gp"}
-    paths[flag] = tmp_path / "missing" / "x"
+    paths[flag] = tmp_path / bad
     swept = []
     monkeypatch.setattr(cli_module, "run_sweep", lambda config: swept.append(config) or [])
     argv = ["sweep", "--config", str(write_config(tmp_path))]
     assert cli_main(argv + [arg for item in paths.items() for arg in map(str, item)]) == 1
     assert swept == []
-    assert not any(path.exists() for path in paths.values())
+    assert {path.name for path in tmp_path.rglob("*")} == {"config.json", "outdir"}
     assert str(paths[flag]) in capsys.readouterr().err
 
 
