@@ -26,25 +26,13 @@ that with the recursion.
 The radius and closed form come from one operator per step scale. When
 the composite mixing matrix is reversible and every gain block
 I - mu_k R_k is positive definite, that is ``_SlowModes``: a symmetric
-matrix C with the spectrum of B, which the closed form is solved through.
-
-* At N*M of MATRIX_FREE_NM (400) and above, C is applied blockwise and
-  never formed: block Lanczos gives the radius and deflated CG the
-  closed form. Lanczos checks its Ritz pairs from the eigenvalues of its
-  k x k matrix T and one block inverse iteration on T for the top M
-  vectors, so no k x k eigenvector matrix is formed. The radius is
-  certified by a Gershgorin bound on lambda_min(S), and by the exact
-  value only where the bound falls short;
-* below the crossover, on a row whose run handed over to the modal tail,
-  the radius is the top Rayleigh-Ritz value of C on the tail's basis of
-  B's slow subspace (``FixedPointResult.slow_basis``) taken into C's
-  coordinates. Ostrowski's theorem with lambda_2(S), Kahan's bound and the
-  quadratic residual bound certify it (``_SlowModes._tail_ritz``); C is
-  formed once, for one dense solve of the closed form;
-* below the crossover on any other row, or as the fallback when Lanczos or
-  CG has not converged within its cap or the tail basis is not certified,
-  C is formed once: one ``eigvalsh`` gives the radius and one dense solve
-  the closed form.
+matrix C with the spectrum of B. rho comes with C's M slow Ritz vectors
+from the basis of B's slow subspace that the row's modal tail ran on,
+where it is certified (``_SlowModes._tail_ritz``), or else from block
+Lanczos at N*M of MATRIX_FREE_NM (400) and above; failing both, it comes
+alone from ``eigvalsh`` of C. From the crossover up, CG deflated by those
+vectors solves the closed form; below it, without them, or when CG fails
+within its cap, one dense solve through C does.
 
 Otherwise B is lifted once, ``numpy.linalg.eigvals`` gives the radius and
 one dense solve the closed form. The conditions for C hold for the
@@ -313,15 +301,11 @@ class _SlowModes:
     blockwise, that is similar to C, whose block (k, l) is S[k, l] L_k^T L_l.
     ``apply`` takes C blockwise (L, then S on the node axis, then L^T:
     O(N^2 M + N M^2) a product) and ``form`` builds it as one N*M x N*M array.
-    ``radius`` leaves the M slow Ritz vectors in ``slow`` (Lanczos, or the
-    tail's basis at N*M of MATRIX_FREE_NM and above), the formed C in ``c``
-    (``eigvalsh``) or neither (the tail's basis below the crossover) for
-    ``closed_form``. ``root`` is sqrt(pi), the Perron vector of S."""
+    ``root`` is sqrt(pi), the Perron vector of S."""
 
     def __init__(self, gain: np.ndarray, s: np.ndarray, root: np.ndarray):
         # raises LinAlgError when a gain block is not positive definite
         self.chol, self.s, self.root = np.linalg.cholesky(gain), s, root
-        self.slow = self.c = None
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         n, m, _ = self.chol.shape
@@ -337,30 +321,31 @@ class _SlowModes:
         c *= self.s[:, None, :, None]
         return c.reshape(n * m, n * m)
 
-    def radius(self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray | None) -> float:
-        """rho: given the orthonormal basis of B's slow subspace that the tail
-        ran on, from ``_tail_ritz``; without one, or when it is refused, from
-        ``_lanczos`` at N*M of MATRIX_FREE_NM and above. Failing both, it is
-        the largest |lambda| of one ``eigvalsh`` of C, formed once and kept."""
+    def radius(
+        self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray | None
+    ) -> tuple[float, np.ndarray | None]:
+        """rho and C's M slow Ritz vectors: from ``_tail_ritz`` on the tail's
+        basis of B's slow subspace, else from ``_lanczos`` at N*M of
+        MATRIX_FREE_NM and above; failing both, rho alone, the largest
+        |lambda| of one ``eigvalsh`` of C."""
         n, m, _ = self.chol.shape
-        rho = None if basis is None else self._tail_ritz(scenario, a1, basis)
-        if rho is None and n * m >= MATRIX_FREE_NM:
-            rho = self._lanczos(scenario)
-        if rho is not None:
-            return rho
-        self.c = self.form()
-        eigs = np.linalg.eigvalsh(self.c)
-        return float(max(-eigs[0], eigs[-1]))
+        found = None if basis is None else self._tail_ritz(scenario, a1, basis)
+        if found is None and n * m >= MATRIX_FREE_NM:
+            found = self._lanczos(scenario)
+        if found is not None:
+            return found
+        eigs = np.linalg.eigvalsh(self.form())
+        return float(max(-eigs[0], eigs[-1])), None
 
-    def _lanczos(self, scenario: Scenario) -> float | None:
-        """lambda_max(C) by block Lanczos from sqrt(pi) kron I_M, with full
-        reorthogonalisation, stopped once the top Ritz value's residual bound
-        min(res, res^2 / gap) is 1e-11 (1 - theta). It is rho because every R_k
-        is positive semidefinite, so the gains have eigenvalues in (0, 1] and
-        lambda_min(C) >= min(lambda_min(S), 0) lies above -theta: by the
-        scenario's Gershgorin ``mixing_bound``, or failing that by the exact
-        lambda_min(S) of its ``slow_interval``. None when either test fails
-        within LANCZOS_STEPS.
+    def _lanczos(self, scenario: Scenario) -> tuple[float, np.ndarray] | None:
+        """lambda_max(C) and C's M top Ritz vectors by block Lanczos from
+        sqrt(pi) kron I_M, with full reorthogonalisation, stopped once the top
+        Ritz value's residual bound min(res, res^2 / gap) is 1e-11 (1 - theta).
+        It is rho because every R_k is positive semidefinite, so the gains
+        have eigenvalues in (0, 1] and lambda_min(C) >= min(lambda_min(S), 0)
+        lies above -theta: by the scenario's Gershgorin ``mixing_bound``, or
+        failing that by the exact lambda_min(S) of its ``slow_interval``. None
+        when either test fails within LANCZOS_STEPS.
 
         Each check takes theta from ``eigvalsh`` of the block tridiagonal T
         and the top M Ritz vectors from ``_top_ritz_block``; one whose shifted
@@ -396,27 +381,27 @@ class _SlowModes:
                 floor = -min(scenario.mixing_bound, 0.0)
                 if theta[-1] <= floor and theta[-1] <= -scenario.slow_interval()[0]:
                     return None
-                self.slow = basis[:, :hi] @ block
-                return float(theta[-1])
+                return float(theta[-1]), basis[:, :hi] @ block
         return None
 
-    def _tail_ritz(self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray) -> float | None:
+    def _tail_ritz(
+        self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray
+    ) -> tuple[float, np.ndarray] | None:
         """lambda_max(C) as the top Rayleigh-Ritz value of C on Y, the tail's
         basis Q of B's slow subspace taken into C's coordinates and
         orthonormalised: Y = L^T (D^1/2 a1^T kron I) Q, as that map T gives
-        T B = C T when P is reversible (``closed_form`` inverts it).
+        T B = C T when P is reversible (``closed_form`` inverts it), and the
+        Ritz vectors Y V, V the eigenvectors of H = Y^T C Y.
 
         The value is certified. Every gain is at most I, so by Ostrowski's
         theorem at most M eigenvalues of C lie above beta = max(lambda_2(S), 0).
-        With H = Y^T C Y and r = |CY - YH|_F, every Ritz value must clear beta
-        by more than r; by Kahan's bound, M eigenvalues of C then lie within r
-        of them, so they are the top M. The quadratic residual bound
+        With r = |CY - YH|_F, every Ritz value must clear beta by more than r;
+        by Kahan's bound, M eigenvalues of C then lie within r of them, so
+        they are the top M. The quadratic residual bound
         r^2 / (theta_min - beta) must then be at most 1e-11 (1 - theta_max),
         as in ``_lanczos``, and theta_max must exceed -min(lambda_min(S), 0),
         so that it is rho. Both eigenvalues of S come from the scenario's
-        ``slow_interval``. None when a test fails. At N*M of MATRIX_FREE_NM
-        and above, a certified value leaves the Ritz vectors Y V, V the
-        eigenvectors of H, in ``slow`` for ``_deflated_cg``."""
+        ``slow_interval``. None when a test fails."""
         n, m, _ = self.chol.shape
         x = (self.root[:, None] * (a1.T @ basis.reshape(n, -1))).reshape(n, m, m)
         y = np.linalg.qr((self.chol.transpose(0, 2, 1) @ x).reshape(n * m, m))[0]
@@ -429,36 +414,36 @@ class _SlowModes:
         gap = theta[0] - beta
         if not gap > res or res * res / gap > 1e-11 * (1.0 - theta[-1]) or theta[-1] <= -low:
             return None
-        if n * m >= MATRIX_FREE_NM:
-            self.slow = y @ v
-        return float(theta[-1])
+        return float(theta[-1]), y @ v
 
-    def closed_form(self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def closed_form(
+        self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray, slow: np.ndarray | None
+    ) -> np.ndarray:
         """Stacked x of (I - B) x = rhs, rhs of shape (N, M). Writing
         (D^1/2 kron I) G (a1^T kron I) x = L y turns the system into
         (I - C) y = b = L^T (D^1/2 a1^T kron I) rhs, and then
         x = (a2^T D^-1/2 kron I) L y + rhs. I - C is positive definite as
-        rho < 1. With slow Ritz vectors, ``_deflated_cg`` solves it; without
-        them, or when CG fails, one dense solve in the storage of C, the
-        kept one or one formed now, does, and C is dropped."""
+        rho < 1. At N*M of MATRIX_FREE_NM and above, ``_deflated_cg`` solves
+        it on C's slow Ritz vectors ``slow``; without them, below the
+        crossover, or when CG fails, one dense solve in the storage of C
+        formed now does."""
         n, m, _ = self.chol.shape
         b = self.chol.transpose(0, 2, 1) @ (self.root[:, None] * (a1.T @ rhs))[..., None]
         b = b.reshape(n * m, 1)
-        y = None if self.slow is None else self._deflated_cg(b)
+        y = self._deflated_cg(b, slow) if slow is not None and n * m >= MATRIX_FREE_NM else None
         if y is None:
-            c, self.c = (self.form() if self.c is None else self.c), None
+            c = self.form()
             np.negative(c, out=c)
             c.flat[:: n * m + 1] += 1.0
             y = np.linalg.solve(c, b)
         ly = (self.chol @ y.reshape(n, m, 1))[..., 0]
         return (a2.T @ (ly / self.root[:, None]) + rhs).ravel()
 
-    def _deflated_cg(self, b: np.ndarray) -> np.ndarray | None:
+    def _deflated_cg(self, b: np.ndarray, w: np.ndarray) -> np.ndarray | None:
         """y of (I - C) y = b by CG deflated by the slow Ritz vectors W (Saad,
         Yeung, Erhel and Guyomarc'h, 2000), stopping at a residual of 1e-13 |b|
         or after CG_STEPS iterations. None when the residual recomputed from y
         then misses 1e-12 |b|."""
-        w = self.slow
         aw = w - self.apply(w)
         coarse = w.T @ aw
         correct = np.linalg.solve(coarse, aw.T)
@@ -525,12 +510,11 @@ def _scale_operator(
     of B's slow subspace, such as ``FixedPointResult.slow_basis``, or None.
 
     When the scenario has S and every gain block is positive definite, both
-    come from the ``_SlowModes`` of C: rho from ``slow_basis`` when given and
-    certified, and otherwise by Lanczos at N*M of MATRIX_FREE_NM and above.
-    ``interval`` is then the scenario's ``slow_interval``, which holds every
-    eigenvalue of B but the M slow ones, for ``run_to_fixed_point``.
-    Otherwise it is None, and ``finish`` lifts B: ``eigvals`` gives rho and
-    the solve runs in B's storage (no S, or a step above half of its bound)."""
+    come from the ``_SlowModes`` of C, and ``interval`` is the scenario's
+    ``slow_interval``, which holds every eigenvalue of B but the M slow ones,
+    for ``run_to_fixed_point``. Otherwise it is None, and ``finish`` lifts B:
+    ``eigvals`` gives rho and the solve runs in B's storage (no S, or a step
+    above half of its bound)."""
     config = scenario.at_scale(mu_max)
     a1, a2 = config.a1.matrix, config.a2.matrix
     r = scenario.combined_hessians
@@ -545,8 +529,8 @@ def _scale_operator(
         else:
 
             def finish_modes(slow_basis):
-                rho = modes.radius(scenario, a1, slow_basis)
-                return rho, lambda: modes.closed_form(a1, a2, rhs)
+                rho, slow = modes.radius(scenario, a1, slow_basis)
+                return rho, lambda: modes.closed_form(a1, a2, rhs, slow)
 
             return scenario.slow_interval, finish_modes
 

@@ -69,16 +69,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """ValueError unless a file can be written at ``path``: run before any work."""
+    if Path(path).is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not Path(path).parent.is_dir():
+        raise ValueError(f"no directory to write {path} into")
+
+
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    # every output path is checked before the sweep, so a bad one writes nothing
     if args.plot is not None and Path(args.plot).resolve() == Path(args.out).resolve():
         raise ValueError(f"--plot {args.plot} is the CSV path; the script would replace it")
     for path in filter(None, (args.out, args.plot)):
-        if Path(path).is_dir():
-            raise ValueError(f"cannot write {path}: it is a directory")
-        if not Path(path).parent.is_dir():
-            raise ValueError(f"no directory to write {path} into")
+        _check_writable(path)
     rows = run_sweep(config)
     emit_csv(rows, args.out)
     if args.plot is not None:
@@ -157,6 +161,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_topo(args) -> int:
+    _check_writable(args.out)
     topology = generate_topology(args.n, args.deg, args.seed)
     Path(args.out).write_text(topology_to_edge_list(topology), encoding="utf-8")
     print(f"wrote {topology.n_edges} edges for {args.n} nodes to {args.out}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .costs import CostEnsemble, combine_hessians, step_size_bounds
 from .network import AssumptionError, CombinationMatrix, as_matrix, identity_combination
-from .tail import ENGAGE_AT, PROBE_AT, SlowSubspace, runs_long
+from .tail import ENGAGE_AT, PROBE_AT, SlowSubspace, passes, runs_long
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
@@ -251,8 +251,7 @@ def run_to_fixed_point(
             after = block[1:].reshape(-1, m)
             upd2 = np.einsum("ki,ki->k", diff, diff).reshape(size, n)
             norms2 = np.einsum("ki,ki->k", after, after).reshape(size, n)
-            rhs = tol * (1.0 + np.sqrt(norms2))
-            passed = (upd2 <= rhs * rhs).all(axis=1).tolist()
+            passed = passes(upd2, norms2, tol).tolist()
         worsts = upd2.max(axis=1).tolist()
         for i in range(size):
             iterations += 1

@@ -55,6 +55,15 @@ _SEPARATION = 1e-8  # smallest Ritz value gap, relative to the largest 1 - lambd
 _SCAN_BYTES = 2**18  # the arrays of one scan block
 
 
+def passes(upd2: np.ndarray, norms2: np.ndarray, tol: float) -> np.ndarray:
+    """The plain loop's stopping test on rows of per-node squared update
+    norms ``upd2`` and squared iterate norms ``norms2``: whether every
+    node's update is at most tol * (1 + |w_k|). The loop and the tail's
+    scan both stop by it, so the tail's count is the loop's."""
+    rhs = tol * (1.0 + np.sqrt(norms2))
+    return (upd2 <= rhs * rhs).all(axis=1)
+
+
 def runs_long(probe: float, worst: float, gate: float, span: int) -> bool:
     """Whether a run is worth tracking, at any tol: its largest squared update,
     ``probe`` and ``span`` iterations later ``worst``, stays above gate**2
@@ -225,8 +234,7 @@ class ModalTail:
             z[:, 1:] = lam ** (p - 1)[:, None]
             f = z[:, rows] * z[:, cols]
             upd2 = f @ cu
-            rhs = tol * (1.0 + np.sqrt(np.maximum(f @ cw, 0.0)))
-            passed = (upd2 <= rhs * rhs).all(axis=1)
+            passed = passes(upd2, np.maximum(f @ cw, 0.0), tol)
             done = bool(passed.any())
             stop = int(np.argmax(passed)) if done else p.size - 1
             if done or p[-1] == last:

@@ -494,9 +494,9 @@ def matrix_free(monkeypatch, counts):
     counts["slow"] = []
     deflated_cg = bias_module._SlowModes._deflated_cg
 
-    def recorded(modes, b):
-        counts["slow"].append(modes.slow)
-        return deflated_cg(modes, b)
+    def recorded(modes, b, slow):
+        counts["slow"].append(slow)
+        return deflated_cg(modes, b, slow)
 
     monkeypatch.setattr(bias_module._SlowModes, "_deflated_cg", recorded)
     return counts
@@ -575,7 +575,9 @@ def test_matrix_free_route_matches_the_kron_reference(
 @pytest.mark.parametrize("cap", ["LANCZOS_STEPS", "CG_STEPS"])
 def test_matrix_free_run_at_its_cap_falls_back_to_the_dense_route(cap, matrix_free, monkeypatch):
     # one Lanczos step or one CG iteration cannot converge here; the answer is
-    # then the dense route's, from C formed once, and B is never lifted
+    # then the dense route's, from C formed once for each answer the run could
+    # not give (rho and the closed form, or the closed form alone), and B is
+    # never lifted
     scenario = build_scenario(rule_case("atc", "metropolis", "relative_degree"))
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
     dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
@@ -584,7 +586,7 @@ def test_matrix_free_run_at_its_cap_falls_back_to_the_dense_route(cap, matrix_fr
     monkeypatch.setattr(bias_module, cap, 1)
     closed, rho = scale_analysis(scenario, 1e-3)
     assert matrix_free["lift"] == []
-    assert matrix_free["form"] == [200]
+    assert matrix_free["form"] == {"LANCZOS_STEPS": [200, 200], "CG_STEPS": [200]}[cap]
     assert np.array_equal(closed, dense_closed)
     assert abs(rho - dense_rho) <= 1e-9 * (1.0 - dense_rho)
 
@@ -610,7 +612,7 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     # ``negative_end_case``: Lanczos finds the top end only. The Gershgorin
     # bound -1 cannot certify it, so the exact lambda_min(S) of -1/2 is taken,
     # and it cannot either; rho then comes from the dense symmetric route, on C
-    # formed once, which the closed form reuses
+    # formed, and the closed form, with no Ritz vectors, forms C again
     cfg, ens = negative_end_case()
     closed, rho = scale_analysis(analyse_scenario(cfg, ens), 0.1)
     eigs = np.linalg.eigvals(kron_reference(cfg, ens)[0])
@@ -619,7 +621,7 @@ def test_matrix_free_radius_defers_to_dense_when_the_negative_end_may_lead(matri
     expected, reference = reference_answers(cfg, ens)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert matrix_free["mixing_spectrum"] == [3]
-    assert matrix_free["form"] == [6]
+    assert matrix_free["form"] == [6, 6]
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
@@ -669,7 +671,8 @@ def test_lanczos_whose_shifted_solve_fails_falls_back_to_the_dense_route(
     matrix_free, monkeypatch
 ):
     # a singular shifted T leaves every Ritz check unconverged, so Lanczos
-    # reaches its cap and C is formed once, as at any other cap
+    # reaches its cap and C is formed for rho and for the closed form, as at
+    # the Lanczos cap
     scenario = build_scenario(rule_case("atc", "metropolis", "relative_degree"))
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
     dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
@@ -681,7 +684,7 @@ def test_lanczos_whose_shifted_solve_fails_falls_back_to_the_dense_route(
 
     monkeypatch.setattr(bias_module, "_top_ritz_block", singular)
     closed, rho = scale_analysis(scenario, 1e-3)
-    assert matrix_free["form"] == [200]
+    assert matrix_free["form"] == [200, 200]
     assert matrix_free["slow"] == []
     assert np.array_equal(closed, dense_closed) and rho == dense_rho
 
@@ -704,13 +707,14 @@ BENCHMARK_N200 = ExperimentConfig(
 def test_lanczos_at_two_hundred_nodes_matches_the_formed_c(mu_max, counts, monkeypatch):
     # at the default crossover the scale runs matrix-free; rho stays within
     # 1e-9 (1 - rho) of the dense route's, the largest |eigvalsh| of the formed
-    # C, and the closed form within 1e-10 relative of the dense solve through it
+    # C, and the closed form within 1e-10 relative of the dense solve through C
+    # formed again
     scenario = build_scenario(BENCHMARK_N200)
     closed, rho = scale_analysis(scenario, mu_max)
     assert counts["form"] == counts["mixing_spectrum"] == []
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", float("inf"))
     dense_closed, reference = scale_analysis(scenario, mu_max)
-    assert counts["form"] == [800]
+    assert counts["form"] == [800, 800]
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert np.linalg.norm(closed - dense_closed) <= 1e-10 * np.linalg.norm(dense_closed)
 
@@ -817,8 +821,8 @@ def test_in_place_mixing_equals_the_plain_expression(n, make):
 @pytest.fixture
 def radius_calls(monkeypatch) -> dict[str, list]:
     """From here on, the order of each single matrix ``eigvalsh`` takes, under
-    "eigvalsh", and each value ``_SlowModes._tail_ritz`` returns, under
-    "tail_ritz"."""
+    "eigvalsh", and each radius ``_SlowModes._tail_ritz`` returns (None on a
+    refusal), under "tail_ritz"."""
     calls = {"eigvalsh": [], "tail_ritz": []}
     eigvalsh, tail_ritz = np.linalg.eigvalsh, bias_module._SlowModes._tail_ritz
 
@@ -828,8 +832,9 @@ def radius_calls(monkeypatch) -> dict[str, list]:
         return eigvalsh(a, *args, **kwargs)
 
     def recorded(modes, *args):
-        calls["tail_ritz"].append(tail_ritz(modes, *args))
-        return calls["tail_ritz"][-1]
+        found = tail_ritz(modes, *args)
+        calls["tail_ritz"].append(None if found is None else found[0])
+        return found
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(bias_module._SlowModes, "_tail_ritz", recorded)
@@ -896,8 +901,9 @@ def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(radius_cal
     lanczos = bias_module._SlowModes._lanczos
 
     def counted(modes, scenario):
-        lanczos_runs.append(lanczos(modes, scenario))
-        return lanczos_runs[-1]
+        found = lanczos(modes, scenario)
+        lanczos_runs.append(None if found is None else found[0])
+        return found
 
     monkeypatch.setattr(bias_module._SlowModes, "_lanczos", counted)
     scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
@@ -913,6 +919,26 @@ def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(radius_cal
     expected, reference = reference_answers(scenario.at_scale(1e-3), scenario.ensemble)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_slow_modes_hold_only_their_factors(monkeypatch):
+    # the radius hands its Ritz vectors to the closed form, which chooses its
+    # own route: after both answers a _SlowModes holds only L, S and sqrt(pi),
+    # on a tail row and a row without one, below and above the crossover
+    held, closed_form = [], bias_module._SlowModes.closed_form
+
+    def recorded(modes, *args):
+        closed = closed_form(modes, *args)
+        held.append(sorted(vars(modes)))
+        return closed
+
+    monkeypatch.setattr(bias_module._SlowModes, "closed_form", recorded)
+    scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
+    for crossover in (bias_module.MATRIX_FREE_NM, 0):
+        monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", crossover)
+        assert analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)[0].slow_basis is not None
+        scale_analysis(scenario, 1e-3)
+    assert held == [["chol", "root", "s"]] * 4
 
 
 def test_non_reversible_composite_tracks_by_powers_of_b(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from plain_loop import assert_bit_identical, plain_fixed_point
 
 from diffpareto import diffusion as diffusion_module
+from diffpareto import tail as tail_module
 from diffpareto.bias import analyse_scenario
 from diffpareto.costs import CostEnsemble, QuadraticCost, sample_ensemble, step_size_bounds
 from diffpareto.diffusion import (
@@ -562,6 +564,27 @@ def test_a_late_invariant_basis_is_fitted_against_the_iterate_a_period_back():
     config, ens, init = sweep_row(1e-4, a_rule="metropolis", step_mode="equal")
     res = assert_bit_identical(config, ens, init)
     assert (res.iterations_used, res.stepped, res.converged) == (11_038, 320, True)
+
+
+def test_the_loop_and_the_tail_share_one_stopping_test(monkeypatch):
+    # the tail's count is the plain loop's because both stop by the same
+    # per-node test: a plain run calls it from the loop alone, and a run that
+    # hands over calls it from the loop and then from the tail's scan
+    callers, passes = [], tail_module.passes
+
+    def recorded(upd2, norms2, tol):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return passes(upd2, norms2, tol)
+
+    monkeypatch.setattr(diffusion_module, "passes", recorded)
+    monkeypatch.setattr(tail_module, "passes", recorded)
+    config, ens, init = sweep_row(1e-2)
+    assert run_to_fixed_point(config, ens, init=init).slow_basis is None
+    assert set(callers) == {"run_to_fixed_point"}
+    callers.clear()
+    config, ens, init = sweep_row(1e-3)
+    assert run_to_fixed_point(config, ens, init=init).slow_basis is not None
+    assert set(callers) == {"run_to_fixed_point", "run"} and callers[-1] == "run"
 
 
 def test_result_carries_the_basis_the_tail_ran_on():

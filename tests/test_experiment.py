@@ -1009,6 +1009,27 @@ def test_cli_topo_invalid_exits_one(tmp_path, capsys):
     assert cli_main(["topo", "--n", "50", "--deg", "1", "--seed", "5", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param("outdir", "cannot write {}: it is a directory", id="out-is-a-directory"),
+        pytest.param("missing/x", "no directory to write {} into", id="out-in-a-missing-directory"),
+    ],
+)
+def test_cli_topo_checks_its_output_path_before_generating(
+    tmp_path, monkeypatch, capsys, bad, message
+):
+    (tmp_path / "outdir").mkdir()
+    out = tmp_path / bad
+    generated = []
+    monkeypatch.setattr(cli_module, "generate_topology", lambda *args: generated.append(args))
+    argv = ["topo", "--n", "12", "--deg", "3", "--seed", "5", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert generated == []
+    assert capsys.readouterr().err == f"error: {message.format(out)}\n"
+    assert {path.name for path in tmp_path.rglob("*")} == {"outdir"}
+
+
 def test_cli_figures_smoke(tmp_path):
     outdir = tmp_path / "figs"
     code = cli_main(["figures", "--outdir", str(outdir), "--schedule", "1e-2,3e-3"])
