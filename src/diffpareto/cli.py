@@ -147,10 +147,15 @@ def _cmd_figures(args) -> int:
     existing = next(path for path in (outdir, *outdir.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"cannot write into {outdir}: {existing} is not a directory")
+    figures = builtin_figure_configs(schedule)
+    if outdir.is_dir():
+        for name in figures:
+            for suffix in (".csv", ".gp"):
+                _check_writable(str(outdir / f"sweep_{name}{suffix}"))
     # every family runs before the first write, so a failure leaves no output
     families = {
         name: [row for config in configs for row in run_sweep(config)]
-        for name, configs in builtin_figure_configs(schedule).items()
+        for name, configs in figures.items()
     }
     outdir.mkdir(parents=True, exist_ok=True)
     for name, rows in families.items():

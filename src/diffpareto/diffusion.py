@@ -207,23 +207,23 @@ def run_to_fixed_point(
     largest update since iteration 64 and, if not then judged long, at 256
     from the decay since 128. A long run, whose largest update at that rate
     stays above the threshold for more than 512 further iterations, skips
-    its tail (see the tail module). From the judgement on, it filters an
-    N*M x M basis from 1 kron I_M beside the iterate: by Chebyshev
-    polynomials on the interval [a, b] that ``interval()`` returns, called
-    then and only then, and by powers of the error-propagation matrix B when
-    ``interval`` is None. The caller passes it only when [a, b] is known to
-    hold every eigenvalue of B but the M slow ones. Every 64 steps the basis
-    is tested for invariance under B; from the first pass on it is kept and
-    no longer stepped, and every 64 steps, once the run's iterates 64 steps
-    apart fit it to within their rounding noise, every later iterate is a
-    sum of M geometric sequences, and the same per-node test finds the stop
-    among them without stepping. Where the last update sits within the plain
-    loop's rounding noise of the threshold, as it must below about 1024 eps,
-    that stop is an extended-precision loop's. A model refused for good, or
-    not accepted 1024 steps in, is dropped and the run goes on plain; it is
-    not judged again. ``stepped`` counts the plain steps kept;
-    when it is smaller than ``iterations_used``, ``w_infinity`` and
-    ``final_update_norm`` belong to the modelled iterate at
+    its tail (see the tail module). At the judgement it filters an N*M x M
+    basis from 1 kron I_M, 64 steps at a time, until the basis is invariant
+    under the error-propagation matrix B: by Chebyshev polynomials on the
+    interval [a, b] that ``interval()`` returns, called then and only then,
+    and by powers of B when ``interval`` is None. The caller passes it only
+    when [a, b] is known to hold every eigenvalue of B but the M slow ones.
+    From as many plain steps on as the filter took, every 64 steps, once the
+    run's iterates 64 steps apart fit the basis to within their rounding
+    noise, every later iterate is a sum of M geometric sequences, and the
+    same per-node test finds the stop among them without stepping. Where the
+    last update sits within the plain loop's rounding noise of the
+    threshold, as it must below about 1024 eps, that stop is an
+    extended-precision loop's. A basis refused for good or not found in 1024
+    filter steps, or a model not accepted 1024 steps in, is dropped and the
+    run goes on plain; it is not judged again. ``stepped`` counts the plain
+    steps kept; when it is smaller than ``iterations_used``, ``w_infinity``
+    and ``final_update_norm`` belong to the modelled iterate at
     ``iterations_used``, and ``slow_basis`` holds the basis.
     """
     if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
@@ -272,7 +272,7 @@ def run_to_fixed_point(
                 tail = tracker.advance(w)
                 if tail is not None:
                     w, used, converged, final = tail.run(iterations, max_iter, tol)
-                    basis = tracker.q.reshape(n * m, m)
+                    basis = tracker.q
                     w.setflags(write=False)
                     basis.setflags(write=False)
                     return FixedPointResult(w, used, converged, final, iterations, basis)

@@ -10,12 +10,12 @@ w_inf + Y diag(lam**p) g for the M slow eigenpairs (lam, Y) of B, and the
 stopping test of the plain loop can be evaluated on thousands of such
 iterates at once, starting where a closed-form bound on its update stops
 excluding a pass. The pairs come from an N*M x M basis filtered from
-1 kron I_M beside the plain loop, reduced to the M x M Rayleigh-Ritz
-matrix S = Q^T B Q; B itself is never formed. Where an interval [a, b]
-known to hold every eigenvalue of B but the M slow ones is given, the
-filter is a scaled Chebyshev polynomial on it (Rutishauser 1970; Zhou and
-Saad 2007), which damps those modes far faster than powers of B; without
-one it is B^j. This module is the engine of
+1 kron I_M when the run is judged long, reduced to the M x M
+Rayleigh-Ritz matrix S = Q^T B Q; B itself is never formed. Where an
+interval [a, b] known to hold every eigenvalue of B but the M slow ones
+is given, the filter is a scaled Chebyshev polynomial on it (Rutishauser
+1970; Zhou and Saad 2007), which damps those modes far faster than
+powers of B; without one it is B^j. This module is the engine of
 ``diffusion.run_to_fixed_point``, which decides when to call it.
 """
 
@@ -29,19 +29,18 @@ import numpy as np
 
 # A run's largest update is read at PROBE_AT and at each doubling up to
 # ENGAGE_AT; from the second read on, the run is judged long from its decay
-# since the read before, at most once. A long run then tracks the slow
-# subspace from its iterate at that judgement and, once its basis is
-# invariant, offers it as a model every _PERIOD tracked steps until
-# _TRACK_LIMIT.
+# since the read before, at most once. A long run then finds its slow basis,
+# invariant by _TRACK_LIMIT filter steps or refused, and from as many plain
+# steps on offers it as a model every _PERIOD steps until _TRACK_LIMIT.
 PROBE_AT = 64
 ENGAGE_AT = 256
 _TRACK_LIMIT = 1024
-# also the period at which the tracked basis is orthonormalised, its filter
-# restarted and its invariance tested, until it passes, and the span of the
-# two iterates a model is fitted to. The fast modes, which on the built-in
-# networks fall below 1e-14 of their start within 150-300 iterations, are
-# waited for by the invariance and fit tests, which refuse a model until they
-# are gone from the basis and from the older iterate
+# also the filter steps between two orthonormalisations and invariance tests
+# of the basis, and the span of the two iterates a model is fitted to. The
+# fast modes, which on the built-in networks fall below 1e-14 of their start
+# within 150-300 iterations, are waited for by the invariance and fit tests,
+# which refuse a basis or a model until they are gone from it and from the
+# older iterate
 _PERIOD = 64
 # predicted remaining iterations that make a run long: several times the
 # tracked steps a model costs, which are at least _PERIOD
@@ -99,78 +98,68 @@ def _filter_steps(interval: tuple[float, float] | None) -> Iterator[tuple[float,
         sigma = nxt
 
 
-class SlowSubspace:
-    """A basis Q = p_j(B) (1 kron I_M) of N*M x M, stepped beside the plain loop.
+def _invariant_basis(op, interval: tuple[float, float] | None):
+    """The first invariant basis of p(B) (1 kron I_M), p the filter of
+    ``_filter_steps`` on ``interval`` restarted from each orthonormalised Q
+    every _PERIOD steps: (Q, lam, v, sigma, steps), Q of N*M x M node major,
+    (lam, v) the eigenpairs of S = Q^T B Q, sigma the smallest singular value
+    of v and steps the filter steps taken. Q is invariant when ||BQ - QS|| is
+    small. None when no Q is by _TRACK_LIMIT steps, or when its eigenpairs are
+    not real, slow, distinct and well conditioned, as a model needs them."""
+    n, m = op.shape
+    q = np.broadcast_to(np.eye(m) / math.sqrt(n), (n, m, m)).copy()
+    for steps in range(_PERIOD, _TRACK_LIMIT + 1, _PERIOD):
+        prev = q
+        for _, (alpha, beta, gamma) in zip(range(_PERIOD), _filter_steps(interval)):
+            q, prev = alpha * op.apply_linear(q) + beta * q + gamma * prev, q
+        basis = np.linalg.qr(q.reshape(n * m, m))[0]
+        q = basis.reshape(n, m, m)
+        bq = op.apply_linear(q).reshape(n * m, m)
+        s = basis.T @ bq
+        if np.linalg.norm(bq - basis @ s) > _RESIDUAL * np.linalg.norm(bq):
+            continue
+        # the Ritz pairs of an invariant subspace are final
+        lam, v = np.linalg.eig(s)
+        if np.iscomplexobj(lam) or not ((lam > 0.0) & (lam < 1.0)).all():
+            return None
+        sv = np.linalg.svd(v, compute_uv=False)
+        gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(m)
+        if sv[-1] * _COND_LIMIT < sv[0] or gaps.min() <= _SEPARATION * (1.0 - lam).max():
+            return None
+        return basis, lam, v, float(sv[-1]), steps
+    return None
 
-    The span of Q converges to the invariant subspace of B's M slow modes at
-    the rate the filter p_j (``_filter_steps``) damps the others. Every
-    _PERIOD steps Q is orthonormalised, the filter restarts from it and Q is
-    tested for invariance: ||BQ - QS|| small for S = Q^T B Q. From the first
-    pass on Q and S are kept and Q is no longer stepped; their Ritz pairs, the
-    eigenpairs of S, must be real, slow, distinct and well conditioned. From
-    that pass on Q is offered as a model of the run's tail every _PERIOD
-    steps, fitted to the run from the plain iterate _PERIOD back (at first the
-    iterate w it starts from). ``op`` is the run's step operator:
-    its shape (N, M) and apply_linear. ``interval`` is the [a, b] of the
-    filter, or None for powers of B."""
+
+class SlowSubspace:
+    """When a run judged long offers its slow basis as a model of its tail.
+
+    The basis is found once, here, by ``_invariant_basis`` on ``op``, the
+    run's step operator, and ``interval``, the [a, b] of the filter or None
+    for powers of B. From as many plain steps as the search took until
+    _TRACK_LIMIT, it is offered every _PERIOD steps, fitted to the run from
+    the plain iterate _PERIOD back (at first the iterate w it starts from)."""
 
     def __init__(self, op, w: np.ndarray, interval: tuple[float, float] | None = None):
-        n, m = op.shape
-        self.op = op
-        self.interval = interval
-        self.q = np.broadcast_to(np.eye(m) / math.sqrt(n), (n, m, m)).copy()
-        self.prev = self.q
-        self.filter = _filter_steps(interval)
-        self.ritz = None  # (lam, v, sigma) of S once Q is invariant
+        found = _invariant_basis(op, interval)
+        self.open = found is not None  # False once no model will be accepted
+        if self.open:
+            self.q, *self.modes = found
         self.steps = 0
         self.w_old = w.copy()  # the plain iterate _PERIOD steps back
-        self.open = True  # False once no model will be accepted
 
     def advance(self, w: np.ndarray) -> ModalTail | None:
-        """Step Q, until it is invariant, along with the plain iterate w; the
-        model of the tail from w on, once Q spans an invariant subspace that
-        fits the run."""
+        """The model of the tail from the plain iterate w on, once the basis
+        is due and fits the run."""
         self.steps += 1
-        if self.ritz is None:
-            alpha, beta, gamma = next(self.filter)
-            bq = self.op.apply_linear(self.q)
-            self.q, self.prev = alpha * bq + beta * self.q + gamma * self.prev, self.q
         if self.steps % _PERIOD:
             return None
         # a view of w could keep a larger array alive
         w_old, self.w_old = self.w_old, w.copy()
         self.open = self.steps < _TRACK_LIMIT
-        if self.ritz is None and not self._invariant():
+        lam, v, sigma, due = self.modes
+        if self.steps < due:
             return None
-        n, m = self.op.shape
-        lam, v, sigma = self.ritz
-        return ModalTail.fit(self.q.reshape(n * m, m), lam, v, sigma, w, w_old)
-
-    def _invariant(self) -> bool:
-        """Orthonormalise Q and restart the filter from it; whether Q is now
-        invariant with Ritz pairs a model can carry, which are then kept in
-        ``ritz`` and end the stepping."""
-        n, m = self.op.shape
-        q = np.linalg.qr(self.q.reshape(n * m, m))[0]
-        self.q = self.prev = q.reshape(n, m, m)
-        self.filter = _filter_steps(self.interval)
-        bq = self.op.apply_linear(self.q).reshape(n * m, m)
-        s = q.T @ bq
-        if np.linalg.norm(bq - q @ s) > _RESIDUAL * np.linalg.norm(bq):
-            return False
-        # the Ritz pairs of an invariant subspace are final: a model they
-        # cannot carry is refused for the rest of the run
-        lam, v = np.linalg.eig(s)
-        if np.iscomplexobj(lam) or not ((lam > 0.0) & (lam < 1.0)).all():
-            self.open = False
-            return False
-        sv = np.linalg.svd(v, compute_uv=False)
-        gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(m)
-        if sv[-1] * _COND_LIMIT < sv[0] or gaps.min() <= _SEPARATION * (1.0 - lam).max():
-            self.open = False
-            return False
-        self.ritz = lam, v, float(sv[-1])
-        return True
+        return ModalTail.fit(self.q, lam, v, sigma, w, w_old)
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,6 +36,7 @@ from diffpareto.tail import (
     ModalTail,
     SlowSubspace,
     _filter_steps,
+    _invariant_basis,
     runs_long,
 )
 
@@ -405,20 +406,30 @@ class Rotation:
         return self.gain @ q
 
 
+class Recorded:
+    """A step operator whose linear part records every basis it is applied to."""
+
+    def __init__(self, op):
+        self.op, self.shape, self.bases = op, op.shape, []
+
+    def apply_linear(self, q):
+        self.bases.append(q.copy())
+        return self.op.apply_linear(q)
+
+
 def test_complex_ritz_values_end_the_tracking():
     # the basis is invariant at its first test, _PERIOD steps in, and its
-    # Ritz pairs are refused there, before any model is offered
-    w = np.zeros((3, 2))
-    tracker = SlowSubspace(Rotation(), w)
-    assert all(tracker.advance(w) is None for _ in range(_PERIOD - 1))
-    assert tracker.open
-    assert tracker.advance(w) is None
-    assert not tracker.open
+    # Ritz pairs are refused there: the search ends after _PERIOD + 1
+    # products, and the tracker offers no model
+    rotation = Recorded(Rotation())
+    assert _invariant_basis(rotation, None) is None
+    assert len(rotation.bases) == _PERIOD + 1
+    assert not SlowSubspace(Rotation(), np.zeros((3, 2))).open
 
 
 def powers_of_b(op, steps):
-    """The tracked basis as stepped by powers of B before the Chebyshev
-    filter: B^j (1 kron I_M) / sqrt(N), orthonormalised every _PERIOD steps."""
+    """The search's basis under powers of B: B^j (1 kron I_M) / sqrt(N),
+    orthonormalised every _PERIOD steps."""
     n, m = op.shape
     q = np.broadcast_to(np.eye(m) / math.sqrt(n), (n, m, m)).copy()
     for j in range(1, steps + 1):
@@ -436,15 +447,13 @@ POWER_INTERVALS = [None, (0.0, 0.0), (0.5, 0.5), (-0.5, 1.0)]
 @pytest.mark.parametrize("interval", POWER_INTERVALS)
 def test_basis_without_a_usable_interval_steps_by_powers_of_b_bit_for_bit(interval):
     # this row's basis is not invariant at its first test under powers of B,
-    # so it is stepped on past it
+    # so the search steps on to its second
     config, ens, init = sweep_row(1e-4)
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens)
     assert next(_filter_steps(interval)) == (1.0, 0.0, 0.0)
-    tracker = SlowSubspace(op, init, interval)
-    for _ in range(_PERIOD + 36):
-        assert tracker.advance(init) is None
-    assert tracker.ritz is None
-    assert np.array_equal(tracker.q, powers_of_b(op, _PERIOD + 36))
+    q, *_, steps = _invariant_basis(op, interval)
+    assert steps == 2 * _PERIOD
+    assert np.array_equal(q, powers_of_b(op, steps).reshape(q.shape))
 
 
 @pytest.mark.parametrize("interval", POWER_INTERVALS[1:])
@@ -466,21 +475,18 @@ def test_tail_with_an_unusable_interval_hands_over_as_with_none(interval):
 def test_filter_restarts_from_the_orthonormalised_basis():
     # an interval that misses most of B's fast spectrum leaves the basis short
     # of invariant at its first test; the filter then starts again from the
-    # orthonormalised basis, with gamma = 0, as a new filter would
-    config, ens, init = sweep_row(1e-4)
-    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens)
-    interval = (0.0, 0.5)
-    tracker = SlowSubspace(op, init, interval)
-    for _ in range(_PERIOD):
-        assert tracker.advance(init) is None
-    assert tracker.ritz is None
-    q = prev = tracker.q
-    steps = _filter_steps(interval)
-    for _ in range(10):
-        assert tracker.advance(init) is None
+    # orthonormalised basis, the one that test was applied to, with gamma = 0,
+    # as a new filter would
+    config, ens, _ = sweep_row(1e-4)
+    op = Recorded(_StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens))
+    _invariant_basis(op, (0.0, 0.5))
+    assert len(op.bases) > _PERIOD + 12
+    q = prev = op.bases[_PERIOD]
+    steps = _filter_steps((0.0, 0.5))
+    for basis in op.bases[_PERIOD + 1 : _PERIOD + 12]:
+        assert np.array_equal(basis, q)
         alpha, beta, gamma = next(steps)
-        q, prev = alpha * op.apply_linear(q) + beta * q + gamma * prev, q
-    assert np.array_equal(tracker.q, q)
+        q, prev = alpha * op.op.apply_linear(q) + beta * q + gamma * prev, q
 
 
 def test_chebyshev_filter_is_its_polynomial_scaled_to_one_at_one():
@@ -543,11 +549,11 @@ SWEEP_ROWS = [
     "mu_max, iterations, stepped", SWEEP_ROWS, ids=[f"{mu:.3g}" for mu, _, _ in SWEEP_ROWS]
 )
 def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, stepped):
-    # a long row is judged at 128, and its basis, stepped by powers of B, is
-    # first invariant 128 tracked steps later (192 at 10^-2.5), where the
-    # first model is offered and accepted. The stepped prefix is the plain
-    # loop's bit for bit. The plain loop's full run is compared here on the
-    # two rows below 1,000 iterations and by
+    # a long row is judged at 128, where its basis, filtered by powers of B,
+    # is first invariant after 128 filter steps (192 at 10^-2.5); as many
+    # plain steps later the first model is offered and accepted. The stepped
+    # prefix is the plain loop's bit for bit. The plain loop's full run is
+    # compared here on the two rows below 1,000 iterations and by
     # test_tail_reproduces_plain_loop_on_sweep_rows from 1e-3 to 1e-4; the two
     # longest rows would take it about 200,000 steps (some 6 s), and their
     # counts are the benchmark's reference counts of it
@@ -559,8 +565,9 @@ def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, ste
 
 
 def test_a_late_invariant_basis_is_fitted_against_the_iterate_a_period_back():
-    # judged long at 128, this row's basis is first invariant at 320, 192
-    # tracked steps in, where the fit against the iterate at 256 is accepted
+    # judged long at 128, this row's basis is first invariant after 192 filter
+    # steps, so its first fit, at 320, is against the iterate at 256, and is
+    # accepted
     config, ens, init = sweep_row(1e-4, a_rule="metropolis", step_mode="equal")
     res = assert_bit_identical(config, ens, init)
     assert (res.iterations_used, res.stepped, res.converged) == (11_038, 320, True)
@@ -616,25 +623,30 @@ def test_a_run_judged_short_at_128_is_judged_again_at_256(monkeypatch):
     config, ens, init = sweep_row(1e-5, a_rule="metropolis", step_mode="equal")
     res = run_to_fixed_point(config, ens, init=init, tol=1e-14)
     assert verdicts == [(PROBE_AT, False), (2 * PROBE_AT, True)]
-    # judged long at 256, its basis is invariant and fits 192 tracked steps in
+    # judged long at 256, its basis is invariant and fits 192 plain steps on
     assert res.stepped == ENGAGE_AT + 3 * _PERIOD == 448
     assert (res.iterations_used, res.converged) == (110_303, True)
 
 
 def test_a_tracker_refused_for_good_is_not_started_again(monkeypatch):
     # every tracker follows the Rotation operator, whose complex Ritz values
-    # refuse it for good at its first invariance test, _PERIOD steps in: at
-    # iteration 192, before the judgement at 256 could start another
-    trackers = []
+    # refuse its basis for good in the one search at the judgement, at
+    # iteration 128; the run is not judged again at 256, and steps throughout
+    searches, search = [], tail_module._invariant_basis
 
-    def rotating(op, w, interval):
-        trackers.append(SlowSubspace(Rotation(), w, interval))
-        return trackers[-1]
+    def recorded(op, interval):
+        searches.append(search(op, interval))
+        return searches[-1]
 
-    monkeypatch.setattr(diffusion_module, "SlowSubspace", rotating)
+    monkeypatch.setattr(tail_module, "_invariant_basis", recorded)
+    monkeypatch.setattr(
+        diffusion_module,
+        "SlowSubspace",
+        lambda op, w, interval: SlowSubspace(Rotation(), w, interval),
+    )
     config, ens, init = sweep_row(10**-3.5)
     res = run_to_fixed_point(config, ens, init=init)
-    assert [(t.steps, t.open) for t in trackers] == [(_PERIOD, False)]
+    assert searches == [None]
     assert res.stepped == res.iterations_used == 5875
 
 
@@ -754,10 +766,10 @@ def test_blocked_loop_steps_at_most_one_block_past_the_stop(monkeypatch):
 
 
 def test_tail_spends_no_basis_products_on_the_overshoot(monkeypatch):
-    # judged long at 128, the run's basis, stepped by powers of B, passes its
-    # second invariance test 128 tracked steps later, at 256, where the first
-    # model is offered and accepted. The basis takes one product per tracked
-    # step until then, and one per test
+    # judged long at 128, the run's basis, filtered by powers of B, passes its
+    # second invariance test 128 filter steps in; the first model, offered 128
+    # plain steps later, at 256, is accepted. The search takes one product
+    # per filter step and one per test
     products = count_calls(monkeypatch, "apply_linear")
     config, ens, init = sweep_row(1e-4)
     res = run_to_fixed_point(config, ens, init=init)
@@ -775,3 +787,24 @@ def test_filtered_basis_takes_no_products_once_invariant(monkeypatch):
     res = run_to_fixed_point(config, ens, init=init, interval=interval)
     assert res.stepped == 2 * PROBE_AT + _PERIOD == 192
     assert len(products) == _PERIOD + 1 == 65
+
+
+def test_a_tracked_run_takes_every_basis_product_at_the_judgement(monkeypatch):
+    # the run is judged long at 128, at the end of its fourth block, and
+    # there finds its basis in one search: all 65 products come before the
+    # fifth block is stepped, and the run ends on the search's basis
+    applies = count_calls(monkeypatch, "apply")
+    apply_linear = _StepOperator.apply_linear
+    stepped_at = []
+
+    def counted(self, q):
+        stepped_at.append(len(applies))
+        return apply_linear(self, q)
+
+    monkeypatch.setattr(_StepOperator, "apply_linear", counted)
+    config, ens, init = sweep_row(1e-4)
+    interval = analyse_scenario(config, ens).slow_interval
+    res = run_to_fixed_point(config, ens, init=init, interval=interval)
+    assert stepped_at == [2 * PROBE_AT] * (_PERIOD + 1)
+    op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens)
+    assert np.array_equal(res.slow_basis, _invariant_basis(op, interval())[0])

@@ -308,8 +308,8 @@ def test_acceptance_rows_at_tol_1e_14_keep_their_counts(a_rule, step_mode, mu_ma
 def test_benchmark_rows_take_few_basis_products(seed1_rows, workload, bound):
     # a guard on the tail's Chebyshev filter that needs no timing: a tail row's
     # basis, filtered on the scenario's interval, is invariant at its first
-    # test, 64 steps in, and takes 65 products in all; stepped by powers of B
-    # the two workloads take 839 and 2068
+    # test, 64 steps in, and takes 65 products in all; filtered by powers of B
+    # the two workloads take 845 and 2080
     expected, counts = seed1_rows
     assert sum(counts[s, mu][4] for s, mu, _, _ in expected[workload]) <= bound
 
@@ -1131,6 +1131,19 @@ def test_cli_figures_checks_the_output_directory_before_running(
     assert swept == []
     assert sorted(tmp_path.iterdir()) == [blocker]
     assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_cli_figures_checks_every_output_file_before_running(tmp_path, capsys, monkeypatch):
+    # an output file of the last family that is a directory fails before any
+    # family runs, with the path named, and nothing is written
+    swept = []
+    monkeypatch.setattr(cli_module, "run_sweep", lambda config: swept.append(config) or [])
+    taken = tmp_path / "sweep_cta_equal.csv"
+    taken.mkdir()
+    assert cli_main(["figures", "--outdir", str(tmp_path), "--schedule", "1e-2,1e-3"]) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {taken}: it is a directory\n")
+    assert swept == []
+    assert list(tmp_path.rglob("*")) == [taken]
 
 
 def test_cli_sweep_runtime_failure_exits_two_and_writes_no_csv(tmp_path, capsys, monkeypatch):
