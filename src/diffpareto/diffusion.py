@@ -213,18 +213,17 @@ def run_to_fixed_point(
     interval [a, b] that ``interval()`` returns, called then and only then,
     and by powers of B when ``interval`` is None. The caller passes it only
     when [a, b] is known to hold every eigenvalue of B but the M slow ones.
-    From as many plain steps on as the filter took, every 64 steps, once the
-    run's iterates 64 steps apart fit the basis to within their rounding
-    noise, every later iterate is a sum of M geometric sequences, and the
-    same per-node test finds the stop among them without stepping. Where the
-    last update sits within the plain loop's rounding noise of the
-    threshold, as it must below about 1024 eps, that stop is an
-    extended-precision loop's. A basis refused for good or not found in 1024
-    filter steps, or a model not accepted 1024 steps in, is dropped and the
-    run goes on plain; it is not judged again. ``stepped`` counts the plain
-    steps kept; when it is smaller than ``iterations_used``, ``w_infinity``
-    and ``final_update_norm`` belong to the modelled iterate at
-    ``iterations_used``, and ``slow_basis`` holds the basis.
+    Every 64 plain steps from then, once the run's iterates 64 steps apart
+    fit the basis to within their rounding noise, every later iterate is a
+    sum of M geometric sequences, and the same per-node test finds the stop
+    among them without stepping. Where the last update sits within the plain
+    loop's rounding noise of the threshold, as it must below about 1024 eps,
+    that stop is an extended-precision loop's. A basis refused for good or
+    not found in 1024 filter steps, or a model not accepted 1024 steps in, is
+    dropped and the run goes on plain; it is not judged again. ``stepped``
+    counts the plain steps kept; when it is smaller than ``iterations_used``,
+    ``w_infinity`` and ``final_update_norm`` belong to the modelled iterate
+    at ``iterations_used``, and ``slow_basis`` holds the basis.
     """
     if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be finite and positive and max_iter at least one")

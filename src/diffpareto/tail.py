@@ -30,8 +30,8 @@ import numpy as np
 # A run's largest update is read at PROBE_AT and at each doubling up to
 # ENGAGE_AT; from the second read on, the run is judged long from its decay
 # since the read before, at most once. A long run then finds its slow basis,
-# invariant by _TRACK_LIMIT filter steps or refused, and from as many plain
-# steps on offers it as a model every _PERIOD steps until _TRACK_LIMIT.
+# invariant by _TRACK_LIMIT filter steps or refused, and offers it as a model
+# every _PERIOD plain steps until _TRACK_LIMIT.
 PROBE_AT = 64
 ENGAGE_AT = 256
 _TRACK_LIMIT = 1024
@@ -71,7 +71,8 @@ def runs_long(probe: float, worst: float, gate: float, span: int) -> bool:
     if worst >= probe:
         return True
     rate = math.log(worst / probe) / span
-    return math.log(gate * gate / worst) / rate > _LONG_RUN
+    # in logs, as gate**2 underflows below a tol of about 1e-162
+    return (2.0 * math.log(gate) - math.log(worst)) / rate > _LONG_RUN
 
 
 def _filter_steps(interval: tuple[float, float] | None) -> Iterator[tuple[float, float, float]]:
@@ -101,14 +102,14 @@ def _filter_steps(interval: tuple[float, float] | None) -> Iterator[tuple[float,
 def _invariant_basis(op, interval: tuple[float, float] | None):
     """The first invariant basis of p(B) (1 kron I_M), p the filter of
     ``_filter_steps`` on ``interval`` restarted from each orthonormalised Q
-    every _PERIOD steps: (Q, lam, v, sigma, steps), Q of N*M x M node major,
-    (lam, v) the eigenpairs of S = Q^T B Q, sigma the smallest singular value
-    of v and steps the filter steps taken. Q is invariant when ||BQ - QS|| is
-    small. None when no Q is by _TRACK_LIMIT steps, or when its eigenpairs are
-    not real, slow, distinct and well conditioned, as a model needs them."""
+    every _PERIOD steps: (Q, lam, v, sigma), Q of N*M x M node major,
+    (lam, v) the eigenpairs of S = Q^T B Q and sigma the smallest singular
+    value of v. Q is invariant when ||BQ - QS|| is small. None when no Q is
+    by _TRACK_LIMIT steps, or when its eigenpairs are not real, slow,
+    distinct and well conditioned, as a model needs them."""
     n, m = op.shape
     q = np.broadcast_to(np.eye(m) / math.sqrt(n), (n, m, m)).copy()
-    for steps in range(_PERIOD, _TRACK_LIMIT + 1, _PERIOD):
+    for _ in range(_TRACK_LIMIT // _PERIOD):
         prev = q
         for _, (alpha, beta, gamma) in zip(range(_PERIOD), _filter_steps(interval)):
             q, prev = alpha * op.apply_linear(q) + beta * q + gamma * prev, q
@@ -126,7 +127,7 @@ def _invariant_basis(op, interval: tuple[float, float] | None):
         gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(m)
         if sv[-1] * _COND_LIMIT < sv[0] or gaps.min() <= _SEPARATION * (1.0 - lam).max():
             return None
-        return basis, lam, v, float(sv[-1]), steps
+        return basis, lam, v, float(sv[-1])
     return None
 
 
@@ -135,9 +136,9 @@ class SlowSubspace:
 
     The basis is found once, here, by ``_invariant_basis`` on ``op``, the
     run's step operator, and ``interval``, the [a, b] of the filter or None
-    for powers of B. From as many plain steps as the search took until
-    _TRACK_LIMIT, it is offered every _PERIOD steps, fitted to the run from
-    the plain iterate _PERIOD back (at first the iterate w it starts from)."""
+    for powers of B. Until _TRACK_LIMIT plain steps, it is offered every
+    _PERIOD steps, fitted to the run from the plain iterate _PERIOD back (at
+    first the iterate w it starts from)."""
 
     def __init__(self, op, w: np.ndarray, interval: tuple[float, float] | None = None):
         found = _invariant_basis(op, interval)
@@ -149,17 +150,14 @@ class SlowSubspace:
 
     def advance(self, w: np.ndarray) -> ModalTail | None:
         """The model of the tail from the plain iterate w on, once the basis
-        is due and fits the run."""
+        fits the run."""
         self.steps += 1
         if self.steps % _PERIOD:
             return None
         # a view of w could keep a larger array alive
         w_old, self.w_old = self.w_old, w.copy()
         self.open = self.steps < _TRACK_LIMIT
-        lam, v, sigma, due = self.modes
-        if self.steps < due:
-            return None
-        return ModalTail.fit(self.q, lam, v, sigma, w, w_old)
+        return ModalTail.fit(self.q, *self.modes, w, w_old)
 
 
 @dataclass(frozen=True, eq=False)

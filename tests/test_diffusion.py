@@ -394,6 +394,18 @@ def test_a_run_whose_largest_update_grows_is_long():
     assert runs_long(1.0, 2.0, 1e-12, PROBE_AT)
 
 
+@pytest.mark.parametrize("tol", [1e-170, 1e-300, 5e-324])
+def test_a_tol_whose_square_underflows_is_judged_and_runs_to_max_iter(tol):
+    # below a tol of about 1e-162 the judgement's threshold squared is zero,
+    # so it compares in logs; no update falls that low, and the tail's scan
+    # ends at max_iter
+    assert runs_long(1e-20, 1e-21, tol, PROBE_AT)
+    config, ens, init = sweep_row(1e-4)
+    res = run_to_fixed_point(config, ens, init=init, tol=tol, max_iter=3000)
+    assert (res.iterations_used, res.converged) == (3000, False)
+    assert res.stepped < res.iterations_used
+
+
 class Rotation:
     """A step operator over three nodes in two dimensions whose linear part
     turns every node's estimate by 0.01 rad and shrinks it by 0.99: 1 kron
@@ -447,13 +459,15 @@ POWER_INTERVALS = [None, (0.0, 0.0), (0.5, 0.5), (-0.5, 1.0)]
 @pytest.mark.parametrize("interval", POWER_INTERVALS)
 def test_basis_without_a_usable_interval_steps_by_powers_of_b_bit_for_bit(interval):
     # this row's basis is not invariant at its first test under powers of B,
-    # so the search steps on to its second
+    # so the search steps on to its second: two periods of _PERIOD filter
+    # steps, each followed by the product of its invariance test
     config, ens, init = sweep_row(1e-4)
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ens)
     assert next(_filter_steps(interval)) == (1.0, 0.0, 0.0)
-    q, *_, steps = _invariant_basis(op, interval)
-    assert steps == 2 * _PERIOD
-    assert np.array_equal(q, powers_of_b(op, steps).reshape(q.shape))
+    recorded = Recorded(op)
+    q, *_ = _invariant_basis(recorded, interval)
+    assert len(recorded.bases) == 2 * (_PERIOD + 1)
+    assert np.array_equal(q, powers_of_b(op, 2 * _PERIOD).reshape(q.shape))
 
 
 @pytest.mark.parametrize("interval", POWER_INTERVALS[1:])
@@ -536,12 +550,12 @@ def test_short_run_steps_every_iteration():
 # plain loop's iterations and the plain steps kept before the tail takes over
 SWEEP_ROWS = [
     (1e-2, 220, 220),
-    (10**-2.5, 664, 320),
-    (1e-3, 1980, 256),
-    (10**-3.5, 5875, 256),
-    (1e-4, 17350, 256),
-    (10**-4.5, 50973, 256),
-    (1e-5, 148883, 256),
+    (10**-2.5, 664, 192),
+    (1e-3, 1980, 192),
+    (10**-3.5, 5875, 192),
+    (1e-4, 17350, 192),
+    (10**-4.5, 50973, 192),
+    (1e-5, 148883, 192),
 ]
 
 
@@ -549,9 +563,9 @@ SWEEP_ROWS = [
     "mu_max, iterations, stepped", SWEEP_ROWS, ids=[f"{mu:.3g}" for mu, _, _ in SWEEP_ROWS]
 )
 def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, stepped):
-    # a long row is judged at 128, where its basis, filtered by powers of B,
-    # is first invariant after 128 filter steps (192 at 10^-2.5); as many
-    # plain steps later the first model is offered and accepted. The stepped
+    # a long row is judged at 128, where it finds its basis, filtered by
+    # powers of B; the first model, offered _PERIOD plain steps later, fits
+    # the run and is accepted. The stepped
     # prefix is the plain loop's bit for bit. The plain loop's full run is
     # compared here on the two rows below 1,000 iterations and by
     # test_tail_reproduces_plain_loop_on_sweep_rows from 1e-3 to 1e-4; the two
@@ -565,9 +579,10 @@ def test_sweep_rows_hand_over_as_soon_as_the_tail_allows(mu_max, iterations, ste
 
 
 def test_a_late_invariant_basis_is_fitted_against_the_iterate_a_period_back():
-    # judged long at 128, this row's basis is first invariant after 192 filter
-    # steps, so its first fit, at 320, is against the iterate at 256, and is
-    # accepted
+    # judged long at 128, this row's first two models, at 192 and 256, are
+    # refused by the fit test, as the run's iterates a period apart still
+    # leave the basis; the third, at 320, is fitted against the iterate at
+    # 256 and accepted
     config, ens, init = sweep_row(1e-4, a_rule="metropolis", step_mode="equal")
     res = assert_bit_identical(config, ens, init)
     assert (res.iterations_used, res.stepped, res.converged) == (11_038, 320, True)
@@ -623,8 +638,8 @@ def test_a_run_judged_short_at_128_is_judged_again_at_256(monkeypatch):
     config, ens, init = sweep_row(1e-5, a_rule="metropolis", step_mode="equal")
     res = run_to_fixed_point(config, ens, init=init, tol=1e-14)
     assert verdicts == [(PROBE_AT, False), (2 * PROBE_AT, True)]
-    # judged long at 256, its basis is invariant and fits 192 plain steps on
-    assert res.stepped == ENGAGE_AT + 3 * _PERIOD == 448
+    # judged long at 256, its basis fits the run _PERIOD plain steps on
+    assert res.stepped == ENGAGE_AT + _PERIOD == 320
     assert (res.iterations_used, res.converged) == (110_303, True)
 
 
@@ -767,13 +782,13 @@ def test_blocked_loop_steps_at_most_one_block_past_the_stop(monkeypatch):
 
 def test_tail_spends_no_basis_products_on_the_overshoot(monkeypatch):
     # judged long at 128, the run's basis, filtered by powers of B, passes its
-    # second invariance test 128 filter steps in; the first model, offered 128
-    # plain steps later, at 256, is accepted. The search takes one product
-    # per filter step and one per test
+    # second invariance test 128 filter steps in; the first model, offered
+    # _PERIOD plain steps later, at 192, is accepted. The search takes one
+    # product per filter step and one per test
     products = count_calls(monkeypatch, "apply_linear")
     config, ens, init = sweep_row(1e-4)
     res = run_to_fixed_point(config, ens, init=init)
-    assert res.stepped == 2 * PROBE_AT + 2 * _PERIOD
+    assert res.stepped == 2 * PROBE_AT + _PERIOD
     assert len(products) == 2 * _PERIOD + 2 == 130
 
 

@@ -822,6 +822,32 @@ def test_cli_check_and_sweep_reject_the_same_node_beyond_its_step_bound(tmp_path
     assert capsys.readouterr().err.startswith("error: step size 0.5 at node 8 ")
 
 
+def test_cli_check_gives_the_verdict_of_the_run_at_the_largest_usable_step(tmp_path, capsys):
+    # at this scenario's printed largest usable mu_max, 0.032482232288770355,
+    # mu_max < margins[tightest] is False while every step is below its bound
+    doc = dict(
+        strategy="atc",
+        a_rule="averaging",
+        c_rule="relative_degree",
+        step_mode="unequal_uniform_half",
+        n_nodes=20,
+        step_seed=1,
+    )
+    scenario = build_scenario(ExperimentConfig(mu_max_schedule=(1e-3,), **doc))
+    usable = float(scenario.margins[scenario.tightest])
+    path = tmp_path / "config.json"
+    above = np.nextafter(usable, 1.0)
+    for mu_max, code, state in ((usable, 0, "SATISFIED"), (above, 1, "VIOLATED")):
+        path.write_text(json.dumps(dict(doc, mu_max_schedule=[mu_max])), encoding="utf-8")
+        assert cli_main(["check", "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        assert f"Step-size condition: {state} (" in captured.out
+        swept = cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert swept == code
+        assert capsys.readouterr().err == captured.err
+    assert captured.err.startswith("error: step size 0.0273128 at node 19 is not below")
+
+
 def test_cli_check_at_a_thousand_nodes_forms_no_n_m_square_matrix(tmp_path, monkeypatch, capsys):
     # N*M = 4000: dense, B and C would take 128 MB each; the matrix-free route
     # lifts nothing and hands no dense routine an array as wide as N*M
