@@ -13,9 +13,9 @@ one-iteration map, lifted to N*M x N*M, is the error-propagation matrix.
 
 run_to_fixed_point starts from an optional initial state, coerced by
 ``network.as_matrix`` to a finite N x M array, steps the recursion in
-blocks and runs the stopping test on a whole block at once; a long run
-skips its tail through the M slow modes of that matrix (see the tail
-module).
+blocks and runs the stopping test on a whole block at once. At block ends
+it decides whether and when a long run skips its tail through the M slow
+modes of that matrix; the tail module holds the model, and only the model.
 """
 
 from __future__ import annotations
@@ -28,12 +28,23 @@ import numpy as np
 
 from .costs import CostEnsemble, combine_hessians, step_size_bounds
 from .network import AssumptionError, CombinationMatrix, as_matrix, identity_combination
-from .tail import ENGAGE_AT, PROBE_AT, SlowSubspace, passes, runs_long
+from .tail import _PERIOD, _TRACK_LIMIT, ModalTail, _invariant_basis, passes
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1_000_000
-# iterations stepped before their stopping tests are run together
+# iterations stepped before their stopping tests are run together; every
+# judgement and offer below falls at the end of a block
 _BLOCK = 32
+# A run's largest update is read at PROBE_AT and at each doubling up to
+# ENGAGE_AT; from the second read on, the run is judged long from its decay
+# since the read before, at most once. A long run then finds its slow basis,
+# invariant by _TRACK_LIMIT filter steps or refused, and offers it as a model
+# every _PERIOD plain steps until _TRACK_LIMIT.
+PROBE_AT = 64
+ENGAGE_AT = 256
+# predicted remaining iterations that make a run long: several times the
+# tracked steps a model costs, which are at least _PERIOD
+_LONG_RUN = 512
 
 
 class DivergenceError(RuntimeError):
@@ -176,6 +187,18 @@ class _StepOperator:
         return psi if self.a2t is None else (self.a2t @ psi.reshape(n, -1)).reshape(q.shape)
 
 
+def runs_long(probe: float, worst: float, gate: float, span: int) -> bool:
+    """Whether a run is worth tracking, at any tol: its largest squared update,
+    ``probe`` and ``span`` iterations later ``worst``, stays above gate**2
+    for more than _LONG_RUN further iterations at the rate it decayed
+    between the two."""
+    if worst >= probe:
+        return True
+    rate = math.log(worst / probe) / span
+    # in logs, as gate**2 underflows below a tol of about 1e-162
+    return (2.0 * math.log(gate) - math.log(worst)) / rate > _LONG_RUN
+
+
 def run_to_fixed_point(
     config: DiffusionConfig,
     ensemble: CostEnsemble,
@@ -190,43 +213,44 @@ def run_to_fixed_point(
     The mixed absolute/relative test keeps the criterion meaningful when
     the optimum is far from the origin. The fixed point is unique under
     the standing assumptions, so ``init`` (default all-zeros) only affects
-    the iteration count. Exhausting ``max_iter`` is reported through
-    ``converged=False`` rather than an exception; a non-finite update
-    raises DivergenceError, naming the node and iteration.
+    the iteration count. Exhausting ``max_iter``, an integer, is reported
+    through ``converged=False`` rather than an exception; a non-finite
+    update raises DivergenceError, naming the node and iteration.
 
     The iterate is stepped _BLOCK iterations at a time (fewer when max_iter
     is nearer), and the per-node test and the finiteness check run on the
-    whole block in a few array operations. A walk over the block then acts
-    on each iteration in order, exactly as a loop that stepped and tested
-    one iteration at a time would: the first non-finite update raises, the
-    first pass stops the run, and so does a hand-over to the tail below; the
-    steps computed past the stop are discarded. The iterates, the counts and
-    every value in the result are those of that loop, bit for bit.
+    whole block in a few array operations. The first iteration that passes
+    or is not finite ends the run; the steps computed past it are discarded.
+    The iterates, the counts and every value in the result are those of a
+    loop that stepped and tested one iteration at a time, bit for bit.
 
-    At any tol, a run is judged at iteration 128 from the decay of its
+    All else falls at the end of a block that did not stop, before max_iter,
+    at any tol. A run is judged at iteration 128 from the decay of its
     largest update since iteration 64 and, if not then judged long, at 256
     from the decay since 128. A long run, whose largest update at that rate
     stays above the threshold for more than 512 further iterations, skips
-    its tail (see the tail module). At the judgement it filters an N*M x M
-    basis from 1 kron I_M, 64 steps at a time, until the basis is invariant
-    under the error-propagation matrix B: by Chebyshev polynomials on the
-    interval [a, b] that ``interval()`` returns, called then and only then,
-    and by powers of B when ``interval`` is None. The caller passes it only
-    when [a, b] is known to hold every eigenvalue of B but the M slow ones.
-    Every 64 plain steps from then, once the run's iterates 64 steps apart
-    fit the basis to within their rounding noise, every later iterate is a
-    sum of M geometric sequences, and the same per-node test finds the stop
-    among them without stepping. Where the last update sits within the plain
-    loop's rounding noise of the threshold, as it must below about 1024 eps,
-    that stop is an extended-precision loop's. A basis refused for good or
-    not found in 1024 filter steps, or a model not accepted 1024 steps in, is
-    dropped and the run goes on plain; it is not judged again. ``stepped``
-    counts the plain steps kept; when it is smaller than ``iterations_used``,
+    its tail (see the tail module). At the judgement it searches for an
+    N*M x M basis invariant under the error-propagation matrix B, filtered
+    from 1 kron I_M by Chebyshev polynomials on the interval [a, b] that
+    ``interval()`` returns, called then and only then, and by powers of B
+    when ``interval`` is None. The caller passes it only when [a, b] is
+    known to hold every eigenvalue of B but the M slow ones. Every 64 plain
+    steps from the judgement, the basis is offered as a model fitted to the
+    iterates 64 steps apart. Once they fit it to within their rounding
+    noise, every later iterate is a sum of M geometric sequences, and the
+    same per-node test finds the stop among them without stepping. Where
+    the last update sits within the plain loop's rounding noise of the
+    threshold, as it must below about 1024 eps, that stop is an
+    extended-precision loop's. A basis refused for good or not found in
+    1024 filter steps, or a model not accepted 1024 steps in, is dropped
+    and the run goes on plain; it is not judged again. ``stepped`` counts
+    the plain steps kept; when it is smaller than ``iterations_used``,
     ``w_infinity`` and ``final_update_norm`` belong to the modelled iterate
     at ``iterations_used``, and ``slow_basis`` holds the basis.
     """
-    if not math.isfinite(tol) or tol <= 0.0 or max_iter < 1:
-        raise ValueError("tol must be finite and positive and max_iter at least one")
+    whole = isinstance(max_iter, int | np.integer)
+    if not math.isfinite(tol) or tol <= 0.0 or not whole or max_iter < 1:
+        raise ValueError("tol must be finite and positive and max_iter an integer of at least one")
     validate_step_condition(config, ensemble)
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
     w = np.zeros(op.shape) if init is None else as_matrix(init)
@@ -234,15 +258,15 @@ def run_to_fixed_point(
         raise ValueError(f"state must have shape {op.shape}, got {w.shape}")
     n, m = op.shape
     iterations = 0
-    converged = False
     probe = 0.0
     probe_at = PROBE_AT  # where the largest update is read next; 0 once the run is judged
-    tracker = None
-    while not converged and iterations < max_iter:
+    judged = 0  # where the run was judged long
+    found = None  # the basis and its Ritz pairs, while they are offered
+    while True:
         size = min(_BLOCK, max_iter - iterations)
         block = np.empty((size + 1, n, m))
         block[0] = w
-        # a divergence is reported by the walk; the steps past it must not warn
+        # a divergence is reported below; the steps past it must not warn
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(size):
                 block[i + 1] = op.apply(block[i])
@@ -250,41 +274,39 @@ def run_to_fixed_point(
             after = block[1:].reshape(-1, m)
             upd2 = np.einsum("ki,ki->k", diff, diff).reshape(size, n)
             norms2 = np.einsum("ki,ki->k", after, after).reshape(size, n)
-            passed = passes(upd2, norms2, tol).tolist()
-        worsts = upd2.max(axis=1).tolist()
-        for i in range(size):
-            iterations += 1
-            worst = worsts[i]
-            if not math.isfinite(worst):
-                node = int(np.argmax(~np.isfinite(upd2[i])))
-                raise DivergenceError(
-                    f"iteration diverged: non-finite estimate at node {node}"
-                    f" on iteration {iterations}",
-                    node=node,
-                    iteration=iterations,
-                )
-            w = block[i + 1]
-            if passed[i]:
-                converged = True
-                break
-            if tracker is not None and iterations < max_iter:
-                tail = tracker.advance(w)
-                if tail is not None:
-                    w, used, converged, final = tail.run(iterations, max_iter, tol)
-                    basis = tracker.q
-                    w.setflags(write=False)
-                    basis.setflags(write=False)
-                    return FixedPointResult(w, used, converged, final, iterations, basis)
-                if not tracker.open:
-                    tracker = None
-            elif iterations == probe_at:
-                if iterations > PROBE_AT:
-                    gate = tol * (1.0 + math.sqrt(float(norms2[i].max())))
-                    if runs_long(probe, worst, gate, iterations // 2):
-                        bounds = None if interval is None else interval()
-                        tracker = SlowSubspace(op, w, bounds)
-                probe = worst
-                probe_at = 2 * iterations if tracker is None and iterations < ENGAGE_AT else 0
+            worsts = upd2.max(axis=1)
+            stops = passes(upd2, norms2, tol) | ~np.isfinite(worsts)
+        last = int(np.argmax(stops)) if stops.any() else size - 1
+        iterations += last + 1
+        w, worst, converged = block[last + 1], float(worsts[last]), bool(stops[last])
+        if not math.isfinite(worst):
+            node = int(np.argmax(~np.isfinite(upd2[last])))
+            raise DivergenceError(
+                f"iteration diverged: non-finite estimate at node {node}"
+                f" on iteration {iterations}",
+                node=node,
+                iteration=iterations,
+            )
+        if converged or iterations == max_iter:
+            break
+        if found is not None and (iterations - judged) % _PERIOD == 0:
+            tail = ModalTail.fit(*found, w, w_old)
+            if tail is not None:
+                w, used, converged, final = tail.run(iterations, max_iter, tol)
+                w.setflags(write=False)
+                found[0].setflags(write=False)
+                return FixedPointResult(w, used, converged, final, iterations, found[0])
+            w_old = w.copy()  # a view of w would keep its block alive
+            if iterations - judged == _TRACK_LIMIT:
+                found = None
+        elif iterations == probe_at:
+            if iterations > PROBE_AT:
+                gate = tol * (1.0 + math.sqrt(float(norms2[last].max())))
+                if runs_long(probe, worst, gate, iterations // 2):
+                    bounds = None if interval is None else interval()
+                    found, judged, w_old = _invariant_basis(op, bounds), iterations, w.copy()
+            probe = worst
+            probe_at = 2 * iterations if not judged and iterations < ENGAGE_AT else 0
     w = w.copy()
     w.setflags(write=False)
     return FixedPointResult(

@@ -15,8 +15,9 @@ Rayleigh-Ritz matrix S = Q^T B Q; B itself is never formed. Where an
 interval [a, b] known to hold every eigenvalue of B but the M slow ones
 is given, the filter is a scaled Chebyshev polynomial on it (Rutishauser
 1970; Zhou and Saad 2007), which damps those modes far faster than
-powers of B; without one it is B^j. This module is the engine of
-``diffusion.run_to_fixed_point``, which decides when to call it.
+powers of B; without one it is B^j. This module holds the mathematics
+alone: ``diffusion.run_to_fixed_point`` judges when a run is long, searches
+for its basis by ``_invariant_basis`` and offers it by ``ModalTail.fit``.
 """
 
 from __future__ import annotations
@@ -27,24 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A run's largest update is read at PROBE_AT and at each doubling up to
-# ENGAGE_AT; from the second read on, the run is judged long from its decay
-# since the read before, at most once. A long run then finds its slow basis,
-# invariant by _TRACK_LIMIT filter steps or refused, and offers it as a model
-# every _PERIOD plain steps until _TRACK_LIMIT.
-PROBE_AT = 64
-ENGAGE_AT = 256
+# filter steps for a basis to become invariant, and plain steps it is offered over
 _TRACK_LIMIT = 1024
-# also the filter steps between two orthonormalisations and invariance tests
-# of the basis, and the span of the two iterates a model is fitted to. The
-# fast modes, which on the built-in networks fall below 1e-14 of their start
-# within 150-300 iterations, are waited for by the invariance and fit tests,
-# which refuse a basis or a model until they are gone from it and from the
-# older iterate
+# the filter steps between two orthonormalisations and invariance tests of
+# the basis, and the plain steps between two offers: the span of the two
+# iterates a model is fitted to. The fast modes, which on the built-in
+# networks fall below 1e-14 of their start within 150-300 iterations, are
+# waited for by the invariance and fit tests, which refuse a basis or a model
+# until they are gone from it and from the older iterate
 _PERIOD = 64
-# predicted remaining iterations that make a run long: several times the
-# tracked steps a model costs, which are at least _PERIOD
-_LONG_RUN = 512
 _RESIDUAL = 1e-13  # |BQ - QS| allowed, relative to |BQ|
 # rounding noise allowed in the fit, relative to |w|; a tol below it puts the plain loop's
 # stopping test in its own noise, where the tail's count is an extended-precision loop's
@@ -61,18 +53,6 @@ def passes(upd2: np.ndarray, norms2: np.ndarray, tol: float) -> np.ndarray:
     scan both stop by it, so the tail's count is the loop's."""
     rhs = tol * (1.0 + np.sqrt(norms2))
     return (upd2 <= rhs * rhs).all(axis=1)
-
-
-def runs_long(probe: float, worst: float, gate: float, span: int) -> bool:
-    """Whether a run is worth tracking, at any tol: its largest squared update,
-    ``probe`` and ``span`` iterations later ``worst``, stays above gate**2
-    for more than _LONG_RUN further iterations at the rate it decayed
-    between the two."""
-    if worst >= probe:
-        return True
-    rate = math.log(worst / probe) / span
-    # in logs, as gate**2 underflows below a tol of about 1e-162
-    return (2.0 * math.log(gate) - math.log(worst)) / rate > _LONG_RUN
 
 
 def _filter_steps(interval: tuple[float, float] | None) -> Iterator[tuple[float, float, float]]:
@@ -129,35 +109,6 @@ def _invariant_basis(op, interval: tuple[float, float] | None):
             return None
         return basis, lam, v, float(sv[-1])
     return None
-
-
-class SlowSubspace:
-    """When a run judged long offers its slow basis as a model of its tail.
-
-    The basis is found once, here, by ``_invariant_basis`` on ``op``, the
-    run's step operator, and ``interval``, the [a, b] of the filter or None
-    for powers of B. Until _TRACK_LIMIT plain steps, it is offered every
-    _PERIOD steps, fitted to the run from the plain iterate _PERIOD back (at
-    first the iterate w it starts from)."""
-
-    def __init__(self, op, w: np.ndarray, interval: tuple[float, float] | None = None):
-        found = _invariant_basis(op, interval)
-        self.open = found is not None  # False once no model will be accepted
-        if self.open:
-            self.q, *self.modes = found
-        self.steps = 0
-        self.w_old = w.copy()  # the plain iterate _PERIOD steps back
-
-    def advance(self, w: np.ndarray) -> ModalTail | None:
-        """The model of the tail from the plain iterate w on, once the basis
-        fits the run."""
-        self.steps += 1
-        if self.steps % _PERIOD:
-            return None
-        # a view of w could keep a larger array alive
-        w_old, self.w_old = self.w_old, w.copy()
-        self.open = self.steps < _TRACK_LIMIT
-        return ModalTail.fit(self.q, *self.modes, w, w_old)
 
 
 @dataclass(frozen=True, eq=False)

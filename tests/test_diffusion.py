@@ -12,12 +12,15 @@ from diffpareto.bias import analyse_scenario
 from diffpareto.costs import CostEnsemble, QuadraticCost, sample_ensemble, step_size_bounds
 from diffpareto.diffusion import (
     _BLOCK,
+    ENGAGE_AT,
+    PROBE_AT,
     DiffusionConfig,
     DivergenceError,
     _StepOperator,
     atc_config,
     cta_config,
     run_to_fixed_point,
+    runs_long,
     validate_step_condition,
 )
 from diffpareto.experiment import ExperimentConfig, build_scenario
@@ -29,16 +32,7 @@ from diffpareto.network import (
     generate_topology,
     identity_combination,
 )
-from diffpareto.tail import (
-    _PERIOD,
-    ENGAGE_AT,
-    PROBE_AT,
-    ModalTail,
-    SlowSubspace,
-    _filter_steps,
-    _invariant_basis,
-    runs_long,
-)
+from diffpareto.tail import _PERIOD, ModalTail, _filter_steps, _invariant_basis
 
 A22 = CombinationMatrix(np.array([[0.7, 0.4], [0.3, 0.6]]), kind="left_stochastic")
 
@@ -248,6 +242,20 @@ def test_run_rejects_tol_not_finite_and_positive(tol):
         run_to_fixed_point(cfg, two_scalar_ensemble(), tol=tol)
 
 
+@pytest.mark.parametrize("max_iter", [1e6, 10.5, math.inf])
+def test_run_rejects_a_max_iter_that_is_not_an_integer(max_iter):
+    # refused before the step condition is checked and the operator built
+    cfg = atc_config(A22, identity_combination(2), np.array([0.01, 0.01]))
+    with pytest.raises(ValueError, match="max_iter an integer"):
+        run_to_fixed_point(cfg, two_scalar_ensemble(), max_iter=max_iter)
+
+
+def test_run_takes_a_numpy_integer_max_iter():
+    cfg = atc_config(A22, identity_combination(2), np.array([0.01, 0.01]))
+    res = run_to_fixed_point(cfg, two_scalar_ensemble(), max_iter=np.int64(40))
+    assert (res.iterations_used, res.converged) == (40, False)
+
+
 def test_run_validates_step_condition():
     eye = identity_combination(2)
     cfg = DiffusionConfig(a1=eye, a2=eye, c=eye, step_sizes=np.array([0.5, 1.2]))
@@ -432,11 +440,10 @@ class Recorded:
 def test_complex_ritz_values_end_the_tracking():
     # the basis is invariant at its first test, _PERIOD steps in, and its
     # Ritz pairs are refused there: the search ends after _PERIOD + 1
-    # products, and the tracker offers no model
+    # products with no basis, so the run offers no model
     rotation = Recorded(Rotation())
     assert _invariant_basis(rotation, None) is None
     assert len(rotation.bases) == _PERIOD + 1
-    assert not SlowSubspace(Rotation(), np.zeros((3, 2))).open
 
 
 def powers_of_b(op, steps):
@@ -644,21 +651,16 @@ def test_a_run_judged_short_at_128_is_judged_again_at_256(monkeypatch):
 
 
 def test_a_tracker_refused_for_good_is_not_started_again(monkeypatch):
-    # every tracker follows the Rotation operator, whose complex Ritz values
+    # every search follows the Rotation operator, whose complex Ritz values
     # refuse its basis for good in the one search at the judgement, at
     # iteration 128; the run is not judged again at 256, and steps throughout
-    searches, search = [], tail_module._invariant_basis
+    searches = []
 
     def recorded(op, interval):
-        searches.append(search(op, interval))
+        searches.append(_invariant_basis(Rotation(), interval))
         return searches[-1]
 
-    monkeypatch.setattr(tail_module, "_invariant_basis", recorded)
-    monkeypatch.setattr(
-        diffusion_module,
-        "SlowSubspace",
-        lambda op, w, interval: SlowSubspace(Rotation(), w, interval),
-    )
+    monkeypatch.setattr(diffusion_module, "_invariant_basis", recorded)
     config, ens, init = sweep_row(10**-3.5)
     res = run_to_fixed_point(config, ens, init=init)
     assert searches == [None]
@@ -728,6 +730,36 @@ def test_blocked_loop_stops_at_max_iter_inside_and_across_blocks(max_iter):
     config, ens, init = sweep_row(1e-2)
     res = assert_bit_identical(config, ens, init, max_iter=max_iter)
     assert res.iterations_used == max_iter and not res.converged
+
+
+def test_every_judgement_and_offer_falls_at_a_block_end():
+    # the loop reads, judges and offers only at the ends of blocks: the reads
+    # at 64, 128 and 256 and the offers every _PERIOD steps from a judgement
+    for at in (PROBE_AT, 2 * PROBE_AT, ENGAGE_AT, _PERIOD):
+        assert at % _BLOCK == 0
+
+
+@pytest.mark.parametrize(
+    "mu_max, fields, tol, max_iter",
+    [
+        (1e-4, {}, 1e-12, 2 * PROBE_AT),
+        (1e-5, dict(a_rule="metropolis", step_mode="equal"), 1e-14, ENGAGE_AT),
+    ],
+    ids=["judged-at-128", "judged-at-256"],
+)
+def test_a_run_judged_long_at_max_iter_searches_no_basis(
+    monkeypatch, mu_max, fields, tol, max_iter
+):
+    # the judgement at max_iter itself could only serve iterations the run
+    # may not take, so it takes no basis product; one iteration more and the
+    # same run searches for its basis there
+    products = count_calls(monkeypatch, "apply_linear")
+    config, ens, init = sweep_row(mu_max, **fields)
+    res = assert_bit_identical(config, ens, init, tol=tol, max_iter=max_iter)
+    assert (res.iterations_used, res.converged) == (max_iter, False)
+    assert products == []
+    run_to_fixed_point(config, ens, init=init, tol=tol, max_iter=max_iter + 1)
+    assert products
 
 
 def test_result_owns_its_read_only_iterate():
