@@ -1,51 +1,26 @@
 """Asymptotic-bias analytics for the diffusion recursion.
 
-Two complementary routes to the per-node bias (global optimum minus the
-node's fixed point):
+The per-node bias (global optimum minus the node's fixed point) comes two
+ways: exactly at finite step sizes, from one solve with I - B, B the
+error-propagation matrix (the gains lifted by ``diffusion.lift``); and in
+the small-step limit, the same vector at every node, which depends only on
+the shape of the step sizes, from the Perron vector of the composite
+combination matrix and one M x M solve with the weighted aggregate Hessian.
 
-* the exact closed form at finite step sizes, obtained by solving one
-  linear system whose operator is the identity minus the error
-  propagation matrix B of the recursion;
-* the small-step-size limit, which depends only on the shape of the step
-  sizes (not their scale) and is the same vector at every node.
-
-B, the linear part of the diffusion step, is the gains lifted to
-N*M x N*M by ``diffusion.lift``. The limit is built from the Perron
-vector of the composite combination matrix: node weights z (normalized
-step sizes applied to a2 theta), the weighted aggregate Hessian and
-gradient at the optimum, and one small solve.
-
-Everything that does not depend on the step scale is analysed once per
-scenario: the optimum, the Perron vector, the limit, the Assumption 1 and
-3 verdicts, the step-size margins, and the c-combined Hessians R and
-gradients and the symmetrised mixing S. ``scale_analysis(scenario, mu_max)``
-then forms the gains I - mu_k R_k of ``scenario.at_scale(mu_max)``, the
-spectral radius of B and the closed form, and ``analyse_scale`` compares
-that with the recursion.
-
-The radius and closed form come from one operator per step scale. When
-the composite mixing matrix is reversible and every gain block
-I - mu_k R_k is positive definite, that is ``_SlowModes``: a symmetric
-matrix C with the spectrum of B. rho comes with C's M slow Ritz vectors
-from the basis of B's slow subspace that the row's modal tail ran on,
-where it is certified (``_SlowModes._tail_ritz``), or else from block
-Lanczos at N*M of MATRIX_FREE_NM (400) and above; failing both, it comes
-alone from ``eigvalsh`` of C. From the crossover up, CG deflated by those
-vectors solves the closed form; below it, without them, or when CG fails
-within its cap, one dense solve through C does.
-
-Otherwise B is lifted once, ``numpy.linalg.eigvals`` gives the radius and
-one dense solve the closed form. The conditions for C hold for the
-built-in rules below half of each step bound.
-
-The sweep reports through ``analyse_scale`` and ``diffpareto check``
-through ``scale_analysis``. The functions of a bare config
+A ``Scenario`` holds what does not depend on the step scale, analysed once.
+``scale_analysis(scenario, mu_max)`` forms the gains I - mu_k R_k of
+``scenario.at_scale(mu_max)``, the spectral radius of B and the closed form;
+``analyse_scale`` adds the fixed point, and models a long row whole from its
+closed form (``_SlowModes.model``). When the composite mixing is reversible
+and every gain block is positive definite, ``_SlowModes`` answers: a
+symmetric C with the spectrum of B, whose rho comes from a certified basis
+of B's slow subspace, from block Lanczos at N*M of MATRIX_FREE_NM and up, or
+from ``eigvalsh`` of C, and whose closed form comes from CG deflated by C's
+slow Ritz vectors or one dense solve. Otherwise B is lifted once for
+``eigvals`` and one dense solve. The functions of a bare config
 (``closed_form_bias``, ``spectral_check``, ``limit_bias``,
-``limit_operators``) analyse it as a scenario and take the same path at
-its largest step size, where ``at_scale`` gives back the config itself.
-``limit_operators`` exposes the supporting operators (mixing gap, scaled
-curvature, the rank-M resolvent limit) so their defining identities can
-be verified numerically.
+``limit_operators``) take the same path at its largest step size, where
+``at_scale`` gives back the config itself.
 """
 
 from __future__ import annotations
@@ -68,10 +43,14 @@ from .costs import (
     stacked_gradient,
 )
 from .diffusion import (
+    _LONG_RUN,
     DiffusionConfig,
     FixedPointResult,
+    _StepOperator,
+    check_stopping_rule,
     lift,
     run_to_fixed_point,
+    validate_step_condition,
 )
 from .network import (
     NOT_PRIMITIVE,
@@ -82,6 +61,7 @@ from .network import (
     mixing_product,
     perron_theta,
 )
+from .tail import _NOISE, ModalTail, _invariant_basis
 
 # a converged iterate's gap to the closed form may reach this multiple of
 # the error its stopping rule allows
@@ -108,6 +88,8 @@ MATRIX_FREE_NM = 400
 # a matrix-free run that reaches either cap falls back to the dense route
 LANCZOS_STEPS = 120
 CG_STEPS = 300
+# share of 1 - b by which a modelled row's slow modes clear b (``analyse_scale``)
+SLOW_MARGIN = 0.15
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,8 +168,8 @@ class Scenario:
 
     @functools.cached_property
     def mixing_spectrum(self) -> np.ndarray:
-        """The eigenvalues of S, ascending, from one ``eigvalsh``, taken when a
-        run on C's route is first judged long (``slow_interval``) or when
+        """The eigenvalues of S, ascending, from one ``eigvalsh``, taken for the
+        first long row on C's route (``slow_interval``) or when
         ``mixing_bound`` first fails to certify a Lanczos radius."""
         return np.linalg.eigvalsh(self.mixing)
 
@@ -324,7 +306,7 @@ class _SlowModes:
     def radius(
         self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray | None
     ) -> tuple[float, np.ndarray | None]:
-        """rho and C's M slow Ritz vectors: from ``_tail_ritz`` on the tail's
+        """rho and C's M slow Ritz vectors: from ``_tail_ritz`` on a given
         basis of B's slow subspace, else from ``_lanczos`` at N*M of
         MATRIX_FREE_NM and above; failing both, rho alone, the largest
         |lambda| of one ``eigvalsh`` of C."""
@@ -347,10 +329,9 @@ class _SlowModes:
         failing that by the exact lambda_min(S) of its ``slow_interval``. None
         when either test fails within LANCZOS_STEPS.
 
-        Each check takes theta from ``eigvalsh`` of the block tridiagonal T
-        and the top M Ritz vectors from ``_top_ritz_block``; one whose shifted
-        solve fails is unconverged. The basis is column-major and T's blocks
-        are stacked per step, so only the steps taken touch memory."""
+        Each check takes theta from ``eigvalsh`` of the block tridiagonal T and
+        the top M Ritz vectors from ``_top_ritz_block`` (unconverged when its
+        solve fails); only the steps taken touch memory."""
         n, m, _ = self.chol.shape
         steps = min(LANCZOS_STEPS, n)
         basis = np.empty((n * m, steps * m), order="F")
@@ -387,24 +368,20 @@ class _SlowModes:
     def _tail_ritz(
         self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray
     ) -> tuple[float, np.ndarray] | None:
-        """lambda_max(C) as the top Rayleigh-Ritz value of C on Y, the tail's
-        basis Q of B's slow subspace taken into C's coordinates and
-        orthonormalised: Y = L^T (D^1/2 a1^T kron I) Q, as that map T gives
-        T B = C T when P is reversible (``closed_form`` inverts it), and the
-        Ritz vectors Y V, V the eigenvectors of H = Y^T C Y.
+        """lambda_max(C) as the top Rayleigh-Ritz value of C on Y, a basis of
+        B's slow subspace taken into C's coordinates (``_to_c``) and
+        orthonormalised, and the Ritz vectors Y V, V the eigenvectors of H.
 
         The value is certified. Every gain is at most I, so by Ostrowski's
         theorem at most M eigenvalues of C lie above beta = max(lambda_2(S), 0).
-        With r = |CY - YH|_F, every Ritz value must clear beta by more than r;
+        With H = Y^T C Y and r = |CY - YH|_F, every Ritz value must clear beta by more than r;
         by Kahan's bound, M eigenvalues of C then lie within r of them, so
         they are the top M. The quadratic residual bound
         r^2 / (theta_min - beta) must then be at most 1e-11 (1 - theta_max),
         as in ``_lanczos``, and theta_max must exceed -min(lambda_min(S), 0),
         so that it is rho. Both eigenvalues of S come from the scenario's
         ``slow_interval``. None when a test fails."""
-        n, m, _ = self.chol.shape
-        x = (self.root[:, None] * (a1.T @ basis.reshape(n, -1))).reshape(n, m, m)
-        y = np.linalg.qr((self.chol.transpose(0, 2, 1) @ x).reshape(n * m, m))[0]
+        y = np.linalg.qr(self._to_c(a1, basis))[0]
         cy = self.apply(y)
         h = y.T @ cy
         h = 0.5 * (h + h.T)
@@ -419,17 +396,15 @@ class _SlowModes:
     def closed_form(
         self, a1: np.ndarray, a2: np.ndarray, rhs: np.ndarray, slow: np.ndarray | None
     ) -> np.ndarray:
-        """Stacked x of (I - B) x = rhs, rhs of shape (N, M). Writing
+        """Stacked x of (I - B) x = rhs, rhs of shape (N, M): writing
         (D^1/2 kron I) G (a1^T kron I) x = L y turns the system into
-        (I - C) y = b = L^T (D^1/2 a1^T kron I) rhs, and then
-        x = (a2^T D^-1/2 kron I) L y + rhs. I - C is positive definite as
-        rho < 1. At N*M of MATRIX_FREE_NM and above, ``_deflated_cg`` solves
-        it on C's slow Ritz vectors ``slow``; without them, below the
-        crossover, or when CG fails, one dense solve in the storage of C
-        formed now does."""
+        (I - C) y = T rhs (``_to_c``), and x = (a2^T D^-1/2 kron I) L y + rhs.
+        I - C is positive definite as rho < 1. From N*M of MATRIX_FREE_NM up,
+        ``_deflated_cg`` solves it on C's slow Ritz vectors ``slow``; without
+        them, below the crossover, or when CG fails, one dense solve in the
+        storage of C formed now does."""
         n, m, _ = self.chol.shape
-        b = self.chol.transpose(0, 2, 1) @ (self.root[:, None] * (a1.T @ rhs))[..., None]
-        b = b.reshape(n * m, 1)
+        b = self._to_c(a1, rhs)
         y = self._deflated_cg(b, slow) if slow is not None and n * m >= MATRIX_FREE_NM else None
         if y is None:
             c = self.form()
@@ -438,6 +413,56 @@ class _SlowModes:
             y = np.linalg.solve(c, b)
         ly = (self.chol @ y.reshape(n, m, 1))[..., 0]
         return (a2.T @ (ly / self.root[:, None]) + rhs).ravel()
+
+    def _to_c(self, a1: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """T x, T = L^T (D^1/2 a1^T kron I), for node-major x of N*M rows (or
+        N x M), as N*M x K. T B = C T when P is reversible."""
+        n, m, _ = self.chol.shape
+        u = (self.root[:, None] * (a1.T @ x.reshape(n, -1))).reshape(n, m, -1)
+        return (self.chol.transpose(0, 2, 1) @ u).reshape(n * m, -1)
+
+    def model(self, scenario: Scenario, config: DiffusionConfig, mu_max, solve, tol, max_iter):
+        """The fixed point from 1 kron w*, the closed form x and rho at this
+        scale with no plain step, or None when a test refuses. B's slow basis,
+        filtered on [a, b] = ``slow_interval``, gives rho (``_tail_ritz``), the
+        slow Ritz vectors for ``solve`` and so x, and B's slow eigenvectors
+        Y = QV. T maps these onto C's, so h = (TY)^+ Tx are x's slow
+        coordinates and f = Tx - TYh lies in C's other eigenspaces. As B = U T,
+        U = (a2^T D^-1/2 kron I) L with |L| <= 1, the iterates w_inf + B^p x
+        are within |x - Yh| of the ``ModalTail`` at p = 0 and
+        |U| max(-a, b)**(p - 1) |f| after; as T u splits orthogonally, an update
+        u weighted by sqrt(pi) per node is at least sigma_min(TY) / |T D^-1/2|
+        times its slow part. sqrt(|.|_1 |.|_inf) bounds |U| and |T D^-1/2| through
+        their N x N factors. One step of the recursion, which no solve uses, must
+        keep w_inf to tail._NOISE (1 + |w_k|) at each node; RuntimeError otherwise."""
+        check_stopping_rule(tol, max_iter)
+        validate_step_condition(config, scenario.ensemble)
+        op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, scenario.ensemble)
+        a1, a2, (n, m, _) = config.a1.matrix, config.a2.matrix, self.chol.shape
+        found = _invariant_basis(op, scenario.slow_interval())
+        ritz = None if found is None else self._tail_ritz(scenario, a1, found[0])
+        if ritz is None:
+            return None
+        x, rho = _solved(scenario, mu_max, ritz[0], functools.partial(solve, ritz[1]))
+        w_inf = np.tile(scenario.w_star, (n, 1)) - x.reshape(n, m)
+        moved = np.linalg.norm(op.apply(w_inf) - w_inf, axis=1)
+        if (moved > _NOISE * (1.0 + np.linalg.norm(w_inf, axis=1))).any():
+            msg = f"one step moves the closed-form fixed point by {moved.max():.3e}"
+            raise RuntimeError(f"{msg} at mu_max {mu_max:.6g}, past rounding")
+        q, lam, v, _ = found
+        y = q @ v
+        ty, tx = self._to_c(a1, y), self._to_c(a1, x)[:, 0]
+        left, sv, right = np.linalg.svd(ty, full_matrices=False)
+        h = right.T @ ((left.T @ tx) / sv)
+        inv = 1.0 / self.root  # the N x N factors are nonnegative: their norms are sums
+        u2 = math.sqrt((a2.sum(axis=1) * inv).max() * (a2.T @ inv).max())
+        t2 = math.sqrt((a1 @ self.root * inv).max() * (self.root * (a1.T @ inv)).max())
+        low, high = scenario.slow_interval()
+        fast = u2 * float(np.linalg.norm(tx - ty @ h))
+        error = (float(np.linalg.norm(x - y @ h)), fast, max(-low, high))
+        tail = ModalTail(lam, y, h, w_inf.ravel(), float(sv[-1]) / t2, error, self.root)
+        run = tail.run(0, max_iter, tol)
+        return None if run is None else (FixedPointResult(*run, stepped=0), x, rho)
 
     def _deflated_cg(self, b: np.ndarray, w: np.ndarray) -> np.ndarray | None:
         """y of (I - C) y = b by CG deflated by the slow Ritz vectors W (Saad,
@@ -496,25 +521,18 @@ def _top_ritz_block(t: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
     return x @ np.linalg.eigh(x.T @ t @ x)[1]
 
 
-def _scale_operator(
-    scenario: Scenario, mu_max: float
-) -> tuple[
-    Callable[[], tuple[float, float]] | None,
-    Callable[[np.ndarray | None], tuple[float, Callable[[], np.ndarray]]],
-]:
-    """The operator of B at ``scenario.at_scale(mu_max)``, built before the
-    run: ``interval`` and ``finish``. ``finish(slow_basis)`` gives the
-    spectral radius of B and a function that solves for the stacked
-    closed-form bias there, (I - B) x = rhs with rhs the step sizes and a2
-    applied to the combined gradients; ``slow_basis`` is an orthonormal basis
-    of B's slow subspace, such as ``FixedPointResult.slow_basis``, or None.
+def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[Callable | None, Callable]:
+    """The operator of B at ``scenario.at_scale(mu_max)``: ``model`` and
+    ``finish``. ``finish(basis)`` gives the spectral radius of B and a
+    function that solves for the stacked closed-form bias there, (I - B) x =
+    rhs with rhs the step sizes and a2 applied to the combined gradients;
+    ``basis`` is an orthonormal basis of B's slow subspace, or None.
 
     When the scenario has S and every gain block is positive definite, both
-    come from the ``_SlowModes`` of C, and ``interval`` is the scenario's
-    ``slow_interval``, which holds every eigenvalue of B but the M slow ones,
-    for ``run_to_fixed_point``. Otherwise it is None, and ``finish`` lifts B:
-    ``eigvals`` gives rho and the solve runs in B's storage (no S, or a step
-    above half of its bound)."""
+    come from the ``_SlowModes`` of C, and ``model(tol, max_iter)`` gives the
+    fixed point, closed form and rho with no plain step (``_SlowModes.model``).
+    Otherwise ``model`` is None, and ``finish`` lifts B: ``eigvals`` gives rho
+    and the solve runs in B's storage (no S, or a step above half its bound)."""
     config = scenario.at_scale(mu_max)
     a1, a2 = config.a1.matrix, config.a2.matrix
     r = scenario.combined_hessians
@@ -527,14 +545,15 @@ def _scale_operator(
         except np.linalg.LinAlgError:
             pass
         else:
+            solve = functools.partial(modes.closed_form, a1, a2, rhs)
 
-            def finish_modes(slow_basis):
-                rho, slow = modes.radius(scenario, a1, slow_basis)
-                return rho, lambda: modes.closed_form(a1, a2, rhs, slow)
+            def finish_modes(basis):
+                rho, slow = modes.radius(scenario, a1, basis)
+                return rho, functools.partial(solve, slow)
 
-            return scenario.slow_interval, finish_modes
+            return functools.partial(modes.model, scenario, config, mu_max, solve), finish_modes
 
-    def finish(slow_basis):
+    def finish(basis):
         b = lift(config.a1, config.a2, gain)
 
         def solve() -> np.ndarray:
@@ -547,9 +566,17 @@ def _scale_operator(
     return None, finish
 
 
-def _solved(rho: float, closed_form: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
-    """The closed form and rho, once rho is below one; AssumptionError otherwise."""
+def _solved(scenario: Scenario, mu_max: float, rho: float, closed_form) -> tuple[np.ndarray, float]:
+    """The closed form and rho, once rho is below one; AssumptionError otherwise.
+    Below every step bound, under Assumptions 1 and 2, rho is below one, and
+    there a rho of one means a step scale too small for 1 - rho to resolve."""
     if rho >= 1.0:
+        valid = scenario.theta is not None and scenario.assumption1.satisfied
+        if valid and mu_max < scenario.margins[scenario.tightest]:
+            raise AssumptionError(
+                f"step scale {mu_max:.6g} is too small to resolve: every step is below its"
+                f" bound, so rho < 1, but 1 - rho rounds to {1.0 - rho:.3g}"
+            )
         raise AssumptionError(
             f"error-propagation spectral radius {rho:.6g} is not below one;"
             " the recursion has no stable fixed point for the closed form to describe"
@@ -557,33 +584,39 @@ def _solved(rho: float, closed_form: Callable[[], np.ndarray]) -> tuple[np.ndarr
     return closed_form(), rho
 
 
-def scale_analysis(
-    scenario: Scenario, mu_max: float, slow_basis: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
+def scale_analysis(scenario: Scenario, mu_max: float, basis=None) -> tuple[np.ndarray, float]:
     """Closed-form stacked bias (length N*M) and spectral radius of a
     scenario at ``scenario.at_scale(mu_max)``, from ``_scale_operator``,
-    given B's slow basis there if one is known. Reads only the scenario's
-    operands; a radius at or above one raises AssumptionError."""
-    return _solved(*_scale_operator(scenario, mu_max)[1](slow_basis))
+    given B's slow basis there (an N*M x M array) if one is known. Reads only
+    the scenario's operands; a radius at or above one raises AssumptionError."""
+    return _solved(scenario, mu_max, *_scale_operator(scenario, mu_max)[1](basis))
 
 
 def analyse_scale(
     scenario: Scenario, mu_max: float, tol: float, max_iter: int
 ) -> tuple[FixedPointResult, np.ndarray, float]:
-    """Iterated fixed point, closed-form stacked bias and spectral radius of
-    a scenario at ``scenario.at_scale(mu_max)``, the radius from the run's
-    slow basis where the tail ran on one. The recursion starts at the
-    optimum, which only trims iterations. A converged iterate farther from the closed form than
-    GAP_FACTOR times the error its stopping rule allows, about
+    """Fixed point, closed-form stacked bias and spectral radius of a scenario
+    at ``scenario.at_scale(mu_max)``, run from the optimum. A row is modelled
+    whole (``_SlowModes.model``, ``stepped`` 0) when its slowest first-order
+    mode 1 - mu_max lambda_min(Hbar), Hbar the ``agg_hessian``, takes over
+    _LONG_RUN iterations to fall by tol (tested first: a short row takes no
+    spectrum of S) and its modes 1 - mu_max lambda_i(Hbar) all clear
+    b = ``slow_interval()[1]`` by SLOW_MARGIN (1 - b). Any other row runs
+    ``run_to_fixed_point``; a converged iterate farther from the closed form
+    than GAP_FACTOR times the error its stopping rule allows, about
     tol * (1 + |w*|) * sqrt(N) / (1 - rho), raises RuntimeError; one that
     exhausted max_iter is returned unchecked."""
     config, w_star = scenario.at_scale(mu_max), scenario.w_star
+    model, finish = _scale_operator(scenario, mu_max)
+    slow = None if model is None else 1.0 - mu_max * np.linalg.eigvalsh(scenario.agg_hessian)
+    if slow is not None and slow[-1] > 0.0 and slow[0] ** _LONG_RUN > tol:
+        b = scenario.slow_interval()[1]
+        modelled = model(tol, max_iter) if slow[-1] >= b + SLOW_MARGIN * (1.0 - b) else None
+        if modelled is not None:
+            return modelled
     init = np.tile(w_star, (config.n, 1))
-    interval, finish = _scale_operator(scenario, mu_max)
-    result = run_to_fixed_point(
-        config, scenario.ensemble, init=init, tol=tol, max_iter=max_iter, interval=interval
-    )
-    closed, rho = _solved(*finish(result.slow_basis))
+    result = run_to_fixed_point(config, scenario.ensemble, init=init, tol=tol, max_iter=max_iter)
+    closed, rho = _solved(scenario, mu_max, *finish(None))
     gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
     if result.converged and gap > bound:

@@ -11,17 +11,14 @@ Presets cover the two classic orderings: adapt-then-combine (a1 = I,
 a2 = A) and combine-then-adapt (a1 = A, a2 = I). The linear part of the
 one-iteration map, lifted to N*M x N*M, is the error-propagation matrix.
 
-run_to_fixed_point starts from an optional initial state, coerced by
-``network.as_matrix`` to a finite N x M array, steps the recursion in
-blocks and runs the stopping test on a whole block at once. At block ends
-it decides whether and when a long run skips its tail through the M slow
-modes of that matrix; the tail module holds the model, and only the model.
+run_to_fixed_point steps the recursion in blocks from an optional initial
+state (``network.as_matrix``) and decides at block ends whether a long run
+skips its tail through the M slow modes of that matrix (the tail module).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,19 +93,14 @@ class DiffusionConfig:
 
 @dataclass(frozen=True, eq=False)
 class FixedPointResult:
-    """Outcome of iterating to a fixed point.
-
-    ``slow_basis`` is the orthonormal N*M x M basis of B's slow invariant
-    subspace on which the tail modelled the run (see the tail module), node
-    major, or None when no tail ran. ``bias.analyse_scale`` takes the
-    spectral radius from it."""
+    """Outcome of iterating to a fixed point; ``stepped`` counts the plain
+    steps taken, 0 for a run that ``bias.analyse_scale`` modelled whole."""
 
     w_infinity: np.ndarray
     iterations_used: int
     converged: bool
     final_update_norm: float
     stepped: int
-    slow_basis: np.ndarray | None = None
 
 
 def atc_config(a: CombinationMatrix, c: CombinationMatrix, step_sizes) -> DiffusionConfig:
@@ -199,14 +191,19 @@ def runs_long(probe: float, worst: float, gate: float, span: int) -> bool:
     return (2.0 * math.log(gate) - math.log(worst)) / rate > _LONG_RUN
 
 
+def check_stopping_rule(tol: float, max_iter) -> None:
+    """Refuse a tol or max_iter that ``run_to_fixed_point`` cannot stop by."""
+    whole = isinstance(max_iter, int | np.integer)
+    if not math.isfinite(tol) or tol <= 0.0 or not whole or max_iter < 1:
+        raise ValueError("tol must be finite and positive and max_iter an integer of at least one")
+
+
 def run_to_fixed_point(
     config: DiffusionConfig,
     ensemble: CostEnsemble,
     init=None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    *,
-    interval: Callable[[], tuple[float, float]] | None = None,
 ) -> FixedPointResult:
     """Iterate until every node's update is below tol * (1 + |w_k|).
 
@@ -219,38 +216,24 @@ def run_to_fixed_point(
 
     The iterate is stepped _BLOCK iterations at a time (fewer when max_iter
     is nearer), and the per-node test and the finiteness check run on the
-    whole block in a few array operations. The first iteration that passes
-    or is not finite ends the run; the steps computed past it are discarded.
-    The iterates, the counts and every value in the result are those of a
-    loop that stepped and tested one iteration at a time, bit for bit.
+    whole block at once. The first iteration that passes or is not finite
+    ends the run and the steps past it are discarded, so the iterates,
+    counts and results are those of a loop that tests each step, bit for bit.
 
-    All else falls at the end of a block that did not stop, before max_iter,
-    at any tol. A run is judged at iteration 128 from the decay of its
-    largest update since iteration 64 and, if not then judged long, at 256
-    from the decay since 128. A long run, whose largest update at that rate
-    stays above the threshold for more than 512 further iterations, skips
-    its tail (see the tail module). At the judgement it searches for an
-    N*M x M basis invariant under the error-propagation matrix B, filtered
-    from 1 kron I_M by Chebyshev polynomials on the interval [a, b] that
-    ``interval()`` returns, called then and only then, and by powers of B
-    when ``interval`` is None. The caller passes it only when [a, b] is
-    known to hold every eigenvalue of B but the M slow ones. Every 64 plain
-    steps from the judgement, the basis is offered as a model fitted to the
-    iterates 64 steps apart. Once they fit it to within their rounding
-    noise, every later iterate is a sum of M geometric sequences, and the
-    same per-node test finds the stop among them without stepping. Where
-    the last update sits within the plain loop's rounding noise of the
-    threshold, as it must below about 1024 eps, that stop is an
-    extended-precision loop's. A basis refused for good or not found in
-    1024 filter steps, or a model not accepted 1024 steps in, is dropped
-    and the run goes on plain; it is not judged again. ``stepped`` counts
-    the plain steps kept; when it is smaller than ``iterations_used``,
-    ``w_infinity`` and ``final_update_norm`` belong to the modelled iterate
-    at ``iterations_used``, and ``slow_basis`` holds the basis.
+    All else falls at the end of a block that did not stop, before max_iter.
+    A run judged long (``runs_long``, at iteration 128 or 256) searches once
+    for B's slow basis, by powers of B, and offers it every 64 plain steps as
+    a model fitted to its iterates (see the tail module); the first that fits
+    them to within their rounding noise takes over, and the same per-node
+    test finds the stop among the modelled iterates. Where the last update
+    sits within the plain loop's rounding noise of the threshold, as it must
+    below about 1024 eps, that stop is an extended-precision loop's. A basis
+    or model not found within 1024 steps is dropped, and the run goes on
+    plain. ``stepped`` counts the plain steps kept; when it is smaller than
+    ``iterations_used``, ``w_infinity`` and ``final_update_norm`` are the
+    modelled iterate's. (``bias.analyse_scale`` models a long row whole.)
     """
-    whole = isinstance(max_iter, int | np.integer)
-    if not math.isfinite(tol) or tol <= 0.0 or not whole or max_iter < 1:
-        raise ValueError("tol must be finite and positive and max_iter an integer of at least one")
+    check_stopping_rule(tol, max_iter)
     validate_step_condition(config, ensemble)
     op = _StepOperator(config.a1, config.a2, config.c, config.step_sizes, ensemble)
     w = np.zeros(op.shape) if init is None else as_matrix(init)
@@ -292,10 +275,7 @@ def run_to_fixed_point(
         if found is not None and (iterations - judged) % _PERIOD == 0:
             tail = ModalTail.fit(*found, w, w_old)
             if tail is not None:
-                w, used, converged, final = tail.run(iterations, max_iter, tol)
-                w.setflags(write=False)
-                found[0].setflags(write=False)
-                return FixedPointResult(w, used, converged, final, iterations, found[0])
+                return FixedPointResult(*tail.run(iterations, max_iter, tol), iterations)
             w_old = w.copy()  # a view of w would keep its block alive
             if iterations - judged == _TRACK_LIMIT:
                 found = None
@@ -303,8 +283,7 @@ def run_to_fixed_point(
             if iterations > PROBE_AT:
                 gate = tol * (1.0 + math.sqrt(float(norms2[last].max())))
                 if runs_long(probe, worst, gate, iterations // 2):
-                    bounds = None if interval is None else interval()
-                    found, judged, w_old = _invariant_basis(op, bounds), iterations, w.copy()
+                    found, judged, w_old = _invariant_basis(op, None), iterations, w.copy()
             probe = worst
             probe_at = 2 * iterations if not judged and iterations < ENGAGE_AT else 0
     w = w.copy()

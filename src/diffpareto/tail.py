@@ -1,23 +1,20 @@
-"""The tail of a long fixed-point run, modelled instead of stepped.
+"""A long fixed-point run in the slow modes of B, modelled instead of stepped.
 
 The diffusion recursion is affine, so after j steps its error is B^j times
-the initial error, with B the error-propagation matrix. At zero step size
-B's eigenvalue-one eigenspace is 1 kron I_M (every node equal); at small
-steps its M slow modes grow out of that subspace while every other mode
-dies at about the rate of the second eigenvalue of the combination
-matrix. Once those have died, every later iterate is
-w_inf + Y diag(lam**p) g for the M slow eigenpairs (lam, Y) of B, and the
-stopping test of the plain loop can be evaluated on thousands of such
-iterates at once, starting where a closed-form bound on its update stops
-excluding a pass. The pairs come from an N*M x M basis filtered from
-1 kron I_M when the run is judged long, reduced to the M x M
-Rayleigh-Ritz matrix S = Q^T B Q; B itself is never formed. Where an
-interval [a, b] known to hold every eigenvalue of B but the M slow ones
-is given, the filter is a scaled Chebyshev polynomial on it (Rutishauser
-1970; Zhou and Saad 2007), which damps those modes far faster than
-powers of B; without one it is B^j. This module holds the mathematics
-alone: ``diffusion.run_to_fixed_point`` judges when a run is long, searches
-for its basis by ``_invariant_basis`` and offers it by ``ModalTail.fit``.
+the initial error, with B the error-propagation matrix. At small steps B's
+M slow modes grow out of 1 kron I_M (every node equal) while every other
+mode dies at about the rate of the second eigenvalue of the combination
+matrix. Without those, every iterate is w_inf + Y diag(lam**p) g for the M
+slow eigenpairs (lam, Y) of B, and the plain loop's stopping test runs on
+thousands of them at once, from where a closed-form bound on the update
+stops excluding a pass. The pairs come from an N*M x M basis filtered from
+1 kron I_M and reduced to the M x M Rayleigh-Ritz matrix S = Q^T B Q; B is
+never formed. Given an interval [a, b] known to hold every eigenvalue of B
+but the M slow ones, the filter is a scaled Chebyshev polynomial on it
+(Rutishauser 1970; Zhou and Saad 2007), far faster than B^j. This module
+holds the mathematics alone: ``diffusion.run_to_fixed_point`` fits a model
+to a long run's iterates (``ModalTail.fit``), and ``bias.analyse_scale``
+builds one from a long row's closed form.
 """
 
 from __future__ import annotations
@@ -38,9 +35,10 @@ _TRACK_LIMIT = 1024
 # until they are gone from it and from the older iterate
 _PERIOD = 64
 _RESIDUAL = 1e-13  # |BQ - QS| allowed, relative to |BQ|
+_EPS = np.finfo(float).eps
 # rounding noise allowed in the fit, relative to |w|; a tol below it puts the plain loop's
 # stopping test in its own noise, where the tail's count is an extended-precision loop's
-_NOISE = 1024 * np.finfo(float).eps
+_NOISE = 1024 * _EPS
 _COND_LIMIT = 1e6  # of the eigenvectors of S
 _SEPARATION = 1e-8  # smallest Ritz value gap, relative to the largest 1 - lambda
 _SCAN_BYTES = 2**18  # the arrays of one scan block
@@ -115,13 +113,16 @@ def _invariant_basis(op, interval: tuple[float, float] | None):
 class ModalTail:
     """The run from a plain iterate w_j on, in the slow modes of B:
     w_{j+p} = w_inf + Y diag(lam**p) g with the Ritz pairs (lam, Y) of the
-    tracked subspace, all stacked node-major to length N*M."""
+    tracked subspace, all stacked node-major to length N*M. ``error`` (e0, e1, r)
+    bounds its distance from the run by e0 at p = 0 and e1 r**(p - 1) after."""
 
     lam: np.ndarray
     ritz: np.ndarray
     coef: np.ndarray
     w_inf: np.ndarray
-    sigma: float  # smallest singular value of Y
+    sigma: float  # |weights u| >= sigma |slow coordinates of u|: sigma_min(Y) for a fit
+    error: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    weights: np.ndarray | float = 1.0  # per node, in the sums of _first_possible
 
     @classmethod
     def fit(cls, q, lam, v, sigma, w: np.ndarray, w_old: np.ndarray) -> ModalTail | None:
@@ -139,12 +140,13 @@ class ModalTail:
         ritz = q @ v
         return cls(lam, ritz, coef, w.ravel() - ritz @ coef, sigma)
 
-    def run(self, j: int, max_iter: int, tol: float) -> tuple[np.ndarray, int, bool, float]:
+    def run(self, j: int, max_iter: int, tol: float) -> tuple[np.ndarray, int, bool, float] | None:
         """Continue a run that stopped stepping at iteration j < max_iter:
         the per-node stopping test of the plain loop, applied to the
         modelled iterates from the start ``_first_possible`` gives.
         Returns the last iterate, its iteration, whether it passed and its
-        largest update norm."""
+        largest update norm; None when, for a model with an ``error``, an iteration
+        before the stop fails, or the stop passes, by no more than that error."""
         m = self.lam.size
         n = self.w_inf.size // m
         lam = self.lam
@@ -171,12 +173,21 @@ class ModalTail:
             z = np.ones((p.size, m + 1))
             z[:, 1:] = lam ** (p - 1)[:, None]
             f = z[:, rows] * z[:, cols]
-            upd2 = f @ cu
-            passed = passes(upd2, np.maximum(f @ cw, 0.0), tol)
+            upd2, norms2 = f @ cu, np.maximum(f @ cw, 0.0)
+            passed = passes(upd2, norms2, tol)
             done = bool(passed.any())
             stop = int(np.argmax(passed)) if done else p.size - 1
+            e0, e1, rate = self.error  # bound the errors of the update at p and of its threshold
+            before = np.where(p > 1, e1 * rate ** np.maximum(p - 2, 0), e0)
+            margin = e1 * rate ** (p - 1.0) * (1.0 + tol) + before
+            if margin.max() > _EPS * tol:  # below it, the test itself cannot resolve the margin
+                slack = (np.sqrt(np.maximum(upd2, 0.0)) - tol * (1.0 + np.sqrt(norms2))).max(axis=1)
+                fails = slack[: stop + (not done)] > margin[: stop + (not done)]
+                if not fails.all() or (done and slack[stop] >= -margin[stop]):
+                    return None
             if done or p[-1] == last:
                 w = (self.w_inf + yw @ z[stop, 1:]).reshape(n, m)
+                w.setflags(write=False)
                 final = math.sqrt(max(upd2[stop].max(), 0.0))
                 return w, j + int(p[stop]), done, final
         raise AssertionError("the scan always ends at max_iter")
@@ -184,21 +195,22 @@ class ModalTail:
     def _first_possible(self, tol: float, yw: np.ndarray, last: int) -> int:
         """Where the scan starts, at most last: no earlier p can pass.
 
-        A pass needs the total squared update, at least sigma**2 times
-        sum_i h_i**2 lam_i**(2(p-1)) with h_i = (lam_i - 1) g_i, to be at most
-        the sum of the squared per-node thresholds, which |y| <= 1 bounds by
-        tol**2 sum_k (1 + |w_inf_k| + sum_i |yw_k,i|)**2. ``target`` is that
-        bound over sigma**2, doubled to cover rounding in both sides. Each term
-        falls with p, and before 1 + floor(max_i log(target / h_i**2) /
-        (2 log lam_i)) one term alone exceeds the target."""
+        A pass needs the total squared update, weighted per node, at least
+        sigma**2 sum_i h_i**2 lam_i**(2(p-1)) with h_i = (lam_i - 1) g_i, to be at
+        most the sum of the weighted squared per-node thresholds, which |y| <= 1
+        bounds by tol**2 sum_k weights_k**2 (1 + e1 + |w_inf_k| + sum_i |yw_k,i|)**2.
+        ``target`` is that bound over sigma**2, doubled to cover rounding in both
+        sides. Each term falls with p, and before 1 + floor(max_i log(target /
+        h_i**2) / (2 log lam_i)) one term alone exceeds the target."""
         m = self.lam.size
         n = self.w_inf.size // m
         bound = (
             1.0
+            + self.error[1]
             + np.linalg.norm(self.w_inf.reshape(n, m), axis=1)
             + np.linalg.norm(yw.reshape(n, m, m), axis=1).sum(axis=1)
         )
-        target = 2.0 * (tol * np.linalg.norm(bound) / self.sigma) ** 2
+        target = 2.0 * (tol * np.linalg.norm(self.weights * bound) / self.sigma) ** 2
         h2 = ((self.lam - 1.0) * self.coef) ** 2
         with np.errstate(divide="ignore", over="ignore"):  # h_i = 0 excludes nothing
             excluded = np.log(target / h2) / (2.0 * np.log(self.lam))

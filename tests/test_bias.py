@@ -893,19 +893,19 @@ def radius_calls(monkeypatch) -> dict[str, list]:
 
 
 def test_tail_basis_gives_the_radius_with_no_eigvalsh_of_c(radius_calls):
-    # a row of the small-step sweep at 1e-3 hands over to the tail, and the
-    # top Ritz value of C on the tail's basis is certified: no N*M x N*M
-    # eigvalsh runs, only the one of S (50 x 50) for the scenario, taken when
-    # the run is judged long for the tail's Chebyshev interval (the 4 x 4
-    # Rayleigh-Ritz matrix goes to eigh). The closed form keeps its dense
-    # solve, bit for bit
+    # a row of the small-step sweep at 1e-3 is modelled, and the top Ritz
+    # value of C on its basis is certified: no N*M x N*M eigvalsh runs, only
+    # the one of the 4 x 4 aggregate Hessian, for whether the row is modelled,
+    # and the one of S (50 x 50) for the scenario, for the basis's Chebyshev
+    # interval (the 4 x 4 Rayleigh-Ritz matrix goes to eigh). The closed form
+    # keeps its dense solve, bit for bit
     scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
     result, closed, rho = analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
-    assert result.slow_basis is not None
-    assert radius_calls["eigvalsh"] == [50]
+    assert result.stepped == 0
+    assert radius_calls["eigvalsh"] == [4, 50]
     assert radius_calls["tail_ritz"] == [rho]
     dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
-    assert radius_calls["eigvalsh"] == [50, 200]
+    assert radius_calls["eigvalsh"] == [4, 50, 200]
     assert np.array_equal(closed, dense_closed)
     reference = reference_radius(scenario.at_scale(1e-3), scenario.ensemble)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
@@ -975,7 +975,7 @@ def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(radius_cal
 def test_slow_modes_hold_only_their_factors(monkeypatch):
     # the radius hands its Ritz vectors to the closed form, which chooses its
     # own route: after both answers a _SlowModes holds only L, S and sqrt(pi),
-    # on a tail row and a row without one, below and above the crossover
+    # on a modelled row and a bare analysis, below and above the crossover
     held, closed_form = [], bias_module._SlowModes.closed_form
 
     def recorded(modes, *args):
@@ -987,15 +987,15 @@ def test_slow_modes_hold_only_their_factors(monkeypatch):
     scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
     for crossover in (bias_module.MATRIX_FREE_NM, 0):
         monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", crossover)
-        assert analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)[0].slow_basis is not None
+        assert analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)[0].stepped == 0
         scale_analysis(scenario, 1e-3)
     assert held == [["chol", "root", "s"]] * 4
 
 
 def test_non_reversible_composite_tracks_by_powers_of_b(monkeypatch):
     # ``test_non_reversible_mixing_falls_back_to_eigvals``'s composite at a
-    # step small enough for the tail: with no S the run gets no interval, and
-    # so is the bare run, bit for bit
+    # step small enough for the tail: with no S the row is not modelled, and
+    # its run, filtered by powers of B, is the bare run, bit for bit
     topo = generate_topology(8, 3.0, seed=3)
     ens = sample_ensemble(8, 2, 4, data_seed=3)
     c = build_C(topo, "averaging")
@@ -1012,13 +1012,52 @@ def test_non_reversible_composite_tracks_by_powers_of_b(monkeypatch):
 
     monkeypatch.setattr(diffusion_module, "_invariant_basis", recorded)
     result, _, rho = analyse_scale(scenario, mu, 1e-12, DEFAULT_MAX_ITER)
-    assert intervals == [None] and result.slow_basis is not None
+    assert intervals == [None] and 0 < result.stepped < result.iterations_used
     bare = run_to_fixed_point(cfg, ens, init=np.tile(scenario.w_star, (8, 1)))
     assert (result.iterations_used, result.stepped) == (bare.iterations_used, bare.stepped)
     assert np.array_equal(result.w_infinity, bare.w_infinity)
-    assert np.array_equal(result.slow_basis, bare.slow_basis)
     reference = reference_radius(cfg, ens)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+
+
+def mutate_one_gain_block(monkeypatch) -> None:
+    """From here on, ``_SlowModes`` alone, not the step operator, sees one gain
+    block scaled by 1 + 1e-9, so its closed form misses the recursion's fixed
+    point."""
+    init = bias_module._SlowModes.__init__
+
+    def mutated(modes, gain, s, root):
+        gain = gain.copy()
+        gain[7] *= 1.0 + 1e-9
+        init(modes, gain, s, root)
+
+    monkeypatch.setattr(bias_module._SlowModes, "__init__", mutated)
+
+
+def test_a_closed_form_the_recursion_moves_fails_the_residual_check(monkeypatch):
+    # a modelled row's iterate is built from its closed form, so no gap check
+    # can catch a wrong solve there; one step of the recursion, which no solve
+    # uses, moves the mutated closed form by about 1e4 eps, past the 1024 eps
+    # that rounding may
+    scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
+    assert analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)[0].stepped == 0
+    mutate_one_gain_block(monkeypatch)
+    with pytest.raises(RuntimeError, match="one step moves the closed-form fixed point"):
+        analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
+
+
+@pytest.mark.parametrize("mu_max", [1e-16, 1e-300])
+def test_a_step_scale_too_small_to_resolve_is_named(mu_max):
+    # every step is below its bound, so rho < 1, but on this built-in scenario
+    # 1 - rho rounds to zero at 1e-16, and 1 - mu lambda too at 1e-300: which
+    # rows are modelled, the model and the closed form neither divide by zero
+    # nor warn (warnings are errors here), and the error names the step scale,
+    # not an unstable recursion
+    configs = builtin_figure_configs()["cta_equal"]
+    scenario = build_scenario(next(c for c in configs if c.a_rule == "relative_degree"))
+    for analyse in (analyse_scale, lambda s, mu, *_: scale_analysis(s, mu)):
+        with pytest.raises(AssumptionError, match=f"step scale {mu_max:.6g} is too small"):
+            analyse(scenario, mu_max, 1e-12, DEFAULT_MAX_ITER)
 
 
 # --- the per-scale check of the sweep ------------------------

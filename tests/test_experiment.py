@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kron_reference import reference_answers
 from test_bias import count_dense_operands, shift_fixed_points
 
 from diffpareto import bias as bias_module
 from diffpareto import cli as cli_module
 from diffpareto import diffusion as diffusion_module
 from diffpareto import experiment as experiment_module
+from diffpareto.bias import GAP_FACTOR
 from diffpareto.cli import cli_main
 from diffpareto.costs import sample_ensemble
 from diffpareto.experiment import (
@@ -271,11 +273,11 @@ def test_sweep_reproduces_the_benchmark_reference_counts_at_fifty_nodes(seed1_ro
     assert [[s, mu, *counts[s, mu][:2]] for s, mu, _, _ in rows] == rows
 
 
-@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1372), ("figures_coarse", 5324)])
+@pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 220), ("figures_coarse", 2508)])
 def test_benchmark_rows_keep_few_plain_steps(seed1_rows, workload, bound):
-    # a guard on the tail's engagement that needs no timing: a long row keeps
-    # 192 plain steps when its first model is accepted at its first invariance
-    # test
+    # a guard on the modelled rows that needs no timing: every row below 1e-2
+    # is modelled from its closed form with no plain step, so only the 1e-2
+    # rows step
     expected, counts = seed1_rows
     assert sum(counts[s, mu][2] for s, mu, _, _ in expected[workload]) <= bound
 
@@ -289,7 +291,7 @@ def test_benchmark_rows_keep_few_plain_steps(seed1_rows, workload, bound):
 )
 def test_acceptance_rows_at_tol_1e_14_keep_their_counts(a_rule, step_mode, mu_max, iterations):
     # the counts of an np.longdouble plain loop (tests/plain_loop.py), reached
-    # through the modal tail as the acceptance sweeps run them
+    # with no plain step through the row's model, as the acceptance sweeps run them
     config = ExperimentConfig(
         strategy="atc",
         a_rule=a_rule,
@@ -301,12 +303,12 @@ def test_acceptance_rows_at_tol_1e_14_keep_their_counts(a_rule, step_mode, mu_ma
     scenario = build_scenario(config)
     result = bias_module.analyse_scale(scenario, mu_max, config.tol, config.max_iter)[0]
     assert (result.iterations_used, result.converged) == (iterations, True)
-    assert result.stepped < result.iterations_used
+    assert result.stepped == 0
 
 
 @pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 390), ("figures_coarse", 780)])
 def test_benchmark_rows_take_few_basis_products(seed1_rows, workload, bound):
-    # a guard on the tail's Chebyshev filter that needs no timing: a tail row's
+    # a guard on the Chebyshev filter that needs no timing: a modelled row's
     # basis, filtered on the scenario's interval, is invariant at its first
     # test, 64 steps in, and takes 65 products in all; filtered by powers of B
     # the two workloads take 845 and 2080
@@ -314,10 +316,48 @@ def test_benchmark_rows_take_few_basis_products(seed1_rows, workload, bound):
     assert sum(counts[s, mu][4] for s, mu, _, _ in expected[workload]) <= bound
 
 
+def test_modelled_benchmark_rows_lie_within_the_gap_bound_of_a_dense_solve(monkeypatch):
+    # the vector check of the benchmark's rows, which captures w_inf from
+    # run_to_fixed_point and so sees no modelled row: on every modelled row of
+    # the three workloads at seed 1, the fixed point lies within the
+    # GAP_FACTOR bound of the dense solve with a Kronecker-built B
+    expected = json.loads(EXPECTED_SEED1.read_text(encoding="utf-8"))
+    analyse_scale, modelled = experiment_module.analyse_scale, []
+
+    def recorded(scenario, mu_max, tol, max_iter):
+        answers = analyse_scale(scenario, mu_max, tol, max_iter)
+        if answers[0].stepped == 0:
+            modelled.append((scenario, mu_max, tol, answers[0].w_infinity))
+        return answers
+
+    monkeypatch.setattr(experiment_module, "analyse_scale", recorded)
+    for workload, rows in expected.items():
+        schedules: dict[str, list[float]] = {}
+        for scenario_id, mu_max, _, _ in rows:
+            schedules.setdefault(scenario_id, []).append(mu_max)
+        for scenario_id, schedule in schedules.items():
+            strategy, a_rule, c_rule, step_mode = scenario_id.split("-")
+            config = ExperimentConfig(
+                strategy=strategy,
+                a_rule=a_rule,
+                c_rule=c_rule,
+                step_mode=step_mode,
+                mu_max_schedule=tuple(schedule),
+                n_nodes=200 if workload == "analysis_n200" else 50,
+            )
+            run_sweep(config)
+    assert len(modelled) == 6 + 1 + 12
+    for scenario, mu_max, tol, w_infinity in modelled:
+        closed, rho = reference_answers(scenario.at_scale(mu_max), scenario.ensemble)
+        gap = np.linalg.norm((scenario.w_star[None, :] - w_infinity).ravel() - closed)
+        norm = 1.0 + np.linalg.norm(scenario.w_star)
+        assert gap <= GAP_FACTOR * tol * norm * np.sqrt(scenario.ensemble.n) / (1.0 - rho)
+
+
 def test_analysis_at_two_hundred_nodes_runs_lanczos_only_without_a_tail(monkeypatch):
-    # the analysis_n200 benchmark scenario: its 1e-3 row hands over to the
-    # tail, whose filtered basis takes at most 65 products and gives rho and
-    # the deflation vectors of CG, so Lanczos runs only on the 1e-2 row and
+    # the analysis_n200 benchmark scenario: its 1e-3 row is modelled, and its
+    # filtered basis takes at most 65 products and gives rho and the
+    # deflation vectors of CG, so Lanczos runs only on the 1e-2 row and
     # neither row forms C. With powers of B and Lanczos on every row it took
     # 389 products and 2 runs
     experiment_module._scenario_inputs.cache_clear()
@@ -343,14 +383,14 @@ def test_analysis_at_two_hundred_nodes_runs_lanczos_only_without_a_tail(monkeypa
     assert [row.converged for row in rows] == [True, True]
     assert lanczos_rows == [200]
     assert len(products) <= 65
-    # S's spectrum is taken once, for the interval of the 1e-3 row's tail
+    # S's spectrum is taken once, for the interval of the 1e-3 row's basis
     assert dense == {"form": [], "mixing_spectrum": [200]}
 
 
 @pytest.mark.parametrize("workload, bound", [("sweep_small_steps", 1), ("figures_coarse", 12)])
 def test_benchmark_rows_take_few_eigvalsh_of_c(seed1_rows, workload, bound):
-    # a guard on the radius from the tail's basis that needs no timing: a row
-    # that hands over to the tail takes no eigvalsh of the N*M x N*M matrix C,
+    # a guard on the radius from the basis that needs no timing: a modelled
+    # row takes no eigvalsh of the N*M x N*M matrix C,
     # so a certificate that silently falls back to it fails here
     expected, counts = seed1_rows
     assert sum(counts[s, mu][3] for s, mu, _, _ in expected[workload]) <= bound
@@ -386,15 +426,16 @@ def count_calls(monkeypatch, name: str, calls: list) -> None:
 
 
 def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
-    # a scale adds one step operator (the fixed-point loop's) and one
-    # symmetric eigensolve for rho: eigvalsh of C (24 x 24), or on a row that
-    # hands over to the tail, eigh of the 2 x 2 Rayleigh-Ritz matrix on its
-    # basis. The spectrum of S (12 x 12), taken when the scenario's first run
-    # is judged long, gives the tail's Chebyshev interval and certifies that
-    # radius; it, the Hessian eigenvalues, the Perron vector and the gradients
-    # at the optimum are taken once for the scenario; the network and data are
-    # built once for both sweeps, which differ only in a_rule. The metropolis
-    # sweep hands over at 1e-3 only, the averaging one at 3e-3 and 1e-3
+    # a scale adds one step operator (the fixed-point loop's, or the modelled
+    # row's) and two symmetric eigensolves: eigvalsh of the 2 x 2 aggregate
+    # Hessian, for whether the row is modelled, and for rho eigvalsh of C
+    # (24 x 24), or on a modelled row eigh of the 2 x 2 Rayleigh-Ritz matrix on
+    # its basis. The spectrum of S (12 x 12), taken for the scenario's first
+    # long row, gives the basis's Chebyshev interval and certifies that radius;
+    # it, the Hessian eigenvalues, the Perron vector and the gradients at the
+    # optimum are taken once for the scenario; the network and data are built
+    # once for both sweeps, which differ only in a_rule. Both sweeps model
+    # their 3e-3 and 1e-3 rows
     experiment_module._scenario_inputs.cache_clear()
     operators, hessian_eigs, radius_eigs, scenario_calls = [], [], [], []
     input_calls = []
@@ -422,7 +463,8 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     assert len(rows) == 3 and all(row.converged for row in rows)
     assert len(operators) == 3
     assert hessian_eigs == [(12, 2, 2)]
-    assert radius_eigs == [(24, 24), (24, 24), (12, 12), (2, 2)]
+    modelled = [(2, 2), (24, 24), (2, 2), (12, 12), (2, 2), (2, 2), (2, 2)]
+    assert radius_eigs == modelled
     assert sorted(scenario_calls) == ["perron_theta", "stacked_gradient"]
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
 
@@ -430,16 +472,16 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     assert len(rows) == 3 and all(row.converged for row in rows)
     assert len(operators) == 6
     assert hessian_eigs == [(12, 2, 2)]
-    assert radius_eigs[4:] == [(24, 24), (12, 12), (2, 2), (2, 2)]
+    assert radius_eigs[7:] == modelled
     assert sorted(scenario_calls) == ["perron_theta"] * 2 + ["stacked_gradient"] * 2
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
 
 
 def test_sweep_above_the_crossover_forms_no_n_m_square_matrix(monkeypatch):
     # the counterpart at N*M = MATRIX_FREE_NM: a scale neither forms C nor
-    # lifts B, as block Lanczos and deflated CG answer it matrix-free, and the
-    # Gershgorin bound on lambda_min(S) certifies its radius, so S goes to no
-    # eigensolver either
+    # lifts B. Block Lanczos and deflated CG answer the 1e-2 row matrix-free,
+    # its radius certified by the Gershgorin bound on lambda_min(S); the 3e-3
+    # row is modelled, and S goes to one eigensolver for its basis's interval
     experiment_module._scenario_inputs.cache_clear()
     config = small_config(n_nodes=100, dim=4, rows=6)
     assert config.n_nodes * config.dim == bias_module.MATRIX_FREE_NM
@@ -465,13 +507,13 @@ def test_sweep_above_the_crossover_forms_no_n_m_square_matrix(monkeypatch):
     assert len(rows) == 2 and all(row.converged for row in rows)
     assert len(operators) == 2
     assert hessian_eigs == [(100, 4, 4)]
-    assert dense == {"form": [], "mixing_spectrum": []}
+    assert dense == {"form": [], "mixing_spectrum": [100]}
 
     rows = run_sweep(dataclasses.replace(config, a_rule="averaging"))
     assert len(rows) == 2 and all(row.converged for row in rows)
     assert len(operators) == 4
     assert hessian_eigs == [(100, 4, 4)]
-    assert dense == {"form": [], "mixing_spectrum": []}
+    assert dense == {"form": [], "mixing_spectrum": [100, 100]}
     assert lifts == []
 
 
@@ -1115,6 +1157,19 @@ def test_cli_figures_that_fails_in_a_sweep_leaves_no_output(tmp_path, capsys):
     outdir = tmp_path / "figs"
     assert cli_main(["figures", "--outdir", str(outdir), "--schedule", "0.5"]) == 1
     assert "is not below its stability bound" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("schedule", ["1e-16", "1e-300"])
+def test_cli_figures_names_a_step_scale_too_small_to_resolve(tmp_path, capsys, schedule):
+    # every step is below its bound, so rho < 1, but 1 - rho rounds to zero
+    # on a built-in scenario: the error says so, not that the recursion is
+    # unstable, and a row's test of whether it is modelled neither divides by
+    # zero nor warns where 1 - mu lambda rounds to one
+    outdir = tmp_path / "figs"
+    assert cli_main(["figures", "--outdir", str(outdir), "--schedule", schedule]) == 1
+    err = capsys.readouterr().err
+    assert f"error: step scale {float(schedule):.6g} is too small to resolve" in err
     assert not outdir.exists()
 
 
