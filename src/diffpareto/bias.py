@@ -173,6 +173,11 @@ class Scenario:
         ``mixing_bound`` first fails to certify a Lanczos radius."""
         return np.linalg.eigvalsh(self.mixing)
 
+    @functools.cached_property
+    def agg_spectrum(self) -> np.ndarray:
+        """Hbar's eigenvalues, ascending, for the row test of ``analyse_scale``."""
+        return np.linalg.eigvalsh(self.agg_hessian)
+
     def slow_interval(self) -> tuple[float, float]:
         """[a, b] = [min(lambda_min(S), 0), max(lambda_2(S), 0)]. Where every
         gain block is positive definite, it holds every eigenvalue of C, and so
@@ -303,17 +308,12 @@ class _SlowModes:
         c *= self.s[:, None, :, None]
         return c.reshape(n * m, n * m)
 
-    def radius(
-        self, scenario: Scenario, a1: np.ndarray, basis: np.ndarray | None
-    ) -> tuple[float, np.ndarray | None]:
-        """rho and C's M slow Ritz vectors: from ``_tail_ritz`` on a given
-        basis of B's slow subspace, else from ``_lanczos`` at N*M of
-        MATRIX_FREE_NM and above; failing both, rho alone, the largest
+    def radius(self, scenario: Scenario) -> tuple[float, np.ndarray | None]:
+        """rho and C's M slow Ritz vectors from ``_lanczos`` at N*M of
+        MATRIX_FREE_NM and above; failing that, rho alone, the largest
         |lambda| of one ``eigvalsh`` of C."""
         n, m, _ = self.chol.shape
-        found = None if basis is None else self._tail_ritz(scenario, a1, basis)
-        if found is None and n * m >= MATRIX_FREE_NM:
-            found = self._lanczos(scenario)
+        found = self._lanczos(scenario) if n * m >= MATRIX_FREE_NM else None
         if found is not None:
             return found
         eigs = np.linalg.eigvalsh(self.form())
@@ -423,7 +423,8 @@ class _SlowModes:
 
     def model(self, scenario: Scenario, config: DiffusionConfig, mu_max, solve, tol, max_iter):
         """The fixed point from 1 kron w*, the closed form x and rho at this
-        scale with no plain step, or None when a test refuses. B's slow basis,
+        scale with no plain step; None in place of the fixed point when the scan
+        refuses, and None alone when the basis does. B's slow basis,
         filtered on [a, b] = ``slow_interval``, gives rho (``_tail_ritz``), the
         slow Ritz vectors for ``solve`` and so x, and B's slow eigenvectors
         Y = QV. T maps these onto C's, so h = (TY)^+ Tx are x's slow
@@ -462,7 +463,7 @@ class _SlowModes:
         error = (float(np.linalg.norm(x - y @ h)), fast, max(-low, high))
         tail = ModalTail(lam, y, h, w_inf.ravel(), float(sv[-1]) / t2, error, self.root)
         run = tail.run(0, max_iter, tol)
-        return None if run is None else (FixedPointResult(*run, stepped=0), x, rho)
+        return (None if run is None else FixedPointResult(*run, stepped=0)), x, rho
 
     def _deflated_cg(self, b: np.ndarray, w: np.ndarray) -> np.ndarray | None:
         """y of (I - C) y = b by CG deflated by the slow Ritz vectors W (Saad,
@@ -523,10 +524,9 @@ def _top_ritz_block(t: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
 
 def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[Callable | None, Callable]:
     """The operator of B at ``scenario.at_scale(mu_max)``: ``model`` and
-    ``finish``. ``finish(basis)`` gives the spectral radius of B and a
-    function that solves for the stacked closed-form bias there, (I - B) x =
-    rhs with rhs the step sizes and a2 applied to the combined gradients;
-    ``basis`` is an orthonormal basis of B's slow subspace, or None.
+    ``finish``. ``finish()`` gives the spectral radius of B and a function
+    that solves for the stacked closed-form bias there, (I - B) x = rhs with
+    rhs the step sizes and a2 applied to the combined gradients.
 
     When the scenario has S and every gain block is positive definite, both
     come from the ``_SlowModes`` of C, and ``model(tol, max_iter)`` gives the
@@ -547,13 +547,13 @@ def _scale_operator(scenario: Scenario, mu_max: float) -> tuple[Callable | None,
         else:
             solve = functools.partial(modes.closed_form, a1, a2, rhs)
 
-            def finish_modes(basis):
-                rho, slow = modes.radius(scenario, a1, basis)
+            def finish_modes():
+                rho, slow = modes.radius(scenario)
                 return rho, functools.partial(solve, slow)
 
             return functools.partial(modes.model, scenario, config, mu_max, solve), finish_modes
 
-    def finish(basis):
+    def finish():
         b = lift(config.a1, config.a2, gain)
 
         def solve() -> np.ndarray:
@@ -584,12 +584,11 @@ def _solved(scenario: Scenario, mu_max: float, rho: float, closed_form) -> tuple
     return closed_form(), rho
 
 
-def scale_analysis(scenario: Scenario, mu_max: float, basis=None) -> tuple[np.ndarray, float]:
+def scale_analysis(scenario: Scenario, mu_max: float) -> tuple[np.ndarray, float]:
     """Closed-form stacked bias (length N*M) and spectral radius of a
-    scenario at ``scenario.at_scale(mu_max)``, from ``_scale_operator``,
-    given B's slow basis there (an N*M x M array) if one is known. Reads only
-    the scenario's operands; a radius at or above one raises AssumptionError."""
-    return _solved(scenario, mu_max, *_scale_operator(scenario, mu_max)[1](basis))
+    scenario at ``scenario.at_scale(mu_max)``, from ``_scale_operator``. Reads
+    only the scenario's operands; a radius at or above one raises AssumptionError."""
+    return _solved(scenario, mu_max, *_scale_operator(scenario, mu_max)[1]())
 
 
 def analyse_scale(
@@ -602,21 +601,23 @@ def analyse_scale(
     _LONG_RUN iterations to fall by tol (tested first: a short row takes no
     spectrum of S) and its modes 1 - mu_max lambda_i(Hbar) all clear
     b = ``slow_interval()[1]`` by SLOW_MARGIN (1 - b). Any other row runs
-    ``run_to_fixed_point``; a converged iterate farther from the closed form
+    ``run_to_fixed_point``, with the model's x and rho when only its scan
+    refused; a converged iterate farther from the closed form
     than GAP_FACTOR times the error its stopping rule allows, about
     tol * (1 + |w*|) * sqrt(N) / (1 - rho), raises RuntimeError; one that
     exhausted max_iter is returned unchecked."""
     config, w_star = scenario.at_scale(mu_max), scenario.w_star
     model, finish = _scale_operator(scenario, mu_max)
-    slow = None if model is None else 1.0 - mu_max * np.linalg.eigvalsh(scenario.agg_hessian)
+    slow = None if model is None else 1.0 - mu_max * scenario.agg_spectrum
+    modelled = None
     if slow is not None and slow[-1] > 0.0 and slow[0] ** _LONG_RUN > tol:
         b = scenario.slow_interval()[1]
         modelled = model(tol, max_iter) if slow[-1] >= b + SLOW_MARGIN * (1.0 - b) else None
-        if modelled is not None:
+        if modelled is not None and modelled[0] is not None:
             return modelled
     init = np.tile(w_star, (config.n, 1))
     result = run_to_fixed_point(config, scenario.ensemble, init=init, tol=tol, max_iter=max_iter)
-    closed, rho = _solved(scenario, mu_max, *finish(None))
+    closed, rho = modelled[1:] if modelled else _solved(scenario, mu_max, *finish())
     gap = float(np.linalg.norm(closed - (w_star[None, :] - result.w_infinity).ravel()))
     bound = GAP_FACTOR * tol * (1.0 + np.linalg.norm(w_star)) * math.sqrt(config.n) / (1.0 - rho)
     if result.converged and gap > bound:
@@ -634,7 +635,7 @@ def spectral_check(config: DiffusionConfig, ensemble: CostEnsemble) -> float:
     value at or above one flags an unstable configuration with a
     RuntimeWarning. The route taken is as in ``scale_analysis``, at the
     config's largest step size; where C exists B is never lifted."""
-    rho = _scale_operator(analyse_scenario(config, ensemble), config.step_sizes.max())[1](None)[0]
+    rho = _scale_operator(analyse_scenario(config, ensemble), config.step_sizes.max())[1]()[0]
     if rho >= 1.0:
         warnings.warn(
             f"error-propagation spectral radius {rho:.6g} is not below one;"

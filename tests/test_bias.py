@@ -912,41 +912,47 @@ def test_tail_basis_gives_the_radius_with_no_eigvalsh_of_c(radius_calls):
     assert abs(dense_rho - reference) <= 1e-9 * (1.0 - reference)
 
 
-def test_basis_not_yet_invariant_is_refused_and_eigvalsh_answers(radius_calls):
-    # the basis the tail starts from, 1 kron I_M: on C it leaves a residual of
-    # order mu, far above what the quadratic bound allows, so the radius is
-    # eigvalsh's, to the last bit
+def slow_modes_at(scenario, mu_max: float):
+    """The ``_SlowModes`` of a scenario at ``scenario.at_scale(mu_max)``, as
+    ``_scale_operator`` builds it, and that scale's a1."""
+    config = scenario.at_scale(mu_max)
+    steps = config.step_sizes[:, None, None]
+    gain = np.eye(scenario.ensemble.dim)[None] - steps * scenario.combined_hessians
+    root = np.sqrt(config.a2.matrix @ scenario.theta)
+    return bias_module._SlowModes(gain, scenario.mixing, root), config.a1.matrix
+
+
+@pytest.fixture
+def unfit_search(monkeypatch) -> None:
+    """From here on, the model's search gives the basis the tail starts
+    from, 1 kron I_M: on C it leaves a residual of order mu, far above what the
+    quadratic bound allows, so ``_tail_ritz`` refuses it."""
+
+    def start_basis(op, interval):
+        n, m = op.shape
+        return np.kron(np.ones((n, 1)) / np.sqrt(n), np.eye(m)), None, None, None
+
+    monkeypatch.setattr(bias_module, "_invariant_basis", start_basis)
+
+
+def test_basis_not_yet_invariant_is_refused_and_eigvalsh_answers(radius_calls, unfit_search):
+    # the 1e-3 row of the small-step sweep, modelled with a basis that is not
+    # yet invariant: the row runs the recursion, and its radius is eigvalsh's
+    # of C, to the last bit
     scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
-    n, m = scenario.ensemble.n, scenario.ensemble.dim
-    start = np.kron(np.ones((n, 1)) / np.sqrt(n), np.eye(m))
-    closed, rho = scale_analysis(scenario, 1e-3, start)
+    result, closed, rho = analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
     assert radius_calls["tail_ritz"] == [None]
-    assert radius_calls["eigvalsh"][-1] == 200
+    assert radius_calls["eigvalsh"][-1] == 200 and result.stepped > 0
     dense_closed, dense_rho = scale_analysis(scenario, 1e-3)
     assert rho == dense_rho and np.array_equal(closed, dense_closed)
 
 
-def test_tail_basis_radius_refused_when_the_negative_end_may_lead(radius_calls):
-    # ``negative_end_case`` with the exact invariant subspace of B's two
-    # largest eigenvalues, 0.32 twice: the Ritz values clear beta = 0 and their
-    # residual is rounding, but they do not exceed -lambda_min(S) = 1/2, so
-    # they need not be rho, and here they are not: eigvalsh gives 0.475
-    cfg, ens = negative_end_case()
-    eigs, vectors = np.linalg.eig(kron_reference(cfg, ens)[0])
-    assert np.isrealobj(eigs)
-    basis = np.linalg.qr(vectors[:, np.argsort(eigs)[-2:]])[0]
-    closed, rho = scale_analysis(analyse_scenario(cfg, ens), 0.1, basis)
-    assert radius_calls["tail_ritz"] == [None]
-    expected, reference = reference_answers(cfg, ens)
-    assert reference == pytest.approx(0.475, abs=1e-9)
-    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
-    assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
-
-
-def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(radius_calls, monkeypatch):
-    # the tail's start basis, refused as above, with the crossover moved
-    # below this N*M = 200: rho comes from Lanczos, the closed form from CG
-    # deflated by its Ritz vectors, both as with no basis at all
+def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(
+    radius_calls, unfit_search, monkeypatch
+):
+    # the same refusal with the crossover moved below this N*M = 200: rho
+    # comes from Lanczos, the closed form from CG deflated by its Ritz
+    # vectors, both as with no model at all
     monkeypatch.setattr(bias_module, "MATRIX_FREE_NM", 200)
     lanczos_runs = []
     lanczos = bias_module._SlowModes._lanczos
@@ -958,10 +964,8 @@ def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(radius_cal
 
     monkeypatch.setattr(bias_module._SlowModes, "_lanczos", counted)
     scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
-    n, m = scenario.ensemble.n, scenario.ensemble.dim
-    start = np.kron(np.ones((n, 1)) / np.sqrt(n), np.eye(m))
-    closed, rho = scale_analysis(scenario, 1e-3, start)
-    assert radius_calls["tail_ritz"] == [None]
+    result, closed, rho = analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
+    assert radius_calls["tail_ritz"] == [None] and result.stepped > 0
     assert lanczos_runs == [rho]
     lanczos_closed, lanczos_rho = scale_analysis(scenario, 1e-3)
     assert lanczos_runs == [rho, rho] and lanczos_rho == rho
@@ -970,6 +974,51 @@ def test_tail_basis_refused_above_the_crossover_falls_back_to_lanczos(radius_cal
     expected, reference = reference_answers(scenario.at_scale(1e-3), scenario.ensemble)
     assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
     assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_tail_basis_radius_refused_when_the_negative_end_may_lead():
+    # ``negative_end_case`` with the exact invariant subspace of B's two
+    # largest eigenvalues, 0.32 twice: the Ritz values clear beta = 0 and their
+    # residual is rounding, but they do not exceed -lambda_min(S) = 1/2, so
+    # they need not be rho, and here they are not: the radius is 0.475
+    cfg, ens = negative_end_case()
+    eigs, vectors = np.linalg.eig(kron_reference(cfg, ens)[0])
+    assert np.isrealobj(eigs)
+    basis = np.linalg.qr(vectors[:, np.argsort(eigs)[-2:]])[0]
+    scenario = analyse_scenario(cfg, ens)
+    modes, a1 = slow_modes_at(scenario, 0.1)
+    assert modes._tail_ritz(scenario, a1, basis) is None
+    closed, rho = scale_analysis(scenario, 0.1)
+    expected, reference = reference_answers(cfg, ens)
+    assert reference == pytest.approx(0.475, abs=1e-9)
+    assert abs(rho - reference) <= 1e-9 * (1.0 - reference)
+    assert np.linalg.norm(closed - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_a_model_whose_scan_refuses_keeps_its_closed_form_and_radius(radius_calls, monkeypatch):
+    # the small-step sweep's 1e-3 row with the scan made to refuse: the row
+    # runs the recursion, and its gap check takes the model's x and rho, with
+    # no eigvalsh of C and no second solve; both are those of the modelled row
+    scenario = build_scenario(rule_case("atc", "averaging", "relative_degree"))
+    modelled, closed, rho = analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
+    assert modelled.stepped == 0 and radius_calls["tail_ritz"] == [rho]
+    solves, closed_form, run = [], bias_module._SlowModes.closed_form, bias_module.ModalTail.run
+
+    def counted(modes, *args):
+        solves.append(args[-1] is not None)
+        return closed_form(modes, *args)
+
+    monkeypatch.setattr(bias_module._SlowModes, "closed_form", counted)
+    # only the model's scan starts at iteration 0; the run's tail keeps its own
+    monkeypatch.setattr(
+        bias_module.ModalTail, "run", lambda tail, k, *args: run(tail, k, *args) if k else None
+    )
+    result, again, radius = analyse_scale(scenario, 1e-3, 1e-12, DEFAULT_MAX_ITER)
+    assert 0 < result.stepped < result.iterations_used
+    assert (result.iterations_used, result.converged) == (modelled.iterations_used, True)
+    assert radius_calls["tail_ritz"] == [rho, rho] and solves == [True]
+    assert radius_calls["eigvalsh"] == [4, 50]
+    assert radius == rho and np.array_equal(again, closed)
 
 
 def test_slow_modes_hold_only_their_factors(monkeypatch):

@@ -427,15 +427,15 @@ def count_calls(monkeypatch, name: str, calls: list) -> None:
 
 def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     # a scale adds one step operator (the fixed-point loop's, or the modelled
-    # row's) and two symmetric eigensolves: eigvalsh of the 2 x 2 aggregate
-    # Hessian, for whether the row is modelled, and for rho eigvalsh of C
-    # (24 x 24), or on a modelled row eigh of the 2 x 2 Rayleigh-Ritz matrix on
-    # its basis. The spectrum of S (12 x 12), taken for the scenario's first
-    # long row, gives the basis's Chebyshev interval and certifies that radius;
-    # it, the Hessian eigenvalues, the Perron vector and the gradients at the
-    # optimum are taken once for the scenario; the network and data are built
-    # once for both sweeps, which differ only in a_rule. Both sweeps model
-    # their 3e-3 and 1e-3 rows
+    # row's) and one symmetric eigensolve for rho: eigvalsh of C (24 x 24), or
+    # on a modelled row eigh of the 2 x 2 Rayleigh-Ritz matrix on its basis.
+    # The spectrum of S (12 x 12), taken for the scenario's first long row,
+    # gives the basis's Chebyshev interval and certifies that radius; it, the
+    # eigenvalues of the 2 x 2 aggregate Hessian (for whether a row is
+    # modelled), the node Hessians' eigenvalues, the Perron vector and the
+    # gradients at the optimum are taken once for the scenario; the network
+    # and data are built once for both sweeps, which differ only in a_rule.
+    # Both sweeps model their 3e-3 and 1e-3 rows
     experiment_module._scenario_inputs.cache_clear()
     operators, hessian_eigs, radius_eigs, scenario_calls = [], [], [], []
     input_calls = []
@@ -463,7 +463,7 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     assert len(rows) == 3 and all(row.converged for row in rows)
     assert len(operators) == 3
     assert hessian_eigs == [(12, 2, 2)]
-    modelled = [(2, 2), (24, 24), (2, 2), (12, 12), (2, 2), (2, 2), (2, 2)]
+    modelled = [(2, 2), (24, 24), (12, 12), (2, 2), (2, 2)]
     assert radius_eigs == modelled
     assert sorted(scenario_calls) == ["perron_theta", "stacked_gradient"]
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
@@ -472,7 +472,7 @@ def test_sweep_builds_scale_free_operands_once_per_scenario(monkeypatch):
     assert len(rows) == 3 and all(row.converged for row in rows)
     assert len(operators) == 6
     assert hessian_eigs == [(12, 2, 2)]
-    assert radius_eigs[7:] == modelled
+    assert radius_eigs[5:] == modelled
     assert sorted(scenario_calls) == ["perron_theta"] * 2 + ["stacked_gradient"] * 2
     assert sorted(input_calls) == ["generate_topology", "sample_ensemble"]
 
